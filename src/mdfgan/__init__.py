@@ -36,12 +36,9 @@ from .gan import (
     TraceRow,
     TrainingConfig,
     TrainingDivergedError,
-    discriminative_loss,
-    generative_loss,
     load_checkpoint,
     pretrain_lf,
     save_checkpoint,
-    supervised_loss,
     train,
     train_adversarial,
     write_loss_trace,
@@ -51,7 +48,6 @@ from .nn import (
     AdamState,
     DenseNetwork,
     FrozenNetworkError,
-    Gradients,
     NonFiniteGradientError,
     adam_step,
 )
@@ -67,7 +63,6 @@ __all__ = [
     "ExperimentResult",
     "FrozenNetworkError",
     "GanMdfModel",
-    "Gradients",
     "MultiFidelityDataset",
     "NonFiniteGradientError",
     "Normalizer",
@@ -77,9 +72,7 @@ __all__ = [
     "TrainingDivergedError",
     "adam_step",
     "dataset_from_rows",
-    "discriminative_loss",
     "emit_correlation_scatter",
-    "generative_loss",
     "get",
     "lhs_sample",
     "load_checkpoint",
@@ -94,7 +87,6 @@ __all__ = [
     "run_lf_sweep",
     "save_checkpoint",
     "save_snapshot",
-    "supervised_loss",
     "train",
     "train_adversarial",
     "write_loss_trace",

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -60,62 +61,48 @@ def _parse_config_file(path: Path) -> dict:
     return doc
 
 
-_CONFIG_KEYS = {
-    "lr_lf": float,
-    "lr_disc": float,
-    "lr_gen": float,
-    "lr_sup": float,
-    "epochs_lf": int,
-    "epochs_hf": int,
-    "lf_batch_cap": int,
-    "leaky_alpha": float,
-    "normalizer": str,
-    "mode": str,
-    "seed": int,
-    "hidden_sizes": lambda v: tuple(int(s) for s in str(v).split(",")),
-    "hidden_activations": lambda v: tuple(s.strip() for s in str(v).split(",")),
-    "supervised_trick": lambda v: str(v).strip().lower() in ("1", "true", "yes", "on"),
-}
+def _config_value_parser(default):
+    """Text-to-value parser for a config field, chosen by its default: tuples
+    take comma-separated items, booleans a truthy word."""
+    if isinstance(default, bool):
+        return lambda text: text.lower() in ("1", "true", "yes", "on")
+    if isinstance(default, tuple):
+        item = type(default[0])
+        return lambda text: tuple(item(part.strip()) for part in text.split(","))
+    return type(default)
+
+
+def _base_seed(args, fallback: int = 0) -> int:
+    """The base seed: --seed, then $MDFGAN_SEED, then ``fallback``."""
+    if getattr(args, "seed", None) is not None:
+        return args.seed
+    env = os.environ.get(ENV_SEED)
+    return int(env) if env else fallback
 
 
 def resolve_config(args, defaults: TrainingConfig) -> TrainingConfig:
     """Layer the configuration: defaults, then config file, then flags."""
     doc = defaults.to_dict()
     if getattr(args, "config", None):
-        raw = _parse_config_file(Path(args.config))
-        for key, value in raw.items():
-            if key not in _CONFIG_KEYS:
+        parsers = {f.name: _config_value_parser(f.default) for f in fields(TrainingConfig)}
+        for key, value in _parse_config_file(Path(args.config)).items():
+            if key not in parsers:
                 raise UsageError(f"unknown config key {key!r}")
             try:
-                doc[key] = _CONFIG_KEYS[key](value)
+                doc[key] = parsers[key](value)
             except ValueError:
                 raise UsageError(f"bad value for config key {key!r}: {value!r}") from None
-    flag_map = {
-        "lr_lf": "lr_lf",
-        "lr_disc": "lr_disc",
-        "lr_gen": "lr_gen",
-        "lr_sup": "lr_sup",
-        "epochs_lf": "epochs_lf",
-        "epochs_hf": "epochs_hf",
-        "leaky_alpha": "leaky_alpha",
-        "normalizer": "normalizer",
-        "mode": "mode",
-    }
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
+    for f in fields(TrainingConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            doc[key] = value
+            doc[f.name] = value
     if getattr(args, "hidden", None):
         doc["hidden_sizes"] = tuple(_int_list(args.hidden))
     if getattr(args, "activations", None):
         doc["hidden_activations"] = tuple(s.strip() for s in args.activations.split(","))
     if getattr(args, "no_supervised", False):
         doc["supervised_trick"] = False
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        env = os.environ.get(ENV_SEED)
-        seed = int(env) if env else doc.get("seed", 0)
-    doc["seed"] = int(seed)
+    doc["seed"] = _base_seed(args, doc["seed"])
     try:
         return TrainingConfig.from_dict(doc)
     except (ValueError, TypeError) as exc:
@@ -218,6 +205,8 @@ def cmd_predict(args) -> int:
         inputs = np.array([x for x, _ in pairs])
     if inputs.ndim != 2 or inputs.shape[1] != model.d1:
         raise UsageError(f"inputs must be rows of width {model.d1}")
+    if not np.isfinite(inputs).all():
+        raise UsageError("inputs must be finite numbers")
     outputs = model.predict(inputs)
     out = _out_dir(args)
     path = out / "predictions.csv"
@@ -296,11 +285,7 @@ def cmd_baselines(args) -> int:
 
 def cmd_scatter(args) -> int:
     pair = _require_benchmark(args)
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get(ENV_SEED)
-        seed = int(env) if env else 0
-    points = experiments.emit_correlation_scatter(pair, args.points, seed)
+    points = experiments.emit_correlation_scatter(pair, args.points, _base_seed(args))
     print(f"{pair.name}: {len(points)} scatter point(s)")
     out = _out_dir(args)
     _announce(experiments.write_scatter_csv(points, out / "scatter.csv"))

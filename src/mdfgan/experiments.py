@@ -22,10 +22,12 @@ import numpy as np
 from .benchmarks import BenchmarkPair
 from .data import MultiFidelityDataset, Normalizer, lhs_sample, make_dataset
 from .gan import (
+    HF_BATCH_CAP,
     GanMdfModel,
     TrainingConfig,
     TrainingDivergedError,
     fit_regression,
+    normalized_predict,
     pretrain_lf,
     train_adversarial,
 )
@@ -123,12 +125,9 @@ class HfOnlyModel:
         self.output_norm = output_norm
 
     def predict(self, inputs) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=float)
-        single = inputs.ndim == 1
-        z = self.input_norm.transform(np.atleast_2d(inputs))
-        out, _ = self.net.forward(z)
-        out = self.output_norm.inverse_transform(out)
-        return out[0] if single else out
+        return normalized_predict(
+            lambda z: self.net.forward(z)[0], inputs, self.net.input_width, self.input_norm, self.output_norm
+        )
 
 
 def train_hf_only(dataset: MultiFidelityDataset, config: TrainingConfig) -> HfOnlyModel:
@@ -148,7 +147,7 @@ def train_hf_only(dataset: MultiFidelityDataset, config: TrainingConfig) -> HfOn
         output_norm.transform(dataset.hf_y),
         config.lr_sup,
         config.epochs_lf,
-        32,
+        HF_BATCH_CAP,
         rng,
         label="high-fidelity-only baseline",
     )

@@ -27,7 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,7 @@ from .nn import (
     AdamState,
     DenseNetwork,
     FrozenNetworkError,
+    NonFiniteActivationError,
     NonFiniteGradientError,
     parse_activation,
 )
@@ -47,7 +48,7 @@ MODE_COUPLED = "coupled"
 MODE_STANDARD_GAN = "standard-gan"
 MODES = (MODE_COUPLED, MODE_STANDARD_GAN)
 
-HF_BATCH_CAP = 32  # high-fidelity mini-batch rule: min(32, n_hf)
+HF_BATCH_CAP = 32  # high-fidelity mini-batch rule, min(32, n_hf): adversarial phase and hf-only baseline
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -57,7 +58,11 @@ _SEED_LF_SHUFFLE, _SEED_HF_SHUFFLE = 3, 4
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when a training loss or gradient stops being finite."""
+    """Raised when a training loss, pre-activation or gradient stops being finite."""
+
+
+# what the loss definitions and the nn engine raise when a value stops being finite
+_NON_FINITE = (FloatingPointError, NonFiniteActivationError, NonFiniteGradientError)
 
 
 @dataclass
@@ -114,28 +119,11 @@ class TrainingConfig:
         return [parse_activation(name, self.leaky_alpha) for name in names]
 
     def to_dict(self) -> dict:
-        return {
-            "lr_lf": self.lr_lf,
-            "lr_disc": self.lr_disc,
-            "lr_gen": self.lr_gen,
-            "lr_sup": self.lr_sup,
-            "epochs_lf": self.epochs_lf,
-            "epochs_hf": self.epochs_hf,
-            "lf_batch_cap": self.lf_batch_cap,
-            "hidden_sizes": list(self.hidden_sizes),
-            "hidden_activations": list(self.hidden_activations),
-            "leaky_alpha": self.leaky_alpha,
-            "normalizer": self.normalizer,
-            "mode": self.mode,
-            "supervised_trick": self.supervised_trick,
-            "seed": self.seed,
-        }
+        """The fields in declaration order; tuples serialize as JSON lists."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainingConfig":
-        doc = dict(doc)
-        doc["hidden_sizes"] = tuple(doc.get("hidden_sizes", (32, 32)))
-        doc["hidden_activations"] = tuple(doc.get("hidden_activations", ("sigmoid",)))
         return cls(**doc)
 
 
@@ -218,17 +206,9 @@ class GanMdfModel:
         return out
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
-        """Normalized-space generator evaluation wrapped in the fitted
-        input transform and inverse output transform."""
-        inputs = np.asarray(inputs, dtype=float)
-        single = inputs.ndim == 1
-        batch = np.atleast_2d(inputs)
-        if batch.shape[1] != self.d1:
-            raise ValueError(f"expected inputs of width {self.d1}, got shape {inputs.shape}")
-        z = self.input_norm.transform(batch)
-        raw = self.generator_forward(z)
-        out = self.hf_output_norm.inverse_transform(raw)
-        return out[0] if single else out
+        return normalized_predict(
+            self.generator_forward, inputs, self.d1, self.input_norm, self.hf_output_norm
+        )
 
     def lf_checksum(self) -> str:
         return self.lf_block.checksum()
@@ -258,35 +238,50 @@ class GanMdfModel:
         )
 
 
+def normalized_predict(
+    forward, inputs: np.ndarray, width: int, input_norm: Normalizer, output_norm: Normalizer
+) -> np.ndarray:
+    """Evaluate a normalized-space map on raw inputs (a vector or batch rows):
+    apply the fitted input transform, run ``forward`` on the batch, and undo
+    the output transform."""
+    inputs = np.asarray(inputs, dtype=float)
+    single = inputs.ndim == 1
+    batch = np.atleast_2d(inputs)
+    if batch.shape[1] != width:
+        raise ValueError(f"expected inputs of width {width}, got shape {inputs.shape}")
+    out = output_norm.inverse_transform(forward(input_norm.transform(batch)))
+    return out[0] if single else out
+
+
 # -- losses ------------------------------------------------------------------
+#
+# Each returns the loss and its gradient with respect to the scores or
+# predictions it was given, the upstream that backpropagation starts from,
+# and raises FloatingPointError when the loss is not finite.
 
 
-def supervised_loss(model: GanMdfModel, x: np.ndarray, y: np.ndarray) -> float:
-    """Mean over the batch of the squared Euclidean error of the generator."""
-    x, y = np.atleast_2d(np.asarray(x, float)), np.atleast_2d(np.asarray(y, float))
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
-    resid = model.generator_forward(x) - y
-    return float((resid**2).sum(axis=1).mean())
+def _finite(loss: float, name: str) -> float:
+    if not np.isfinite(loss):
+        raise FloatingPointError(f"{name} loss became non-finite")
+    return loss
 
 
-def generative_loss(model: GanMdfModel, x: np.ndarray) -> float:
+def squared_error(pred: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Supervised loss: mean over the batch of the squared Euclidean error."""
+    resid = pred - y
+    return _finite(float((resid**2).sum(axis=1).mean()), "squared-error"), 2.0 * resid / resid.shape[0]
+
+
+def discriminative(real: np.ndarray, fake: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean of (1 - D[real response]) plus mean of D[generated response];
+    returns the loss and the upstreams of the real and the fake scores."""
+    loss = _finite(float((1.0 - real).mean() + fake.mean()), "discriminative")
+    return loss, np.full_like(real, -1.0 / real.shape[0]), np.full_like(fake, 1.0 / fake.shape[0])
+
+
+def generative(fake: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean over the batch of (1 - D[G[x]])."""
-    x = np.atleast_2d(np.asarray(x, float))
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
-    scores, _ = model.discriminator.forward(model.generator_forward(x))
-    return float((1.0 - scores).mean())
-
-
-def discriminative_loss(model: GanMdfModel, x: np.ndarray, y: np.ndarray) -> float:
-    """Mean of (1 - D[real response]) plus mean of D[generated response]."""
-    x, y = np.atleast_2d(np.asarray(x, float)), np.atleast_2d(np.asarray(y, float))
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
-    real, _ = model.discriminator.forward(y)
-    fake, _ = model.discriminator.forward(model.generator_forward(x))
-    return float((1.0 - real).mean() + fake.mean())
+    return _finite(float((1.0 - fake).mean()), "generative"), np.full_like(fake, -1.0 / fake.shape[0])
 
 
 # -- training ----------------------------------------------------------------
@@ -316,21 +311,18 @@ def fit_regression(
     state = AdamState.for_network(net)
     trace: list[float] = []
     n = x.shape[0]
-    for epoch in range(epochs):
-        epoch_losses = []
-        for idx in _batch_indices(n, batch_cap, rng):
-            pred, tape = net.forward(x[idx])
-            resid = pred - y[idx]
-            loss = float((resid**2).sum(axis=1).mean())
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(f"{label} loss became non-finite at epoch {epoch}")
-            grads, _ = net.gradient(tape, 2.0 * resid / idx.size)
-            try:
-                net.apply_adam(grads, state, lr)
-            except NonFiniteGradientError as exc:
-                raise TrainingDivergedError(f"{label} diverged at epoch {epoch}: {exc}") from exc
-            epoch_losses.append(loss)
-        trace.append(float(np.mean(epoch_losses)))
+    try:
+        for epoch in range(epochs):
+            epoch_losses = []
+            for idx in _batch_indices(n, batch_cap, rng):
+                pred, tape = net.forward(x[idx])
+                loss, upstream = squared_error(pred, y[idx])
+                grad, _ = net.gradient(tape, upstream)
+                net.apply_adam(grad, state, lr)
+                epoch_losses.append(loss)
+            trace.append(float(np.mean(epoch_losses)))
+    except _NON_FINITE as exc:
+        raise TrainingDivergedError(f"{label} diverged at epoch {epoch}: {exc}") from exc
     return trace
 
 
@@ -392,76 +384,66 @@ def train_adversarial(
     coupled = config.mode == MODE_COUPLED
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SEED_HF_SHUFFLE]))
 
-    def check(loss: float, name: str, iteration: int) -> float:
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(
-                f"{name} loss became non-finite at iteration {iteration}"
-            )
-        return loss
-
-    def guard(stage: str, iteration: int, net: DenseNetwork, grads, state, lr: float) -> None:
-        try:
-            net.apply_adam(grads, state, lr)
-        except NonFiniteGradientError as exc:
-            raise TrainingDivergedError(
-                f"non-finite gradient in {stage} update at iteration {iteration}"
-            ) from exc
-
     trace: list[TraceRow] = []
     iteration = 0
-    for _epoch in range(config.epochs_hf):
-        for idx in _batch_indices(n, HF_BATCH_CAP, rng):
-            iteration += 1
-            gen_in, y_b = gen_inputs[idx], y[idx]
-            b = idx.size
+    try:
+        for _epoch in range(config.epochs_hf):
+            for idx in _batch_indices(n, HF_BATCH_CAP, rng):
+                iteration += 1
+                gen_in, y_b = gen_inputs[idx], y[idx]
 
-            def supervised_step(update: bool) -> float:
-                pred, tape = hf_net.forward(gen_in)
-                resid = pred - y_b
-                loss = check(float((resid**2).sum(axis=1).mean()), "supervised", iteration)
-                if update:
-                    grads, _ = hf_net.gradient(tape, 2.0 * resid / b)
-                    guard("supervised", iteration, hf_net, grads, st_hf_sup, config.lr_sup)
-                return loss
+                def supervised_step(update: bool) -> float:
+                    pred, tape = hf_net.forward(gen_in)
+                    loss, upstream = squared_error(pred, y_b)
+                    if update:
+                        grad, _ = hf_net.gradient(tape, upstream)
+                        hf_net.apply_adam(grad, st_hf_sup, config.lr_sup)
+                    return loss
 
-            # stage 1: supervised refinement (measured even when disabled)
-            loss_sup = supervised_step(update=config.supervised_trick)
+                # stage 1: supervised refinement (measured even when disabled)
+                stage = "supervised"
+                loss_sup = supervised_step(update=config.supervised_trick)
 
-            # stage 2: discriminative loss; both gradients are taken at the
-            # current parameters, then applied together
-            real, tape_real = disc.forward(y_b)
-            fake_pred, tape_hf = hf_net.forward(gen_in)
-            fake, tape_fake = disc.forward(fake_pred)
-            loss_disc = check(
-                float((1.0 - real).mean() + fake.mean()), "discriminative", iteration
-            )
-            g_real, _ = disc.gradient(tape_real, np.full_like(real, -1.0 / b))
-            g_fake, into_fake = disc.gradient(tape_fake, np.full_like(fake, 1.0 / b))
-            g_disc = g_real.add(g_fake)
-            if coupled:
+                # stage 2: discriminative loss; both gradients are taken at the
+                # current parameters, then applied together
+                stage = "discriminative"
+                real, tape_real = disc.forward(y_b)
+                fake_pred, tape_hf = hf_net.forward(gen_in)
+                fake, tape_fake = disc.forward(fake_pred)
+                loss_disc, up_real, up_fake = discriminative(real, fake)
+                g_real, _ = disc.gradient(tape_real, up_real)
+                g_fake, into_fake = disc.gradient(tape_fake, up_fake)
+                if coupled:
+                    g_hf, _ = hf_net.gradient(tape_hf, into_fake)
+                    hf_net.apply_adam(g_hf, st_hf_disc, config.lr_disc)
+                disc.apply_adam(g_real + g_fake, st_disc_disc, config.lr_disc)
+
+                # stage 3: supervised refinement
+                stage = "supervised"
+                if config.supervised_trick:
+                    supervised_step(update=True)
+
+                # stage 4: generative loss
+                stage = "generative"
+                fake_pred, tape_hf = hf_net.forward(gen_in)
+                fake, tape_fake = disc.forward(fake_pred)
+                loss_gen, up_fake = generative(fake)
+                g_disc, into_fake = disc.gradient(tape_fake, up_fake)
                 g_hf, _ = hf_net.gradient(tape_hf, into_fake)
-                guard("discriminative", iteration, hf_net, g_hf, st_hf_disc, config.lr_disc)
-            guard("discriminative", iteration, disc, g_disc, st_disc_disc, config.lr_disc)
+                hf_net.apply_adam(g_hf, st_hf_gen, config.lr_gen)
+                if coupled:
+                    disc.apply_adam(g_disc, st_disc_gen, config.lr_gen)
 
-            # stage 3: supervised refinement
-            if config.supervised_trick:
-                supervised_step(update=True)
+                # stage 5: supervised refinement
+                stage = "supervised"
+                if config.supervised_trick:
+                    supervised_step(update=True)
 
-            # stage 4: generative loss
-            fake_pred, tape_hf = hf_net.forward(gen_in)
-            fake, tape_fake = disc.forward(fake_pred)
-            loss_gen = check(float((1.0 - fake).mean()), "generative", iteration)
-            g_disc, into_fake = disc.gradient(tape_fake, np.full_like(fake, -1.0 / b))
-            g_hf, _ = hf_net.gradient(tape_hf, into_fake)
-            guard("generative", iteration, hf_net, g_hf, st_hf_gen, config.lr_gen)
-            if coupled:
-                guard("generative", iteration, disc, g_disc, st_disc_gen, config.lr_gen)
-
-            # stage 5: supervised refinement
-            if config.supervised_trick:
-                supervised_step(update=True)
-
-            trace.append(TraceRow(iteration, loss_sup, loss_gen, loss_disc))
+                trace.append(TraceRow(iteration, loss_sup, loss_gen, loss_disc))
+    except _NON_FINITE as exc:
+        raise TrainingDivergedError(
+            f"adversarial training diverged in the {stage} stage at iteration {iteration}: {exc}"
+        ) from exc
 
     if model.lf_checksum() != lf_sum_before:
         raise FrozenNetworkError("frozen low-fidelity block changed during adversarial training")

@@ -8,12 +8,13 @@ from .activations import (
     RICKER,
     SIGMOID,
     Activation,
+    NonFiniteActivationError,
     apply,
     backward,
     leaky_relu,
     parse_activation,
 )
-from .network import DenseNetwork, FrozenNetworkError, Gradients, Tape
+from .network import DenseNetwork, FrozenNetworkError, Tape
 from .optim import AdamState, NonFiniteGradientError, adam_step
 
 __all__ = [
@@ -22,10 +23,10 @@ __all__ = [
     "DenseNetwork",
     "DFT",
     "FrozenNetworkError",
-    "Gradients",
     "IDENTITY",
     "INVERSE_MULTIQUADRATIC",
     "KINDS",
+    "NonFiniteActivationError",
     "NonFiniteGradientError",
     "RICKER",
     "SIGMOID",

@@ -13,6 +13,11 @@ from functools import lru_cache
 
 import numpy as np
 
+
+class NonFiniteActivationError(ValueError):
+    """Raised when an activation receives a NaN or infinite pre-activation."""
+
+
 KINDS = ("identity", "sigmoid", "leaky_relu", "ricker", "dft", "inverse_multiquadratic")
 
 
@@ -81,7 +86,7 @@ def apply(act: Activation, v: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     if not np.isfinite(v).all():
-        raise ValueError(f"non-finite input to {act.kind} activation")
+        raise NonFiniteActivationError(f"non-finite input to {act.kind} activation")
     if act.kind == "identity":
         return v.copy()
     if act.kind == "sigmoid":

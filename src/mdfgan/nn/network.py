@@ -1,8 +1,17 @@
-"""Dense feed-forward networks with explicit forward tapes and reverse-mode gradients."""
+"""Dense feed-forward networks with explicit forward tapes and reverse-mode gradients.
+
+A network keeps all of its parameters in one contiguous float vector laid out
+as w0, b0, w1, b1, ... (each weight matrix row-major, shape (fan_out, fan_in)).
+``weights[i]`` and ``biases[i]`` are reshaped views into that vector, and
+gradients come back as one vector in the same layout, so the optimizer and the
+checksum work on a single array.
+"""
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,24 +39,16 @@ class Tape:
     single: bool
 
 
-@dataclass
-class Gradients:
-    """Parameter gradients of a DenseNetwork, shaped like its weights and biases."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def to_list(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
-
-    def add(self, other: "Gradients") -> "Gradients":
-        return Gradients(
-            [a + b for a, b in zip(self.weights, other.weights)],
-            [a + b for a, b in zip(self.biases, other.biases)],
-        )
+def _layout(layer_sizes: list[int]) -> list[tuple[str, slice, tuple[int, ...]]]:
+    """(name, span, shape) of each parameter block, in vector order:
+    layer0.weight, layer0.bias, layer1.weight, ..."""
+    blocks, start = [], 0
+    for layer, (fan_in, fan_out) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):
+        for name, shape in ((f"layer{layer}.weight", (fan_out, fan_in)), (f"layer{layer}.bias", (fan_out,))):
+            size = math.prod(shape)
+            blocks.append((name, slice(start, start + size), shape))
+            start += size
+    return blocks
 
 
 class DenseNetwork:
@@ -81,15 +82,25 @@ class DenseNetwork:
         self.hidden_activations = list(hidden_activations)
         self.output_activation = output_activation
         self.frozen = False
+
+        self._blocks = _layout(self.layer_sizes)
+        self._bind(np.zeros(self._blocks[-1][1].stop))
+        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        for w in self.weights:
+            fan_out, fan_in = w.shape
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
+
+    def _bind(self, params: np.ndarray) -> None:
+        """Adopt ``params`` as the parameter vector and rebuild the views."""
+        self.params = params
+        self.weights, self.biases = self._split(params)
         self._version = 0
 
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-            self.biases.append(np.zeros(fan_out))
+    def _split(self, vector: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views of a vector in the parameter layout."""
+        blocks = [vector[span].reshape(shape) for _, span, shape in self._blocks]
+        return blocks[0::2], blocks[1::2]
 
     # -- structure ----------------------------------------------------------
 
@@ -110,18 +121,12 @@ class DenseNetwork:
             return self.output_activation
         return self.hidden_activations[layer]
 
-    def parameters(self) -> list[np.ndarray]:
-        """Flat parameter list, weights and biases interleaved per layer."""
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
-
-    def parameter_names(self) -> list[str]:
-        out: list[str] = []
-        for layer in range(self.n_layers):
-            out.extend((f"layer{layer}.weight", f"layer{layer}.bias"))
-        return out
+    def block_name(self, index: int) -> str:
+        """Name of the block, such as ``layer1.weight``, holding a parameter-vector index."""
+        for name, span, _ in self._blocks:
+            if span.start <= index < span.stop:
+                return name
+        raise IndexError(f"parameter index {index} out of range")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -142,11 +147,12 @@ class DenseNetwork:
         out = post[-1][0] if single else post[-1]
         return out, Tape(np.atleast_2d(x), pre, post, self, self._version, single)
 
-    def gradient(self, tape: Tape, upstream: np.ndarray) -> tuple[Gradients, np.ndarray]:
+    def gradient(self, tape: Tape, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Backpropagate ``upstream`` (= dLoss/dOutput) through a recorded forward pass.
 
-        Returns the parameter gradients and the gradient with respect to the
-        network input, both summed over the batch rows of the tape.
+        Returns the parameter gradient, one vector in the parameter layout,
+        and the gradient with respect to the network input, both summed over
+        the batch rows of the tape.
         """
         if tape.net is not self or tape.version != self._version:
             raise ValueError("stale tape: parameters changed since this forward pass")
@@ -157,46 +163,37 @@ class DenseNetwork:
             raise ValueError(
                 f"upstream shape {np.shape(upstream)} does not match output shape {tape.post[-1].shape}"
             )
-        d_weights: list[np.ndarray | None] = [None] * self.n_layers
-        d_biases: list[np.ndarray | None] = [None] * self.n_layers
+        grad = np.empty_like(self.params)
+        d_weights, d_biases = self._split(grad)
         for layer in reversed(range(self.n_layers)):
             act = self.activation_for_layer(layer)
             gz = activations.backward(act, tape.pre[layer], tape.post[layer], g)
             below = tape.post[layer - 1] if layer > 0 else tape.inputs
-            d_weights[layer] = gz.T @ below
-            d_biases[layer] = gz.sum(axis=0)
+            d_weights[layer][...] = gz.T @ below
+            d_biases[layer][...] = gz.sum(axis=0)
             g = gz @ self.weights[layer]
         input_grad = g[0] if tape.single else g
-        return Gradients(d_weights, d_biases), input_grad
+        return grad, input_grad
 
     # -- mutation -----------------------------------------------------------
 
     def freeze(self) -> None:
         self.frozen = True
 
-    def apply_adam(self, grads: Gradients, state: AdamState, lr: float) -> None:
+    def apply_adam(self, grad: np.ndarray, state: AdamState, lr: float) -> None:
         """Take one Adam step on this network's parameters."""
         if self.frozen:
             raise FrozenNetworkError("network is frozen; parameter updates are forbidden")
-        adam_step(self.parameters(), grads.to_list(), state, lr, names=self.parameter_names())
+        adam_step(self.params, grad, state, lr, name_of=self.block_name)
         self._version += 1
 
     def checksum(self) -> str:
         """SHA-256 over the raw parameter bytes; stable iff parameters are."""
-        h = hashlib.sha256()
-        for p in self.parameters():
-            h.update(np.ascontiguousarray(p).tobytes())
-        return h.hexdigest()
+        return hashlib.sha256(self.params.tobytes()).hexdigest()
 
     def copy(self) -> "DenseNetwork":
-        dup = DenseNetwork.__new__(DenseNetwork)
-        dup.layer_sizes = list(self.layer_sizes)
-        dup.hidden_activations = list(self.hidden_activations)
-        dup.output_activation = self.output_activation
-        dup.frozen = self.frozen
-        dup._version = 0
-        dup.weights = [w.copy() for w in self.weights]
-        dup.biases = [b.copy() for b in self.biases]
+        dup = copy.copy(self)
+        dup._bind(self.params.copy())
         return dup
 
     # -- serialization ------------------------------------------------------
@@ -222,11 +219,13 @@ class DenseNetwork:
             [Activation.from_dict(a) for a in doc["hidden_activations"]],
             Activation.from_dict(doc["output_activation"]),
         )
-        net.weights = [np.asarray(w, dtype=float) for w in doc["weights"]]
-        net.biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
-        for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
-            expect = (net.layer_sizes[layer + 1], net.layer_sizes[layer])
-            if w.shape != expect or b.shape != (expect[0],):
+        if not len(doc["weights"]) == len(doc["biases"]) == net.n_layers:
+            raise ValueError(f"expected {net.n_layers} weight and bias arrays for layer_sizes")
+        for layer, (w, b) in enumerate(zip(doc["weights"], doc["biases"])):
+            w, b = np.asarray(w, dtype=float), np.asarray(b, dtype=float)
+            if w.shape != net.weights[layer].shape or b.shape != net.biases[layer].shape:
                 raise ValueError(f"layer {layer} arrays do not match layer_sizes")
+            net.weights[layer][...] = w
+            net.biases[layer][...] = b
         net.frozen = bool(doc.get("frozen", False))
         return net

@@ -2,25 +2,27 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 
 class NonFiniteGradientError(RuntimeError):
-    """Raised when a gradient block contains NaN or infinity."""
+    """Raised when a gradient contains NaN or infinity."""
 
 
 class AdamState:
-    """First/second moment accumulators and step counter for one parameter list."""
+    """First/second moment accumulators and step counter for one parameter vector."""
 
     def __init__(
         self,
-        params: list[np.ndarray],
+        params: np.ndarray,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
     ) -> None:
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params, dtype=float)
+        self.v = np.zeros_like(params, dtype=float)
         self.t = 0
         self.beta1 = beta1
         self.beta2 = beta2
@@ -28,39 +30,41 @@ class AdamState:
 
     @classmethod
     def for_network(cls, net, **kwargs) -> "AdamState":
-        return cls(net.parameters(), **kwargs)
+        return cls(net.params, **kwargs)
 
 
 def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
+    params: np.ndarray,
+    grad: np.ndarray,
     state: AdamState,
     lr: float,
-    names: list[str] | None = None,
-) -> list[np.ndarray]:
+    name_of: Callable[[int], str] | None = None,
+) -> np.ndarray:
     """Update ``params`` in place with one bias-corrected Adam step.
 
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps). A zero learning rate
-    still advances the moment accumulators and the step counter.
+    still advances the moment accumulators and the step counter. A non-finite
+    gradient entry is reported by its flat index, or by ``name_of(index)``
+    when given.
     """
     if lr < 0:
         raise ValueError(f"learning rate must be non-negative, got {lr}")
-    if not (len(params) == len(grads) == len(state.m)):
-        raise ValueError("params, grads and optimizer state differ in block count")
+    grad = np.asarray(grad, dtype=float)
+    if params.shape != grad.shape or state.m.shape != params.shape:
+        raise ValueError(
+            f"gradient shape {grad.shape}, parameter shape {params.shape} and "
+            f"optimizer state shape {state.m.shape} differ"
+        )
+    if not np.isfinite(grad).all():
+        index = int(np.flatnonzero(~np.isfinite(grad))[0])
+        where = name_of(index) if name_of else f"index {index}"
+        raise NonFiniteGradientError(f"non-finite gradient in {where}")
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        g = np.asarray(g, dtype=float)
-        if p.shape != g.shape:
-            label = names[i] if names else f"block {i}"
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for {label}")
-        if not np.isfinite(g).all():
-            label = names[i] if names else f"block {i}"
-            raise NonFiniteGradientError(f"non-finite gradient in {label}")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
+    m_hat = state.m / bc1
+    v_hat = state.v / bc2
+    params -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
     return params

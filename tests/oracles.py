@@ -14,62 +14,53 @@ def scalar_loss(net, x, coeff):
     return float((coeff * out).sum())
 
 
+def _central_differences(loss, arr, h):
+    """dloss/darr by central differences, perturbing ``arr`` in place one entry at a time."""
+    g = np.zeros_like(arr)
+    flat_a, flat_g = arr.reshape(-1), g.reshape(-1)
+    for i in range(flat_a.size):
+        orig = flat_a[i]
+        flat_a[i] = orig + h
+        up = loss()
+        flat_a[i] = orig - h
+        down = loss()
+        flat_a[i] = orig
+        flat_g[i] = (up - down) / (2.0 * h)
+    return g
+
+
 def fd_parameter_grads(net, x, coeff, h=1e-6):
-    """Central finite differences of the scalar loss for every parameter."""
-    grads = []
-    for p in net.parameters():
-        g = np.zeros_like(p)
-        flat_p, flat_g = p.ravel(), g.ravel()
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + h
-            up = scalar_loss(net, x, coeff)
-            flat_p[i] = orig - h
-            down = scalar_loss(net, x, coeff)
-            flat_p[i] = orig
-            flat_g[i] = (up - down) / (2.0 * h)
-        grads.append(g)
-    return grads
+    """Central finite differences of the scalar loss for every entry of the
+    network's parameter vector."""
+    return _central_differences(lambda: scalar_loss(net, x, coeff), net.params, h)
 
 
 def fd_input_grad(net, x, coeff, h=1e-6):
     x = np.array(x, dtype=float)
-    g = np.zeros_like(x)
-    flat_x, flat_g = x.ravel(), g.ravel()
-    for i in range(flat_x.size):
-        orig = flat_x[i]
-        flat_x[i] = orig + h
-        up = scalar_loss(net, x, coeff)
-        flat_x[i] = orig - h
-        down = scalar_loss(net, x, coeff)
-        flat_x[i] = orig
-        flat_g[i] = (up - down) / (2.0 * h)
-    return g
+    return _central_differences(lambda: scalar_loss(net, x, coeff), x, h)
 
 
 def max_rel_error(analytic, numeric, floor=1e-4):
     """Worst elementwise relative error, with the denominator floored so
     that near-zero gradients are compared absolutely at the floor scale."""
-    worst = 0.0
-    for a, n in zip(analytic, numeric):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
-        worst = max(worst, float((np.abs(a - n) / denom).max()))
-    return worst
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
+    return float((np.abs(analytic - numeric) / denom).max())
 
 
-def scripted_adam_step(params, grads, mem, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One textbook Adam step, in place. ``mem`` is {"m": [...], "v": [...], "t": int}."""
+def scripted_adam_step(p, g, mem, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One textbook Adam step on parameter array ``p``, in place. ``mem`` is
+    {"m": array, "v": array, "t": int}."""
     mem["t"] += 1
     t = mem["t"]
-    for p, g, m, v in zip(params, grads, mem["m"], mem["v"]):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m, v = mem["m"], mem["v"]
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    p -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def fresh_adam_mem(params):
-    return {"m": [np.zeros_like(p) for p in params], "v": [np.zeros_like(p) for p in params], "t": 0}
+def fresh_adam_mem(p):
+    return {"m": np.zeros_like(p), "v": np.zeros_like(p), "t": 0}

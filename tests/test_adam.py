@@ -7,8 +7,8 @@ from oracles import fresh_adam_mem, scripted_adam_step
 
 def test_zero_gradient_leaves_params_unchanged():
     p = np.array([1.0, -2.0, 3.0])
-    state = AdamState([p])
-    adam_step([p], [np.zeros(3)], state, lr=0.1)
+    state = AdamState(p)
+    adam_step(p, np.zeros(3), state, lr=0.1)
     np.testing.assert_array_equal(p, [1.0, -2.0, 3.0])
     assert state.t == 1
 
@@ -17,7 +17,7 @@ def test_first_step_magnitude_matches_hand_computation():
     """Scalar g=1, lr=0.001: the bias-corrected first step is lr/(1+eps-ish),
     about -0.000999999995."""
     p = np.array([0.0])
-    adam_step([p], [np.ones(1)], AdamState([p]), lr=0.001)
+    adam_step(p, np.ones(1), AdamState(p), lr=0.001)
     assert abs(p[0] - (-0.000999999995)) < 1e-11
 
 
@@ -27,13 +27,13 @@ def test_two_steps_match_scripted_trace():
     q = p.copy()
     g1, g2 = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
 
-    state = AdamState([p])
-    adam_step([p], [g1], state, lr=0.05)
-    adam_step([p], [g2], state, lr=0.05)
+    state = AdamState(p)
+    adam_step(p, g1, state, lr=0.05)
+    adam_step(p, g2, state, lr=0.05)
 
-    mem = fresh_adam_mem([q])
-    scripted_adam_step([q], [g1], mem, lr=0.05)
-    scripted_adam_step([q], [g2], mem, lr=0.05)
+    mem = fresh_adam_mem(q)
+    scripted_adam_step(q, g1, mem, lr=0.05)
+    scripted_adam_step(q, g2, mem, lr=0.05)
 
     np.testing.assert_allclose(p, q, atol=1e-12)
 
@@ -42,43 +42,47 @@ def test_constant_gradient_long_trace():
     p = np.array([1.0])
     q = p.copy()
     g = np.array([0.3])
-    state = AdamState([p])
-    mem = fresh_adam_mem([q])
+    state = AdamState(p)
+    mem = fresh_adam_mem(q)
     for _ in range(50):
-        adam_step([p], [g], state, lr=0.01)
-        scripted_adam_step([q], [g], mem, lr=0.01)
+        adam_step(p, g, state, lr=0.01)
+        scripted_adam_step(q, g, mem, lr=0.01)
     np.testing.assert_allclose(p, q, atol=1e-12)
 
 
 def test_non_finite_gradient_names_the_block():
-    p1, p2 = np.zeros(2), np.zeros(2)
-    state = AdamState([p1, p2])
-    with pytest.raises(NonFiniteGradientError, match="blob"):
-        adam_step(
-            [p1, p2],
-            [np.zeros(2), np.array([np.nan, 0.0])],
-            state,
-            lr=0.1,
-            names=["base", "blob"],
-        )
+    """A [2, 3, 1] net lays out layer0.weight (6), layer0.bias (3),
+    layer1.weight (3), layer1.bias (1); index 10 sits in layer1.weight. The
+    failed step leaves the parameters and the optimizer state untouched."""
+    net = DenseNetwork([2, 3, 1], [SIGMOID], seed=0)
+    before = net.params.copy()
+    state = AdamState.for_network(net)
+    grad = np.zeros_like(net.params)
+    grad[10] = np.nan
+    with pytest.raises(NonFiniteGradientError, match=r"layer1\.weight"):
+        net.apply_adam(grad, state, lr=0.1)
+    with pytest.raises(NonFiniteGradientError, match="index 10"):
+        adam_step(net.params, grad, state, lr=0.1)
+    np.testing.assert_array_equal(net.params, before)
+    assert state.t == 0 and not state.m.any() and not state.v.any()
 
 
 def test_shape_mismatch_rejected():
     p = np.zeros((2, 2))
     with pytest.raises(ValueError, match="shape"):
-        adam_step([p], [np.zeros(3)], AdamState([p]), lr=0.1)
+        adam_step(p, np.zeros(3), AdamState(p), lr=0.1)
 
 
-def test_block_count_mismatch_rejected():
+def test_state_size_mismatch_rejected():
     p = np.zeros(2)
-    with pytest.raises(ValueError, match="block count"):
-        adam_step([p], [np.zeros(2), np.zeros(2)], AdamState([p]), lr=0.1)
+    with pytest.raises(ValueError, match="optimizer state"):
+        adam_step(p, np.zeros(2), AdamState(np.zeros(3)), lr=0.1)
 
 
 def test_negative_learning_rate_rejected():
     p = np.zeros(2)
     with pytest.raises(ValueError, match="non-negative"):
-        adam_step([p], [np.ones(2)], AdamState([p]), lr=-0.1)
+        adam_step(p, np.ones(2), AdamState(p), lr=-0.1)
 
 
 def test_zero_learning_rate_advances_state_only():
@@ -86,27 +90,29 @@ def test_zero_learning_rate_advances_state_only():
     accumulators, which matters when a later step uses a real rate."""
     p = np.array([1.5, -0.5])
     before = p.copy()
-    state = AdamState([p])
-    adam_step([p], [np.array([2.0, -1.0])], state, lr=0.0)
+    state = AdamState(p)
+    adam_step(p, np.array([2.0, -1.0]), state, lr=0.0)
     np.testing.assert_array_equal(p, before)
     assert state.t == 1
-    assert state.m[0][0] != 0.0
+    assert state.m[0] != 0.0
 
 
 def test_for_network_matches_parameter_layout():
     net = DenseNetwork([2, 3, 1], [SIGMOID], seed=0)
     state = AdamState.for_network(net)
-    assert len(state.m) == len(net.parameters())
-    for m, p in zip(state.m, net.parameters()):
-        assert m.shape == p.shape
-        assert (m == 0).all()
+    assert state.m.shape == state.v.shape == net.params.shape == (13,)
+    assert not state.m.any() and not state.v.any()
 
 
 def test_state_updates_in_place_across_blocks():
-    w, b = np.ones((2, 2)), np.zeros(2)
-    state = AdamState([w, b])
-    adam_step([w, b], [np.ones((2, 2)), np.ones(2)], state, lr=0.1)
-    adam_step([w, b], [np.ones((2, 2)), np.ones(2)], state, lr=0.1)
+    """One step on the parameter vector moves every weight and bias view."""
+    net = DenseNetwork([2, 2, 1], [SIGMOID], seed=0)
+    weights = [w.copy() for w in net.weights]
+    state = AdamState.for_network(net)
+    net.apply_adam(np.ones_like(net.params), state, lr=0.1)
+    net.apply_adam(np.ones_like(net.params), state, lr=0.1)
     assert state.t == 2
-    assert (w < 1.0).all()
-    assert (b < 0.0).all()
+    for w, w0 in zip(net.weights, weights):
+        assert (w < w0).all()
+    for b in net.biases:
+        assert (b < 0.0).all()

@@ -111,6 +111,16 @@ def test_divergence_exits_one(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_non_finite_preactivation_exits_one(tmp_path, capsys):
+    rc = cli.main(
+        ["train", "--benchmark", "forrester1d", "--il", "10", "--ih", "2",
+         "--lr-lf", "1e308", "--out", str(tmp_path), *FAST_TRAIN]
+    )
+    assert rc == 1
+    assert "non-finite input" in capsys.readouterr().err
+
+
 def test_predict_round_trip(tmp_path, capsys):
     assert cli.main(
         ["train", "--benchmark", "forrester1d", "--il", "15", "--ih", "3",
@@ -141,6 +151,18 @@ def test_predict_input_validation(tmp_path, capsys):
     assert cli.main(["predict", "--checkpoint", ckpt, "--points", "0.1,0.2"]) == 2
     assert cli.main(["predict", "--checkpoint", "missing.json", "--points", "0.5"]) == 2
     assert cli.main(["predict", "--checkpoint", ckpt, "--points", "abc"]) == 2
+
+
+def test_predict_rejects_non_finite_points(tmp_path, capsys):
+    assert cli.main(
+        ["train", "--benchmark", "forrester1d", "--il", "10", "--ih", "2",
+         "--out", str(tmp_path), *FAST_TRAIN]
+    ) == 0
+    capsys.readouterr()
+    ckpt = str(tmp_path / "checkpoint.json")
+    for bad in ("nan", "0.5;inf"):
+        assert cli.main(["predict", "--checkpoint", ckpt, "--points", bad, "--out", str(tmp_path)]) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 def test_sweep_hf_csv_layout_and_determinism(tmp_path, capsys):
@@ -193,6 +215,17 @@ def test_scatter_subcommand(tmp_path, capsys):
     assert len(lines) == 8
 
 
+def test_scatter_env_seed_matches_seed_flag(tmp_path, capsys, monkeypatch):
+    base = ["scatter", "--benchmark", "currin2d", "--points", "7"]
+    assert cli.main([*base, "--out", str(tmp_path / "default")]) == 0
+    assert cli.main([*base, "--seed", "5", "--out", str(tmp_path / "flag")]) == 0
+    monkeypatch.setenv(cli.ENV_SEED, "5")
+    assert cli.main([*base, "--out", str(tmp_path / "env")]) == 0
+    env = (tmp_path / "env" / "scatter.csv").read_bytes()
+    assert env == (tmp_path / "flag" / "scatter.csv").read_bytes()
+    assert env != (tmp_path / "default" / "scatter.csv").read_bytes()
+
+
 def test_no_supervised_flag_lands_in_the_checkpoint(tmp_path, capsys):
     rc = cli.main(
         ["train", "--benchmark", "forrester1d", "--il", "10", "--ih", "2",
@@ -232,6 +265,43 @@ def test_config_file_with_flag_precedence(tmp_path, capsys):
     assert cfg.lr_lf == 0.02  # the flag wins
     assert cfg.epochs_lf == 25 and cfg.normalizer == "standard"
     assert cfg.hidden_sizes == (5,)
+
+
+def test_config_file_parses_every_field_kind(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(
+        "epochs_lf = 20\n"
+        "epochs_hf = 3\n"
+        "lr_gen = 0.0005\n"
+        "lf_batch_cap = 8\n"
+        "hidden_sizes = 4, 3\n"
+        "hidden_activations = sigmoid, leaky_relu\n"
+        "leaky_alpha = 0.2\n"
+        "mode = standard-gan\n"
+        "supervised_trick = No\n"
+        "seed = 9\n"
+    )
+    rc = cli.main(
+        ["train", "--benchmark", "forrester1d", "--il", "10", "--ih", "2",
+         "--config", str(cfg_file), "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    _, cfg = load_checkpoint(tmp_path / "checkpoint.json")
+    assert (cfg.epochs_lf, cfg.epochs_hf, cfg.lr_gen, cfg.lf_batch_cap) == (20, 3, 0.0005, 8)
+    assert cfg.hidden_sizes == (4, 3)
+    assert cfg.hidden_activations == ("sigmoid", "leaky_relu")
+    assert (cfg.leaky_alpha, cfg.mode, cfg.supervised_trick, cfg.seed) == (0.2, "standard-gan", False, 9)
+
+
+def test_config_file_rejects_bad_values(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    for line in ("epochs_lf = many", "hidden_sizes = 4,x", "lr_sup = fast"):
+        cfg_file.write_text(line + "\n")
+        rc = cli.main(
+            ["train", "--benchmark", "forrester1d", "--config", str(cfg_file), "--out", str(tmp_path)]
+        )
+        assert rc == 2
+        assert "bad value for config key" in capsys.readouterr().err
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):

@@ -81,6 +81,16 @@ def test_failed_repeats_are_recorded_not_dropped():
     assert np.isnan(res.mean_nrmse)
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_non_finite_preactivation_is_a_failed_repeat():
+    """A learning rate of 1e308 pushes the weights so far that the next
+    forward pass overflows a pre-activation: each repeat is recorded as
+    diverged instead of aborting the whole experiment."""
+    res = run_experiment(get("forrester1d"), 20, 3, fast_config(lr_lf=1e308), n_repeats=2, test_size=10)
+    assert [r.failed for r in res.records] == [True, True]
+    assert all("pretraining diverged at epoch 1: non-finite input" in r.error for r in res.records)
+
+
 def test_run_record_failed_flag():
     ok = RunRecord(0, 0.5, 1.0, True)
     bad = RunRecord(1, float("nan"), 1.0, True, error="boom")
@@ -138,6 +148,17 @@ def test_hf_only_baseline_handles_two_samples():
     model = train_hf_only(ds, fast_config())
     pred = model.predict(np.linspace(0, 1, 10)[:, None])
     assert np.isfinite(pred).all()
+
+
+def test_hf_only_predict_normalizes_like_the_gan_model():
+    ds = make_dataset(get("forrester1d"), 10, 4, seed=4)
+    model = train_hf_only(ds, fast_config(normalizer="standard"))
+    x = np.linspace(0, 1, 5)[:, None]
+    raw, _ = model.net.forward(model.input_norm.transform(x))
+    np.testing.assert_array_equal(model.predict(x), model.output_norm.inverse_transform(raw))
+    np.testing.assert_allclose(model.predict(x[0]), model.predict(x)[0], atol=1e-12)
+    with pytest.raises(ValueError, match="width"):
+        model.predict(np.zeros((2, 3)))
 
 
 def test_hf_only_run_records_trivially_keep_lf_frozen():

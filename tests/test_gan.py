@@ -12,13 +12,13 @@ from mdfgan.gan import (
     GanMdfModel,
     TrainingConfig,
     TrainingDivergedError,
-    discriminative_loss,
+    discriminative,
     fit_regression,
-    generative_loss,
+    generative,
     load_checkpoint,
     pretrain_lf,
     save_checkpoint,
-    supervised_loss,
+    squared_error,
     train,
     train_adversarial,
     write_loss_trace,
@@ -77,6 +77,17 @@ def test_config_broadcasts_single_activation():
 def test_config_warns_when_disc_rate_not_larger():
     with pytest.warns(UserWarning, match="lr_disc"):
         TrainingConfig(lr_disc=0.001, lr_gen=0.001)
+
+
+def test_config_json_is_pinned():
+    """Checkpoints embed this document: field order, and tuples as lists."""
+    assert json.dumps(TrainingConfig().to_dict()) == (
+        '{"lr_lf": 0.03, "lr_disc": 0.002, "lr_gen": 0.001, "lr_sup": 0.05, '
+        '"epochs_lf": 4000, "epochs_hf": 350, "lf_batch_cap": 32, '
+        '"hidden_sizes": [32, 32], "hidden_activations": ["sigmoid"], '
+        '"leaky_alpha": 0.01, "normalizer": "none", "mode": "coupled", '
+        '"supervised_trick": true, "seed": 0}'
+    )
 
 
 def test_config_round_trip():
@@ -154,32 +165,59 @@ def test_predict_undoes_normalization():
 # -- loss formulas --------------------------------------------------------------
 
 
+# Each loss returns its value and its upstream (the gradient with respect to
+# its array arguments); the upstreams are checked against central differences.
+
+
+def central_differences(loss, arr, h=1e-6):
+    g = np.zeros_like(arr)
+    for i in np.ndindex(arr.shape):
+        up, down = arr.copy(), arr.copy()
+        up[i] += h
+        down[i] -= h
+        g[i] = (loss(up) - loss(down)) / (2.0 * h)
+    return g
+
+
 def test_supervised_loss_formula():
     model, hf_x, hf_y, _ = toy_problem()
-    resid = model.generator_forward(hf_x) - hf_y
-    expected = float((resid**2).sum(axis=1).mean())
-    assert supervised_loss(model, hf_x, hf_y) == pytest.approx(expected, abs=1e-15)
+    pred = model.generator_forward(hf_x)
+    loss, upstream = squared_error(pred, hf_y)
+    resid = pred - hf_y
+    assert loss == pytest.approx(float((resid**2).sum(axis=1).mean()), abs=1e-15)
+    fd = central_differences(lambda p: squared_error(p, hf_y)[0], pred)
+    np.testing.assert_allclose(upstream, fd, atol=1e-8)
 
 
 def test_generative_loss_formula():
     model, hf_x, _, _ = toy_problem()
     scores, _ = model.discriminator.forward(model.generator_forward(hf_x))
-    expected = float((1.0 - scores).mean())
-    assert generative_loss(model, hf_x) == pytest.approx(expected, abs=1e-15)
+    loss, upstream = generative(scores)
+    assert loss == pytest.approx(float((1.0 - scores).mean()), abs=1e-15)
+    fd = central_differences(lambda s: generative(s)[0], scores)
+    np.testing.assert_allclose(upstream, fd, atol=1e-8)
 
 
 def test_discriminative_loss_formula():
     model, hf_x, hf_y, _ = toy_problem()
     real, _ = model.discriminator.forward(hf_y)
     fake, _ = model.discriminator.forward(model.generator_forward(hf_x))
-    expected = float((1.0 - real).mean() + fake.mean())
-    assert discriminative_loss(model, hf_x, hf_y) == pytest.approx(expected, abs=1e-15)
+    loss, up_real, up_fake = discriminative(real, fake)
+    assert loss == pytest.approx(float((1.0 - real).mean() + fake.mean()), abs=1e-15)
+    fd_real = central_differences(lambda r: discriminative(r, fake)[0], real)
+    fd_fake = central_differences(lambda f: discriminative(real, f)[0], fake)
+    np.testing.assert_allclose(up_real, fd_real, atol=1e-8)
+    np.testing.assert_allclose(up_fake, fd_fake, atol=1e-8)
 
 
-def test_losses_reject_empty_batches():
-    model, _, _, _ = toy_problem()
-    with pytest.raises(ValueError, match="empty"):
-        supervised_loss(model, np.zeros((0, 1)), np.zeros((0, 1)))
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_losses_reject_non_finite_values():
+    with pytest.raises(FloatingPointError, match="squared-error"):
+        squared_error(np.array([[1e200]]), np.zeros((1, 1)))
+    with pytest.raises(FloatingPointError, match="generative"):
+        generative(np.array([[np.nan]]))
+    with pytest.raises(FloatingPointError, match="discriminative"):
+        discriminative(np.array([[0.5]]), np.array([[np.inf]]))
 
 
 # -- low-fidelity pretraining ------------------------------------------------------
@@ -232,6 +270,19 @@ def test_fit_regression_divergence_names_epoch():
         )
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_fit_regression_non_finite_preactivation_is_divergence():
+    """Weights of 1e308 overflow a pre-activation to infinity inside the
+    forward pass; that is divergence, not a usage error."""
+    net = DenseNetwork([1, 4, 1], [SIGMOID], IDENTITY, seed=0)
+    net.params[:] = 1e308
+    with pytest.raises(TrainingDivergedError, match="epoch 0.*non-finite input"):
+        fit_regression(
+            net, np.array([[1.0]]), np.array([[0.0]]), 0.01, 3, 32,
+            np.random.default_rng(0), label="pretraining",
+        )
+
+
 # -- adversarial phase: the five-stage schedule ---------------------------------------
 
 
@@ -247,11 +298,11 @@ def scripted_five_stages(model, hf_x, hf_y, config):
     q, _ = lf.forward(hf_x)
     gen_in = np.hstack([hf_x, q])
     mems = {
-        "hf_sup": fresh_adam_mem(hf.parameters()),
-        "hf_disc": fresh_adam_mem(hf.parameters()),
-        "hf_gen": fresh_adam_mem(hf.parameters()),
-        "disc_disc": fresh_adam_mem(disc.parameters()),
-        "disc_gen": fresh_adam_mem(disc.parameters()),
+        "hf_sup": fresh_adam_mem(hf.params),
+        "hf_disc": fresh_adam_mem(hf.params),
+        "hf_gen": fresh_adam_mem(hf.params),
+        "disc_disc": fresh_adam_mem(disc.params),
+        "disc_gen": fresh_adam_mem(disc.params),
     }
     losses = {}
 
@@ -259,8 +310,8 @@ def scripted_five_stages(model, hf_x, hf_y, config):
         pred, tape = hf.forward(gen_in)
         resid = pred - hf_y
         losses[tag] = float((resid**2).sum(axis=1).mean())
-        grads, _ = hf.gradient(tape, 2.0 * resid / b)
-        scripted_adam_step(hf.parameters(), grads.to_list(), mems["hf_sup"], config.lr_sup)
+        grad, _ = hf.gradient(tape, 2.0 * resid / b)
+        scripted_adam_step(hf.params, grad, mems["hf_sup"], config.lr_sup)
 
     sup_step("sup1")
 
@@ -271,8 +322,8 @@ def scripted_five_stages(model, hf_x, hf_y, config):
     g_real, _ = disc.gradient(tape_r, np.full_like(real, -1.0 / b))
     g_fake, into = disc.gradient(tape_f, np.full_like(fake, 1.0 / b))
     g_hf, _ = hf.gradient(tape_h, into)
-    scripted_adam_step(hf.parameters(), g_hf.to_list(), mems["hf_disc"], config.lr_disc)
-    scripted_adam_step(disc.parameters(), g_real.add(g_fake).to_list(), mems["disc_disc"], config.lr_disc)
+    scripted_adam_step(hf.params, g_hf, mems["hf_disc"], config.lr_disc)
+    scripted_adam_step(disc.params, g_real + g_fake, mems["disc_disc"], config.lr_disc)
 
     sup_step("sup2")
 
@@ -281,8 +332,8 @@ def scripted_five_stages(model, hf_x, hf_y, config):
     losses["gen"] = float((1.0 - fake).mean())
     g_disc, into = disc.gradient(tape_f, np.full_like(fake, -1.0 / b))
     g_hf, _ = hf.gradient(tape_h, into)
-    scripted_adam_step(hf.parameters(), g_hf.to_list(), mems["hf_gen"], config.lr_gen)
-    scripted_adam_step(disc.parameters(), g_disc.to_list(), mems["disc_gen"], config.lr_gen)
+    scripted_adam_step(hf.params, g_hf, mems["hf_gen"], config.lr_gen)
+    scripted_adam_step(disc.params, g_disc, mems["disc_gen"], config.lr_gen)
 
     sup_step("sup3")
     return hf, disc, losses
@@ -300,10 +351,8 @@ def test_one_iteration_matches_scripted_five_stage_trace():
     assert row.supervised == pytest.approx(losses["sup1"], abs=1e-12)
     assert row.discriminative == pytest.approx(losses["disc"], abs=1e-12)
     assert row.generative == pytest.approx(losses["gen"], abs=1e-12)
-    for got, want in zip(model.hf_block.parameters(), expected_hf.parameters()):
-        np.testing.assert_allclose(got, want, atol=1e-10)
-    for got, want in zip(model.discriminator.parameters(), expected_disc.parameters()):
-        np.testing.assert_allclose(got, want, atol=1e-10)
+    np.testing.assert_allclose(model.hf_block.params, expected_hf.params, atol=1e-10)
+    np.testing.assert_allclose(model.discriminator.params, expected_disc.params, atol=1e-10)
 
 
 def test_three_iterations_match_scripted_trace():
@@ -320,17 +369,17 @@ def test_three_iterations_match_scripted_trace():
     q, _ = lf.forward(hf_x)
     gen_in = np.hstack([hf_x, q])
     mems = {
-        "hf_sup": fresh_adam_mem(hf.parameters()),
-        "hf_disc": fresh_adam_mem(hf.parameters()),
-        "hf_gen": fresh_adam_mem(hf.parameters()),
-        "disc_disc": fresh_adam_mem(disc.parameters()),
-        "disc_gen": fresh_adam_mem(disc.parameters()),
+        "hf_sup": fresh_adam_mem(hf.params),
+        "hf_disc": fresh_adam_mem(hf.params),
+        "hf_gen": fresh_adam_mem(hf.params),
+        "disc_disc": fresh_adam_mem(disc.params),
+        "disc_gen": fresh_adam_mem(disc.params),
     }
 
     def sup_step():
         pred, tape = hf.forward(gen_in)
-        grads, _ = hf.gradient(tape, 2.0 * (pred - hf_y) / b)
-        scripted_adam_step(hf.parameters(), grads.to_list(), mems["hf_sup"], cfg.lr_sup)
+        grad, _ = hf.gradient(tape, 2.0 * (pred - hf_y) / b)
+        scripted_adam_step(hf.params, grad, mems["hf_sup"], cfg.lr_sup)
 
     for _ in range(3):
         sup_step()
@@ -340,23 +389,21 @@ def test_three_iterations_match_scripted_trace():
         g_real, _ = disc.gradient(tape_r, np.full_like(real, -1.0 / b))
         g_fake, into = disc.gradient(tape_f, np.full_like(fake, 1.0 / b))
         g_hf, _ = hf.gradient(tape_h, into)
-        scripted_adam_step(hf.parameters(), g_hf.to_list(), mems["hf_disc"], cfg.lr_disc)
-        scripted_adam_step(disc.parameters(), g_real.add(g_fake).to_list(), mems["disc_disc"], cfg.lr_disc)
+        scripted_adam_step(hf.params, g_hf, mems["hf_disc"], cfg.lr_disc)
+        scripted_adam_step(disc.params, g_real + g_fake, mems["disc_disc"], cfg.lr_disc)
         sup_step()
         fake_pred, tape_h = hf.forward(gen_in)
         fake, tape_f = disc.forward(fake_pred)
         g_disc, into = disc.gradient(tape_f, np.full_like(fake, -1.0 / b))
         g_hf, _ = hf.gradient(tape_h, into)
-        scripted_adam_step(hf.parameters(), g_hf.to_list(), mems["hf_gen"], cfg.lr_gen)
-        scripted_adam_step(disc.parameters(), g_disc.to_list(), mems["disc_gen"], cfg.lr_gen)
+        scripted_adam_step(hf.params, g_hf, mems["hf_gen"], cfg.lr_gen)
+        scripted_adam_step(disc.params, g_disc, mems["disc_gen"], cfg.lr_gen)
         sup_step()
 
     trace = train_adversarial(model, hf_x, hf_y, cfg)
     assert [row.iteration for row in trace] == [1, 2, 3]
-    for got, want in zip(model.hf_block.parameters(), hf.parameters()):
-        np.testing.assert_allclose(got, want, atol=1e-10)
-    for got, want in zip(model.discriminator.parameters(), disc.parameters()):
-        np.testing.assert_allclose(got, want, atol=1e-10)
+    np.testing.assert_allclose(model.hf_block.params, hf.params, atol=1e-10)
+    np.testing.assert_allclose(model.discriminator.params, disc.params, atol=1e-10)
 
 
 def test_adversarial_requires_frozen_lf_block():
@@ -448,6 +495,15 @@ def test_adversarial_divergence_names_iteration_and_loss():
     model, hf_x, hf_y, cfg = toy_problem()
     model.hf_block.weights[-1][:] = 1e200
     with pytest.raises(TrainingDivergedError, match="supervised.*iteration 1"):
+        train_adversarial(model, hf_x, hf_y, cfg)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_adversarial_non_finite_preactivation_names_the_stage():
+    """An overflowing discriminator pre-activation first shows in stage 2."""
+    model, hf_x, hf_y, cfg = toy_problem()
+    model.discriminator.params[:] = 1e308
+    with pytest.raises(TrainingDivergedError, match="discriminative stage at iteration 1.*non-finite input"):
         train_adversarial(model, hf_x, hf_y, cfg)
 
 

@@ -29,9 +29,9 @@ def check_net(net, rng, x_scale=1.0):
     x = rng.normal(scale=x_scale, size=net.input_width)
     coeff = rng.normal(size=net.output_width)
     out, tape = net.forward(x)
-    grads, input_grad = net.gradient(tape, coeff)
-    err = max_rel_error(grads.to_list(), fd_parameter_grads(net, x, coeff))
-    err = max(err, max_rel_error([input_grad], [fd_input_grad(net, x, coeff)]))
+    grad, input_grad = net.gradient(tape, coeff)
+    err = max_rel_error(grad, fd_parameter_grads(net, x, coeff))
+    err = max(err, max_rel_error(input_grad, fd_input_grad(net, x, coeff)))
     return err
 
 
@@ -84,8 +84,8 @@ def test_batch_gradient_matches_finite_differences():
     x = rng.normal(size=(5, 2))
     coeff = rng.normal(size=(5, 2))
     _, tape = net.forward(x)
-    grads, _ = net.gradient(tape, coeff)
-    assert max_rel_error(grads.to_list(), fd_parameter_grads(net, x, coeff)) < TOL
+    grad, _ = net.gradient(tape, coeff)
+    assert max_rel_error(grad, fd_parameter_grads(net, x, coeff)) < TOL
 
 
 def test_leaky_relu_exact_away_from_kink():
@@ -98,5 +98,5 @@ def test_leaky_relu_exact_away_from_kink():
     assert np.abs(pre).min() > 1e-3  # seed chosen to stay off the kink
     coeff = np.ones(1)
     _, tape = net.forward(x)
-    grads, _ = net.gradient(tape, coeff)
-    assert max_rel_error(grads.to_list(), fd_parameter_grads(net, x, coeff)) < 1e-8
+    grad, _ = net.gradient(tape, coeff)
+    assert max_rel_error(grad, fd_parameter_grads(net, x, coeff)) < 1e-8

@@ -9,7 +9,6 @@ from mdfgan.nn import (
     AdamState,
     DenseNetwork,
     FrozenNetworkError,
-    Gradients,
     leaky_relu,
 )
 
@@ -103,17 +102,13 @@ def test_gradient_sums_over_batch():
     batch = np.random.default_rng(1).normal(size=(4, 2))
     up = np.ones((4, 1))
     _, tape = net.forward(batch)
-    grads, _ = net.gradient(tape, up)
-    parts = []
+    grad, _ = net.gradient(tape, up)
+    total = np.zeros_like(net.params)
     for row in batch:
         _, t = net.forward(row)
         g, _ = net.gradient(t, np.ones(1))
-        parts.append(g)
-    total = parts[0]
-    for g in parts[1:]:
-        total = total.add(g)
-    for a, b in zip(grads.to_list(), total.to_list()):
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        total = total + g
+    np.testing.assert_allclose(grad, total, atol=1e-12)
 
 
 def test_freeze_blocks_updates_but_not_evaluation():
@@ -166,19 +161,18 @@ def test_from_dict_rejects_bad_version():
         DenseNetwork.from_dict(doc)
 
 
+def test_from_dict_rejects_missing_layers():
+    doc = small_net().to_dict()
+    del doc["weights"][-1], doc["biases"][-1]
+    with pytest.raises(ValueError, match="weight and bias arrays"):
+        DenseNetwork.from_dict(doc)
+
+
 def test_from_dict_rejects_mismatched_arrays():
     doc = small_net().to_dict()
     doc["weights"][0] = [[0.0, 0.0]]  # wrong row count for layer 0
     with pytest.raises(ValueError, match="layer 0"):
         DenseNetwork.from_dict(doc)
-
-
-def test_gradients_container_roundtrip():
-    g = Gradients([np.ones((2, 2))], [np.zeros(2)])
-    flat = g.to_list()
-    assert len(flat) == 2
-    summed = g.add(g)
-    np.testing.assert_array_equal(summed.weights[0], 2 * np.ones((2, 2)))
 
 
 def test_apply_adam_bumps_version():
@@ -188,3 +182,54 @@ def test_apply_adam_bumps_version():
     grads, _ = net.gradient(tape, np.ones_like(out))
     net.apply_adam(grads, AdamState.for_network(net), 0.0)
     assert net._version == v0 + 1
+
+
+# -- the flat parameter layout -------------------------------------------------
+
+
+def test_weights_and_biases_are_views_in_layout_order():
+    """The parameter vector is w0, b0, w1, b1, ... with each weight matrix
+    row-major, and the per-layer arrays are views into it."""
+    net = small_net(seed=2)
+    expected = np.concatenate([a.ravel() for pair in zip(net.weights, net.biases) for a in pair])
+    np.testing.assert_array_equal(net.params, expected)
+    assert net.params.size == 5 * 2 + 5 + 3 * 5 + 3 + 1 * 3 + 1
+    for arr in (*net.weights, *net.biases):
+        assert np.shares_memory(arr, net.params)
+    net.params[:] = 0.0
+    assert not any(w.any() for w in net.weights)
+
+
+def test_block_names_follow_the_layout():
+    net = small_net()
+    names = [net.block_name(i) for i in range(net.params.size)]
+    assert names[0] == names[9] == "layer0.weight"
+    assert names[10] == names[14] == "layer0.bias"
+    assert names[15] == "layer1.weight" and names[30] == "layer1.bias"
+    assert names[33] == "layer2.weight" and names[-1] == "layer2.bias"
+    with pytest.raises(IndexError):
+        net.block_name(net.params.size)
+
+
+def test_gradient_is_one_vector_in_the_parameter_layout():
+    net = small_net(seed=5)
+    out, tape = net.forward(np.array([[0.3, -0.2], [0.1, 0.4]]))
+    grad, _ = net.gradient(tape, np.ones_like(out))
+    assert grad.shape == net.params.shape
+    # the last block is the output bias, whose gradient is the summed upstream
+    assert grad[-1] == 2.0
+
+
+def test_copy_and_from_dict_get_their_own_vector():
+    net = small_net(seed=7)
+    for dup in (net.copy(), DenseNetwork.from_dict(net.to_dict())):
+        np.testing.assert_array_equal(dup.params, net.params)
+        assert not np.shares_memory(dup.params, net.params)
+        assert all(np.shares_memory(w, dup.params) for w in dup.weights)
+
+
+def test_checksum_is_pinned():
+    """The checksum hashes the parameter bytes in layout order; frozen-LF
+    checks and saved checksums depend on this exact value."""
+    net = DenseNetwork([1, 32, 32, 1], [SIGMOID, SIGMOID], seed=0)
+    assert net.checksum() == "6f4076f84b8d25a8c1f5222381f262fae32db4003f154001f53e3f6ee950868d"
