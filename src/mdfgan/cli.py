@@ -183,7 +183,7 @@ def cmd_predict(args) -> int:
         model, _config = load_checkpoint(args.checkpoint)
     except OSError as exc:
         raise UsageError(f"cannot read checkpoint: {exc}") from exc
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad checkpoint: {exc}") from exc
     if bool(args.points) == bool(args.csv_in):
         raise UsageError("give exactly one of --points or --csv-in")

@@ -116,8 +116,8 @@ class Normalizer:
 def load_csv(path, d1: int, d2: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Read (input, response) pairs from a comma-separated file.
 
-    Every row must hold ``d1 + d2`` numeric fields; a single leading header
-    row is detected and skipped. Returns pairs in row order.
+    Every row must hold ``d1 + d2`` finite numeric fields; a single leading
+    header row is detected and skipped. Returns pairs in row order.
     """
     path = Path(path)
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
@@ -140,6 +140,8 @@ def load_csv(path, d1: int, d2: int) -> list[tuple[np.ndarray, np.ndarray]]:
                     first_content = False
                     continue
                 raise ValueError(f"{path}:{lineno}: non-numeric field in {row!r}") from None
+            if not np.isfinite(values).all():
+                raise ValueError(f"{path}:{lineno}: non-finite field in {row!r}")
             first_content = False
             pairs.append((values[:d1], values[d1:]))
     if header is not None and not pairs:

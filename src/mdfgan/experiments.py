@@ -28,6 +28,7 @@ from .gan import (
     TrainingDivergedError,
     fit_regression,
     normalized_predict,
+    pretrain_key,
     pretrain_lf,
     train_adversarial,
 )
@@ -163,9 +164,15 @@ def _execute_run(
     test_size: int,
     variant: str,
     nested: bool,
-) -> RunRecord:
+    lf_cache: dict,
+) -> tuple[RunRecord, dict]:
     """One seeded train-and-score run. Test points depend only on the run
-    seed, so the three variants are scored on identical draws."""
+    seed, so the three variants are scored on identical draws.
+
+    A gan or pgan run whose ``pretrain_key`` is in ``lf_cache`` installs a
+    copy of that frozen block instead of pretraining. Returns the record and
+    the blocks this run pretrained, under their keys, for the caller to merge.
+    """
     cfg = replace(config, seed=run_seed)
     if variant == "pgan":
         cfg = replace(cfg, supervised_trick=False)
@@ -177,13 +184,19 @@ def _execute_run(
 
     start = time.perf_counter()
     lf_frozen_ok = True
+    pretrained = {}
     try:
         if variant == "hf-only":
             model = train_hf_only(dataset, cfg)
         else:
             model = GanMdfModel.build(dataset.d1, dataset.d2, cfg)
             model.fit_normalizers(dataset, cfg.normalizer)
-            pretrain_lf(model, dataset.lf_x, dataset.lf_y, cfg)
+            key = pretrain_key(dataset.lf_x, dataset.lf_y, cfg)
+            if key in lf_cache:
+                model.lf_block = lf_cache[key].copy()
+            else:
+                pretrain_lf(model, dataset.lf_x, dataset.lf_y, cfg)
+                pretrained[key] = model.lf_block.copy()
             before = model.lf_checksum()
             train_adversarial(model, dataset.hf_x, dataset.hf_y, cfg)
             lf_frozen_ok = model.lf_block.frozen and model.lf_checksum() == before
@@ -192,7 +205,15 @@ def _execute_run(
     except (TrainingDivergedError, FrozenNetworkError) as exc:
         value, error = float("nan"), str(exc)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    return RunRecord(run_seed, value, wall_ms, lf_frozen_ok, error)
+    return RunRecord(run_seed, value, wall_ms, lf_frozen_ok, error), pretrained
+
+
+def _check_cell(n_lf: int, n_hf: int, variant: str) -> None:
+    """Reject a grid cell that no run could train, before any run starts."""
+    if n_lf < n_hf or n_hf < 1:
+        raise ValueError(f"need n_lf >= n_hf >= 1, got I_L={n_lf} I_H={n_hf}")
+    if variant != "hf-only" and n_hf < 2:
+        raise ValueError(f"adversarial training needs at least two high-fidelity samples, got I_H={n_hf}")
 
 
 def run_experiment(
@@ -205,29 +226,45 @@ def run_experiment(
     variant: str = "gan",
     nested: bool = False,
     n_jobs: int = 1,
+    *,
+    lf_cache: dict | None = None,
 ) -> ExperimentResult:
     """Repeat a run ``n_repeats`` times with seeds base, base+1, ...
 
     The base seed is ``config.seed``. Failed repeats are kept in the record
     list with their error text and excluded from the mean.
+
+    ``lf_cache`` maps ``gan.pretrain_key`` to a frozen low-fidelity block. A
+    gan or pgan run whose key is in it trains on a copy of that block instead
+    of pretraining its own, which gives bit-identical results; blocks the
+    runs do pretrain are added to it (a pretraining that diverged is not).
+    Passing one dict to several calls on the same data pretrains each block
+    once; by default a call starts with an empty cache.
     """
     if n_repeats < 1 or test_size < 1:
         raise ValueError("need n_repeats >= 1 and test_size >= 1")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    _check_cell(n_lf, n_hf, variant)
+    if lf_cache is None:
+        lf_cache = {}
     args = [
-        (pair, n_lf, n_hf, config, config.seed + r, test_size, variant, nested)
+        (pair, n_lf, n_hf, config, config.seed + r, test_size, variant, nested, lf_cache)
         for r in range(n_repeats)
     ]
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            records = list(pool.map(_execute_run_star, args))
+            outcomes = list(pool.map(_execute_run_star, args))
     else:
-        records = [_execute_run(*a) for a in args]
+        outcomes = map(_execute_run_star, args)
+    records = []
+    for record, pretrained in outcomes:
+        lf_cache.update(pretrained)
+        records.append(record)
     return ExperimentResult(pair.name, n_lf, n_hf, tuple(records))
 
 
-def _execute_run_star(args) -> RunRecord:
+def _execute_run_star(args) -> tuple[RunRecord, dict]:
     return _execute_run(*args)
 
 
@@ -239,11 +276,18 @@ def run_hf_sweep(
     n_repeats: int = 10,
     **kwargs,
 ) -> list[ExperimentResult]:
-    """Vary the high-fidelity budget at a fixed low-fidelity budget."""
+    """Vary the high-fidelity budget at a fixed low-fidelity budget.
+
+    Every cell is checked before any is trained. The low-fidelity data of a
+    seed do not depend on I_H, so the cells share one pretrain cache.
+    """
     grid = [int(v) for v in hf_grid]
     if not grid:
         raise ValueError("empty high-fidelity grid")
-    return [run_experiment(pair, n_lf, n_hf, config, n_repeats, **kwargs) for n_hf in grid]
+    for n_hf in grid:
+        _check_cell(n_lf, n_hf, kwargs.get("variant", "gan"))
+    lf_cache: dict = {}
+    return [run_experiment(pair, n_lf, n_hf, config, n_repeats, lf_cache=lf_cache, **kwargs) for n_hf in grid]
 
 
 def run_lf_sweep(
@@ -263,6 +307,8 @@ def run_lf_sweep(
     grid = [int(v) for v in lf_grid]
     if not grid:
         raise ValueError("empty low-fidelity grid")
+    for n_lf in grid:
+        _check_cell(n_lf, n_hf, kwargs.get("variant", "gan"))
     return [run_experiment(pair, n_lf, n_hf, config, n_repeats, **kwargs) for n_lf in grid]
 
 
@@ -290,10 +336,15 @@ def run_baselines(
     n_repeats: int = 10,
     **kwargs,
 ) -> BaselineComparison:
-    """Train the three variants on identical per-seed datasets and test draws."""
+    """Train the three variants on identical per-seed datasets and test draws.
+
+    pgan reuses the frozen low-fidelity blocks gan pretrained: the two differ
+    only in the adversarial phase.
+    """
+    lf_cache: dict = {}
     return BaselineComparison(
-        gan=run_experiment(pair, n_lf, n_hf, config, n_repeats, variant="gan", **kwargs),
-        pgan=run_experiment(pair, n_lf, n_hf, config, n_repeats, variant="pgan", **kwargs),
+        gan=run_experiment(pair, n_lf, n_hf, config, n_repeats, variant="gan", lf_cache=lf_cache, **kwargs),
+        pgan=run_experiment(pair, n_lf, n_hf, config, n_repeats, variant="pgan", lf_cache=lf_cache, **kwargs),
         hf_only=run_experiment(pair, n_lf, n_hf, config, n_repeats, variant="hf-only", **kwargs),
     )
 

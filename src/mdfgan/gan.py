@@ -25,6 +25,7 @@ only the high-fidelity block. Disabling ``supervised_trick`` skips stages
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import warnings
 from dataclasses import asdict, dataclass
@@ -326,6 +327,28 @@ def fit_regression(
     return trace
 
 
+def pretrain_key(lf_x: np.ndarray, lf_y: np.ndarray, config: TrainingConfig) -> tuple:
+    """Everything ``pretrain_lf`` reads, as a hashable key.
+
+    A model from ``GanMdfModel.build(d1, d2, config)`` whose normalizers were
+    fitted on the same low-fidelity samples (``fit_normalizers``) pretrains
+    to a bit-identical low-fidelity block whenever the key is equal: the key
+    holds the seed, a SHA-256 of the samples with their shapes, and the
+    config fields that shape or train that block.
+    """
+    digest = hashlib.sha256()
+    shapes = []
+    for a in (lf_x, lf_y):
+        a = np.ascontiguousarray(np.atleast_2d(np.asarray(a, float)))
+        digest.update(a.tobytes())
+        shapes.append(a.shape)
+    return (
+        config.seed, digest.hexdigest(), *shapes,
+        config.normalizer, config.lr_lf, config.epochs_lf, config.lf_batch_cap,
+        config.hidden_sizes, config.hidden_activations, config.leaky_alpha,
+    )
+
+
 def pretrain_lf(model: GanMdfModel, lf_x: np.ndarray, lf_y: np.ndarray, config: TrainingConfig) -> list[float]:
     """Fit the low-fidelity block on normalized low-fidelity samples, then
     freeze it for the rest of training. Returns per-epoch losses."""
@@ -475,11 +498,20 @@ def save_checkpoint(model: GanMdfModel, config: TrainingConfig, path) -> Path:
 
 
 def load_checkpoint(path) -> tuple[GanMdfModel, TrainingConfig]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = _json_object(json.loads(Path(path).read_text(encoding="utf-8")), "checkpoint")
     version = doc.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version {version!r}")
-    return GanMdfModel.from_dict(doc["model"]), TrainingConfig.from_dict(doc["config"])
+    model = _json_object(doc.get("model"), "checkpoint model")
+    for part in ("lf_block", "hf_block", "discriminator", "normalizers"):
+        _json_object(model.get(part), f"checkpoint {part}")
+    return GanMdfModel.from_dict(model), TrainingConfig.from_dict(doc["config"])
+
+
+def _json_object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def write_loss_trace(trace: list[TraceRow], path) -> Path:

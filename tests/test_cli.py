@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from mdfgan import cli
+from mdfgan import cli, experiments
 from mdfgan.gan import load_checkpoint
 
 FAST = [
@@ -119,6 +119,56 @@ def test_non_finite_preactivation_exits_one(tmp_path, capsys):
     )
     assert rc == 1
     assert "non-finite input" in capsys.readouterr().err
+
+
+def test_train_rejects_non_finite_csv_responses(tmp_path, capsys):
+    lf = tmp_path / "lf.csv"
+    hf = tmp_path / "hf.csv"
+    lf.write_text("".join(f"0.{i},{i}\n" for i in range(1, 9)))
+    hf.write_text("0.15,1.0\n0.2,nan\n")
+    rc = cli.main(
+        ["train", "--csv-lf", str(lf), "--csv-hf", str(hf), "--d1", "1",
+         "--out", str(tmp_path / "out"), *FAST_TRAIN]
+    )
+    assert rc == 2
+    assert "hf.csv:2: non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [[1, 2], {"format_version": 1, "model": [1]}, {"format_version": 1, "config": [1]}],
+)
+def test_predict_rejects_malformed_checkpoints(tmp_path, capsys, doc):
+    if "config" in doc:  # a real model under a config that is not an object
+        assert cli.main(
+            ["train", "--benchmark", "forrester1d", "--il", "10", "--ih", "2",
+             "--out", str(tmp_path), *FAST_TRAIN]
+        ) == 0
+        doc = {**json.loads((tmp_path / "checkpoint.json").read_text()), **doc}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["predict", "--checkpoint", str(path), "--points", "0.5", "--out", str(tmp_path)]) == 2
+    assert "bad checkpoint" in capsys.readouterr().err
+
+
+def test_sweeps_validate_every_cell_before_training(tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("pretraining started before the grid was checked")
+
+    monkeypatch.setattr(experiments, "pretrain_lf", no_training)
+    rc = cli.main(
+        ["sweep-hf", "--benchmark", "forrester1d", "--il", "50", "--ih", "5,1",
+         "--out", str(tmp_path), *FAST]
+    )
+    assert rc == 2
+    assert "two high-fidelity samples" in capsys.readouterr().err
+    rc = cli.main(
+        ["sweep-lf", "--benchmark", "forrester1d", "--il", "50,3", "--ih", "5",
+         "--out", str(tmp_path), *FAST]
+    )
+    assert rc == 2
+    assert "n_lf >= n_hf" in capsys.readouterr().err
 
 
 def test_predict_round_trip(tmp_path, capsys):

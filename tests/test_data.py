@@ -151,6 +151,14 @@ def test_load_csv_non_numeric_mid_file(tmp_path):
         load_csv(path, 1, 1)
 
 
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+def test_load_csv_rejects_non_finite_fields(tmp_path, field):
+    path = tmp_path / "data.csv"
+    path.write_text(f"0.1,1.0\n0.2,{field}\n")
+    with pytest.raises(ValueError, match=r"data\.csv:2: non-finite"):
+        load_csv(path, 1, 1)
+
+
 def test_load_csv_arity_error_names_line(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("1.0,2.0,3.0\n1.0,2.0\n")

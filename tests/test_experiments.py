@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mdfgan import experiments
 from mdfgan.benchmarks import BenchmarkPair, get
 from mdfgan.experiments import (
     BaselineComparison,
@@ -179,6 +180,97 @@ def test_parallel_runs_match_serial(tmp_path):
     parallel = run_experiment(pair, 15, 3, cfg, n_repeats=4, test_size=20, n_jobs=2)
     assert [r.nrmse for r in serial.records] == [r.nrmse for r in parallel.records]
     assert serial.seeds == parallel.seeds
+
+
+def count_pretrainings(monkeypatch) -> list:
+    """Record each call of the pretraining that runs use."""
+    calls = []
+    real = experiments.pretrain_lf
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "pretrain_lf", counted)
+    return calls
+
+
+def test_baselines_pretrain_each_lf_block_once(monkeypatch):
+    calls = count_pretrainings(monkeypatch)
+    run_baselines(get("forrester1d"), 20, 3, fast_config(), n_repeats=3, test_size=10, n_jobs=1)
+    assert len(calls) == 3
+
+
+def test_hf_sweep_pretrains_each_lf_block_once(monkeypatch):
+    calls = count_pretrainings(monkeypatch)
+    run_hf_sweep(get("forrester1d"), 20, [10, 5, 2], fast_config(), n_repeats=3, test_size=10, n_jobs=1)
+    assert len(calls) == 3
+
+
+def test_reused_lf_blocks_match_fresh_pretraining():
+    pair = get("forrester1d")
+    comp = run_baselines(pair, 20, 3, fast_config(seed=4), n_repeats=2, test_size=15)
+    alone = run_experiment(pair, 20, 3, fast_config(seed=4), n_repeats=2, test_size=15, variant="pgan")
+    assert comp.pgan.to_dict() == alone.to_dict()
+    sweep = run_hf_sweep(pair, 20, [5, 2], fast_config(seed=4), n_repeats=2, test_size=15)
+    alone = run_experiment(pair, 20, 2, fast_config(seed=4), n_repeats=2, test_size=15)
+    assert sweep[1].to_dict() == alone.to_dict()
+
+
+def test_cached_lf_blocks_are_never_trained_with(monkeypatch):
+    trained_with = []
+    real = experiments.train_adversarial
+
+    def spy(model, *args, **kwargs):
+        trained_with.append(model.lf_block)
+        return real(model, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "train_adversarial", spy)
+    pair, cfg, cache = get("forrester1d"), fast_config(), {}
+    run_experiment(pair, 20, 3, cfg, n_repeats=2, test_size=10, lf_cache=cache)
+    assert len(cache) == 2 and all(net.frozen for net in cache.values())
+    checksums = {key: net.checksum() for key, net in cache.items()}
+    run_experiment(pair, 20, 3, cfg, n_repeats=2, test_size=10, variant="pgan", lf_cache=cache)
+    run_experiment(pair, 20, 2, cfg, n_repeats=2, test_size=10, lf_cache=cache)
+    assert {key: net.checksum() for key, net in cache.items()} == checksums
+    assert len(trained_with) == 6
+    for block in trained_with:
+        assert not any(np.shares_memory(block.params, net.params) for net in cache.values())
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_diverged_pretraining_is_not_cached(monkeypatch):
+    calls = count_pretrainings(monkeypatch)
+    comp = run_baselines(get("forrester1d"), 20, 3, fast_config(lr_lf=1e308), n_repeats=2, test_size=10)
+    assert len(calls) == 4
+    assert [r.error for r in comp.pgan.records] == [r.error for r in comp.gan.records]
+    assert all("pretraining diverged" in r.error for r in comp.pgan.records)
+
+
+def test_cached_runs_match_across_job_counts():
+    pair, cfg = get("forrester1d"), fast_config(seed=6)
+    serial = run_baselines(pair, 20, 3, cfg, n_repeats=3, test_size=15, n_jobs=1)
+    parallel = run_baselines(pair, 20, 3, cfg, n_repeats=3, test_size=15, n_jobs=2)
+    assert serial.to_dict() == parallel.to_dict()
+    serial = run_hf_sweep(pair, 20, [5, 2], cfg, n_repeats=3, test_size=15, n_jobs=1)
+    parallel = run_hf_sweep(pair, 20, [5, 2], cfg, n_repeats=3, test_size=15, n_jobs=2)
+    assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
+
+
+def test_grids_are_checked_before_any_training(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("pretraining started before the grid was checked")
+
+    monkeypatch.setattr(experiments, "pretrain_lf", no_training)
+    pair = get("forrester1d")
+    with pytest.raises(ValueError, match="two high-fidelity samples"):
+        run_hf_sweep(pair, 50, [5, 1], fast_config())
+    with pytest.raises(ValueError, match="n_lf >= n_hf"):
+        run_hf_sweep(pair, 50, [5, 60], fast_config())
+    with pytest.raises(ValueError, match="n_lf >= n_hf"):
+        run_lf_sweep(pair, [50, 3], 5, fast_config())
+    with pytest.raises(ValueError, match="two high-fidelity samples"):
+        run_baselines(pair, 50, 1, fast_config())
 
 
 def test_scatter_identity_pair_sits_on_the_diagonal():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mdfgan.gan import (
     fit_regression,
     generative,
     load_checkpoint,
+    pretrain_key,
     pretrain_lf,
     save_checkpoint,
     squared_error,
@@ -549,6 +551,56 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="version"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [1, 2],
+        {"format_version": 1, "model": [1]},
+        {"format_version": 1, "model": {"lf_block": {}, "hf_block": {}, "discriminator": {}, "normalizers": []}},
+    ],
+)
+def test_checkpoint_rejects_non_object_documents(tmp_path, doc):
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        load_checkpoint(path)
+
+
+def test_pretrain_key_changes_exactly_when_the_lf_block_does():
+    """Every config field gets a second valid value; the key must move with
+    the pretrained block's checksum and only with it. I_L exceeds the batch
+    cap and the activation is leaky_relu, so every field pretraining reads
+    moves the checksum."""
+    base = TrainingConfig(
+        epochs_lf=3, epochs_hf=1, lf_batch_cap=8, hidden_sizes=(4,),
+        hidden_activations=("leaky_relu",), seed=1,
+    )
+    second = {
+        "lr_lf": 0.01, "lr_disc": 0.004, "lr_gen": 0.0015, "lr_sup": 0.1,
+        "epochs_lf": 2, "epochs_hf": 2, "lf_batch_cap": 5, "hidden_sizes": (5,),
+        "hidden_activations": ("sigmoid",), "leaky_alpha": 0.2, "normalizer": "standard",
+        "mode": MODE_STANDARD_GAN, "supervised_trick": False, "seed": 2,
+    }
+    assert set(second) == {f.name for f in fields(TrainingConfig)}
+    pair = get("forrester1d")
+    dataset = make_dataset(pair, 12, 2, seed=0)
+
+    def pretrained(cfg, ds=dataset):
+        model = GanMdfModel.build(ds.d1, ds.d2, cfg)
+        model.fit_normalizers(ds, cfg.normalizer)
+        pretrain_lf(model, ds.lf_x, ds.lf_y, cfg)
+        return pretrain_key(ds.lf_x, ds.lf_y, cfg), model.lf_checksum()
+
+    key0, sum0 = pretrained(base)
+    for name, value in second.items():
+        key, checksum = pretrained(replace(base, **{name: value}))
+        assert (key != key0) == (checksum != sum0), name
+    # the high-fidelity budget leaves the low-fidelity draw alone; new samples move both
+    assert pretrained(base, make_dataset(pair, 12, 5, seed=0)) == (key0, sum0)
+    key, checksum = pretrained(base, make_dataset(pair, 12, 2, seed=1))
+    assert key != key0 and checksum != sum0
 
 
 def test_loss_trace_csv_round_trips(tmp_path):
