@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -165,6 +166,14 @@ class GanMdfModel:
         self.input_norm = input_norm or Normalizer.identity()
         self.lf_output_norm = lf_output_norm or Normalizer.identity()
         self.hf_output_norm = hf_output_norm or Normalizer.identity()
+        for what, norm, width in (
+            ("inputs", self.input_norm, d1),
+            ("lf_outputs", self.lf_output_norm, d2),
+            ("hf_outputs", self.hf_output_norm, d2),
+        ):
+            shapes = (np.shape(norm.shift), np.shape(norm.scale))
+            if norm.kind != "none" and shapes != ((width,), (width,)):
+                raise ValueError(f"{what} normalizer shift/scale shapes {shapes} do not match width {width}")
 
     @classmethod
     def build(cls, d1: int, d2: int, config: TrainingConfig) -> "GanMdfModel":
@@ -270,7 +279,8 @@ def _finite(loss: float, name: str) -> float:
 def squared_error(pred: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Supervised loss: mean over the batch of the squared Euclidean error."""
     resid = pred - y
-    return _finite(float((resid**2).sum(axis=1).mean()), "squared-error"), 2.0 * resid / resid.shape[0]
+    n = resid.shape[0]
+    return _finite(float((resid * resid).sum(axis=1).sum() / n), "squared-error"), 2.0 * resid / n
 
 
 def discriminative(real: np.ndarray, fake: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -493,7 +503,14 @@ def save_checkpoint(model: GanMdfModel, config: TrainingConfig, path) -> Path:
         "config": config.to_dict(),
         "model": model.to_dict(),
     }
-    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    # write a sibling file and rename it over the target, so that a failed
+    # write never leaves a truncated checkpoint where a good one was
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 

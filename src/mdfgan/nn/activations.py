@@ -4,6 +4,12 @@ All kinds act elementwise except ``dft``, which mixes the whole
 pre-activation vector of a layer: it returns the real part of the
 one-dimensional discrete Fourier transform of that vector, so its
 output width equals its input width.
+
+The sigmoid is computed without masks, yet bit-identical to the masked
+overflow-free form: exactly the bits of 1/(1+exp(-v)) where v >= 0 and of
+exp(v)/(1+exp(v)) elsewhere. Every trained parameter and reported number
+depends on those bits; a form that rounds differently, such as
+0.5*(1+tanh(v/2)), moves them all.
 """
 
 from __future__ import annotations
@@ -70,12 +76,8 @@ def _dft_real_matrix(width: int) -> np.ndarray:
 
 
 def _stable_sigmoid(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    # v >= 0: exp(0) / (1 + exp(-v));  v < 0: exp(v) / (1 + exp(v))
+    return np.exp(np.minimum(v, 0.0)) / (1.0 + np.exp(-np.abs(v)))
 
 
 def apply(act: Activation, v: np.ndarray) -> np.ndarray:

@@ -116,10 +116,10 @@ class DenseNetwork:
     def output_width(self) -> int:
         return self.layer_sizes[-1]
 
-    def activation_for_layer(self, layer: int) -> Activation:
-        if layer == self.n_layers - 1:
-            return self.output_activation
-        return self.hidden_activations[layer]
+    @property
+    def layer_activations(self) -> list[Activation]:
+        """One activation per layer: the hidden ones, then the output one."""
+        return [*self.hidden_activations, self.output_activation]
 
     def block_name(self, index: int) -> str:
         """Name of the block, such as ``layer1.weight``, holding a parameter-vector index."""
@@ -134,18 +134,18 @@ class DenseNetwork:
         """Evaluate the network on a vector or a batch of row vectors."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        a = np.atleast_2d(x)
+        a = inputs = np.atleast_2d(x)
         if a.ndim != 2 or a.shape[1] != self.input_width:
             raise ValueError(f"expected input width {self.input_width}, got shape {x.shape}")
         pre: list[np.ndarray] = []
         post: list[np.ndarray] = []
-        for layer in range(self.n_layers):
-            z = a @ self.weights[layer].T + self.biases[layer]
-            a = activations.apply(self.activation_for_layer(layer), z)
+        for w, b, act in zip(self.weights, self.biases, self.layer_activations):
+            z = a @ w.T
+            z += b
+            a = activations.apply(act, z)
             pre.append(z)
             post.append(a)
-        out = post[-1][0] if single else post[-1]
-        return out, Tape(np.atleast_2d(x), pre, post, self, self._version, single)
+        return (a[0] if single else a), Tape(inputs, pre, post, self, self._version, single)
 
     def gradient(self, tape: Tape, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Backpropagate ``upstream`` (= dLoss/dOutput) through a recorded forward pass.
@@ -165,15 +165,16 @@ class DenseNetwork:
             )
         grad = np.empty_like(self.params)
         d_weights, d_biases = self._split(grad)
-        for layer in reversed(range(self.n_layers)):
-            act = self.activation_for_layer(layer)
-            gz = activations.backward(act, tape.pre[layer], tape.post[layer], g)
-            below = tape.post[layer - 1] if layer > 0 else tape.inputs
-            d_weights[layer][...] = gz.T @ below
-            d_biases[layer][...] = gz.sum(axis=0)
-            g = gz @ self.weights[layer]
-        input_grad = g[0] if tape.single else g
-        return grad, input_grad
+        layers = zip(
+            self.weights, self.layer_activations, tape.pre, tape.post,
+            [tape.inputs, *tape.post[:-1]], d_weights, d_biases,
+        )
+        for w, act, pre, post, below, d_w, d_b in reversed(list(layers)):
+            gz = activations.backward(act, pre, post, g)
+            np.matmul(gz.T, below, out=d_w)
+            gz.sum(axis=0, out=d_b)
+            g = gz @ w
+        return grad, (g[0] if tape.single else g)
 
     # -- mutation -----------------------------------------------------------
 

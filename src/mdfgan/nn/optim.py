@@ -40,7 +40,8 @@ def adam_step(
     lr: float,
     name_of: Callable[[int], str] | None = None,
 ) -> np.ndarray:
-    """Update ``params`` in place with one bias-corrected Adam step.
+    """Update ``params`` and the moments in ``state`` in place with one
+    bias-corrected Adam step.
 
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps). A zero learning rate
     still advances the moment accumulators and the step counter. A non-finite
@@ -62,9 +63,14 @@ def adam_step(
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / bc1
-    v_hat = state.v / bc2
-    params -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    # in place, rounding exactly as m = beta1*m + (1-beta1)*g,
+    # v = beta2*v + (1-beta2)*g*g and lr*m_hat / (sqrt(v_hat) + eps)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    v += (1.0 - state.beta2) * grad * grad
+    step = lr * (m / bc1)
+    step /= np.sqrt(v / bc2) + state.eps
+    params -= step
     return params

@@ -1,11 +1,24 @@
 """Independent numerical oracles used by the unit and acceptance tests.
 
 Nothing here calls the library's gradient or optimizer code paths; gradients
-come from central finite differences of the forward map, and the Adam trace
-is recomputed from the bare recurrences.
+come from central finite differences of the forward map, the Adam trace is
+recomputed from the bare recurrences, and the sigmoid reference evaluates each
+sign's textbook form on its own half of the input.
 """
 
 import numpy as np
+
+
+def masked_sigmoid(v):
+    """1/(1+exp(-v)) where v >= 0 and exp(v)/(1+exp(v)) elsewhere, so that
+    exp never overflows; the library's sigmoid must match it bit for bit."""
+    v = np.asarray(v, dtype=float)
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
 
 
 def scalar_loss(net, x, coeff):

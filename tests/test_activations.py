@@ -15,6 +15,7 @@ from mdfgan.nn.activations import (
     leaky_relu,
     parse_activation,
 )
+from oracles import masked_sigmoid
 
 
 def test_sigmoid_at_zero():
@@ -70,6 +71,18 @@ def test_sigmoid_output_range():
     # far tails saturate to the closed interval without leaving it
     tails = apply(SIGMOID, np.array([-800.0, 800.0]))
     np.testing.assert_array_equal(tails, [0.0, 1.0])
+
+
+def test_sigmoid_is_bit_identical_to_the_masked_reference():
+    """Signed zeros, tiny inputs, the points where exp saturates or
+    underflows, and random normals at two scales, as a vector and a batch."""
+    edges = np.array([0.0, 1e-300, 1e-20, 36.0, 709.0, 745.0, 800.0])
+    rng = np.random.default_rng(17)
+    grid = np.concatenate([edges, -edges, *(rng.normal(scale=s, size=20_000) for s in (1.0, 30.0))])
+    for v in (grid, grid.reshape(6, -1)):
+        out = apply(SIGMOID, v)
+        assert out.shape == v.shape
+        assert out.tobytes() == masked_sigmoid(v).tobytes()
 
 
 def test_sigmoid_extreme_inputs_do_not_overflow():

@@ -50,6 +50,23 @@ def test_constant_gradient_long_trace():
     np.testing.assert_allclose(p, q, atol=1e-12)
 
 
+def test_long_trace_matches_scripted_steps_exactly():
+    """The library update and the textbook recurrences round identically:
+    300 steps with fresh gradients, learning rates including zero."""
+    rng = np.random.default_rng(23)
+    p = rng.normal(size=257)
+    q = p.copy()
+    state = AdamState(p)
+    mem = fresh_adam_mem(q)
+    for step in range(300):
+        g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.shape)
+        lr = 0.0 if step % 50 == 7 else 0.01
+        adam_step(p, g, state, lr=lr)
+        scripted_adam_step(q, g, mem, lr=lr)
+        assert np.array_equal(p, q) and np.array_equal(state.m, mem["m"]) and np.array_equal(state.v, mem["v"])
+    assert state.t == mem["t"] == 300
+
+
 def test_non_finite_gradient_names_the_block():
     """A [2, 3, 1] net lays out layer0.weight (6), layer0.bias (3),
     layer1.weight (3), layer1.bias (1); index 10 sits in layer1.weight. The

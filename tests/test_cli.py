@@ -152,6 +152,23 @@ def test_predict_rejects_malformed_checkpoints(tmp_path, capsys, doc):
     assert "bad checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("part, width", [("inputs", 1), ("lf_outputs", 2), ("hf_outputs", 2)])
+def test_predict_rejects_normalizers_of_the_wrong_width(tmp_path, capsys, part, width):
+    """A currin2d model (d1=2, d2=1) whose saved normalizer has the wrong
+    number of columns would broadcast silently; it is a bad checkpoint."""
+    assert cli.main(
+        ["train", "--benchmark", "currin2d", "--il", "10", "--ih", "2", "--out", str(tmp_path), *FAST_TRAIN]
+    ) == 0
+    path = tmp_path / "checkpoint.json"
+    doc = json.loads(path.read_text())
+    norm = doc["model"]["normalizers"][part]
+    norm["shift"], norm["scale"] = [0.5] * width, [2.0] * width
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["predict", "--checkpoint", str(path), "--points", "0.5,0.5", "--out", str(tmp_path)]) == 2
+    assert f"{part} normalizer" in capsys.readouterr().err
+
+
 def test_sweeps_validate_every_cell_before_training(tmp_path, capsys, monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("pretraining started before the grid was checked")

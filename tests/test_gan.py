@@ -1,11 +1,13 @@
+import hashlib
 import json
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mdfgan.benchmarks import get
-from mdfgan.data import make_dataset
+from mdfgan.data import Normalizer, make_dataset
 from mdfgan.gan import (
     HF_BATCH_CAP,
     MODE_COUPLED,
@@ -530,6 +532,30 @@ def test_train_end_to_end_smoke():
     assert np.isfinite(pred).all()
 
 
+@pytest.mark.parametrize(
+    "name, n_lf, n_hf, epochs_lf, epochs_hf, digest",
+    [
+        # sigmoid hidden layers, shuffled LF batches (I_L > lf_batch_cap)
+        ("forrester1d", 100, 5, 150, 30, "b8bfb01af97dd7299cd702920a223f550d176d33f7d0700c4de35a7561945edc"),
+        # leaky_relu hidden layers, standard normalizer, 20-D inputs
+        ("separable20d", 80, 20, 60, 20, "069f0409cca91049513ffdfeacb6bc7ba464b4e1a246a96732923d44c3bec332"),
+    ],
+)
+def test_train_digest_is_pinned(name, n_lf, n_hf, epochs_lf, epochs_hf, digest):
+    """SHA-256 over the three trained parameter vectors and the loss trace,
+    recorded before the nn kernels were rewritten: any change to the
+    arithmetic of a forward pass, a gradient, an Adam step or a loss shows."""
+    pair = get(name)
+    ds = make_dataset(pair, n_lf, n_hf, seed=3)
+    cfg = replace(pair.default_config, epochs_lf=epochs_lf, epochs_hf=epochs_hf, seed=3)
+    model, trace = train(ds, cfg)
+    h = hashlib.sha256()
+    for net in (model.lf_block, model.hf_block, model.discriminator):
+        h.update(net.params.tobytes())
+    h.update(np.array([(r.supervised, r.generative, r.discriminative) for r in trace]).tobytes())
+    assert h.hexdigest() == digest
+
+
 def test_checkpoint_round_trip_preserves_predictions(tmp_path):
     pair = get("forrester1d")
     ds = make_dataset(pair, 30, 4, seed=8)
@@ -541,6 +567,38 @@ def test_checkpoint_round_trip_preserves_predictions(tmp_path):
     probe = np.linspace(0, 1, 9)[:, None]
     np.testing.assert_array_equal(again.predict(probe), model.predict(probe))
     assert again.lf_block.frozen
+
+
+def test_model_rejects_normalizers_of_the_wrong_width():
+    model, _, _, _ = toy_problem()  # d1 = d2 = 1
+    blocks = (model.lf_block, model.hf_block, model.discriminator)
+    two = Normalizer("minmax", np.zeros(2), np.ones(2))
+    for position in range(3):
+        norms = [Normalizer.identity()] * 3
+        norms[position] = two
+        with pytest.raises(ValueError, match=r"normalizer shift/scale shapes \(\(2,\), \(2,\)\) do not match width 1"):
+            GanMdfModel(*blocks, *norms)
+    one = Normalizer("standard", np.zeros(1), np.ones(1))
+    assert GanMdfModel(*blocks, one, one, one).input_norm is one
+
+
+def test_save_checkpoint_replaces_the_file_atomically(tmp_path, monkeypatch):
+    """A write that fails part-way leaves the previous checkpoint byte for
+    byte and no temporary file behind."""
+    model, _, _, cfg = toy_problem()
+    path = save_checkpoint(model, cfg, tmp_path / "ckpt.json")
+    before = path.read_bytes()
+    real_write_text = Path.write_text
+
+    def failing_write_text(self, data, *args, **kwargs):
+        real_write_text(self, data[:10], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", failing_write_text)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(model, replace(cfg, seed=99), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json"]
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):

@@ -70,6 +70,23 @@ def test_forward_rejects_wrong_width():
         small_net().forward(np.zeros(3))
 
 
+def test_forward_input_shape_contract():
+    """0-d input to a width-1 net gives a (1, 1) batch; a vector gives a
+    vector; a batch gives a batch; the tape always records a 2-D batch."""
+    net = DenseNetwork([1, 4, 2], [SIGMOID], seed=1)
+    for x, shape in ((0.5, (1, 2)), (np.float64(0.5), (1, 2)), ([0.5], (2,)), ([[0.5], [0.1]], (2, 2))):
+        out, tape = net.forward(x)
+        assert out.shape == shape
+        assert tape.inputs.ndim == 2 and tape.inputs.shape[1] == 1
+        assert tape.single == (np.ndim(x) == 1)
+    wide = DenseNetwork([2, 4, 1], [SIGMOID], seed=1)
+    for bad in (0.5, [0.5], [[0.5]], np.zeros((3, 2, 2)), np.zeros((1, 1, 1))):
+        with pytest.raises(ValueError, match="width"):
+            wide.forward(bad)
+    with pytest.raises(ValueError, match="width"):
+        net.forward(np.zeros((2, 1, 1)))
+
+
 def test_validation_rejects_bad_sizes():
     with pytest.raises(ValueError, match="positive"):
         DenseNetwork([2, 0, 1], [SIGMOID])
