@@ -145,8 +145,6 @@ def _build_dataset(args, pair, config):
             raise UsageError(str(exc)) from exc
         dataset = dataset_from_rows(lf_rows, hf_rows, args.il, args.ih, seed=config.seed)
         return dataset, f"csv {args.csv_lf}+{args.csv_hf}"
-    if pair is None:
-        raise UsageError("no data source: give --benchmark or --csv-lf/--csv-hf")
     n_lf = args.il if args.il is not None else 100 * pair.d1
     n_hf = args.ih if args.ih is not None else 5
     dataset = make_dataset(pair, n_lf, n_hf, config.seed, nested=getattr(args, "nested", False))
@@ -157,7 +155,7 @@ def _build_dataset(args, pair, config):
 
 
 def cmd_train(args) -> int:
-    pair = benchmarks.get(args.benchmark) if args.benchmark else None
+    pair = _require_benchmark(args) if args.benchmark else None
     if pair is None and not (args.csv_lf or args.csv_hf):
         raise UsageError("no data source: give --benchmark or --csv-lf/--csv-hf")
     defaults = pair.default_config if pair else TrainingConfig()
@@ -220,54 +218,46 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _print_results(results) -> None:
+def _experiment_setup(args):
+    """The benchmark, the configuration and the run options of an experiment subcommand."""
+    pair = _require_benchmark(args)
+    config = resolve_config(args, pair.default_config)
+    return pair, config, {"test_size": args.test_points, "nested": args.nested, "n_jobs": args.jobs}
+
+
+def _sweep(args, name: str, results) -> int:
+    """Print one line per cell, then write ``<name>.csv`` and ``<name>_summary.json``."""
     for res in results:
         flag = " (partial)" if res.partial else ""
         print(
             f"{res.benchmark} I_L={res.n_lf} I_H={res.n_hf}: "
             f"mean NRMSE {res.mean_nrmse:.6g} over {len(res.records)} repeat(s){flag}"
         )
+    out = _out_dir(args)
+    _announce(experiments.write_results_csv(results, out / f"{name}.csv"))
+    _announce(experiments.write_summary_json(results, out / f"{name}_summary.json"))
+    return 0
 
 
 def cmd_sweep_hf(args) -> int:
-    pair = _require_benchmark(args)
-    config = resolve_config(args, pair.default_config)
+    pair, config, options = _experiment_setup(args)
     n_lf = args.il if args.il is not None else 100 * pair.d1
-    results = experiments.run_hf_sweep(
-        pair, n_lf, args.ih, config, args.repeats,
-        test_size=args.test_points, nested=args.nested, n_jobs=args.jobs,
-    )
-    _print_results(results)
-    out = _out_dir(args)
-    _announce(experiments.write_results_csv(results, out / "sweep_hf.csv"))
-    _announce(experiments.write_summary_json(results, out / "sweep_hf_summary.json"))
-    return 0
+    results = experiments.run_hf_sweep(pair, n_lf, args.ih, config, args.repeats, **options)
+    return _sweep(args, "sweep_hf", results)
 
 
 def cmd_sweep_lf(args) -> int:
-    pair = _require_benchmark(args)
-    config = resolve_config(args, pair.default_config)
+    pair, config, options = _experiment_setup(args)
     n_hf = args.ih if args.ih is not None else 5
-    results = experiments.run_lf_sweep(
-        pair, args.il, n_hf, config, args.repeats,
-        test_size=args.test_points, nested=args.nested, n_jobs=args.jobs,
-    )
-    _print_results(results)
-    out = _out_dir(args)
-    _announce(experiments.write_results_csv(results, out / "sweep_lf.csv"))
-    _announce(experiments.write_summary_json(results, out / "sweep_lf_summary.json"))
-    return 0
+    results = experiments.run_lf_sweep(pair, args.il, n_hf, config, args.repeats, **options)
+    return _sweep(args, "sweep_lf", results)
 
 
 def cmd_baselines(args) -> int:
-    pair = _require_benchmark(args)
-    config = resolve_config(args, pair.default_config)
+    pair, config, options = _experiment_setup(args)
     n_lf = args.il if args.il is not None else 100 * pair.d1
     n_hf = args.ih if args.ih is not None else 5
-    comparison = experiments.run_baselines(
-        pair, n_lf, n_hf, config, args.repeats,
-        test_size=args.test_points, nested=args.nested, n_jobs=args.jobs,
-    )
+    comparison = experiments.run_baselines(pair, n_lf, n_hf, config, args.repeats, **options)
     print(
         f"{pair.name} I_L={n_lf} I_H={n_hf}: mean NRMSE "
         f"full={comparison.gan.mean_nrmse:.6g} "
@@ -354,35 +344,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out")
     sub.set_defaults(func=cmd_predict)
 
-    sub = subs.add_parser("sweep-hf", help="vary the high-fidelity budget")
-    _add_source_flags(sub, csv_ok=False)
-    _add_config_flags(sub)
-    sub.add_argument("--il", type=int, help="fixed low-fidelity count (default 100*d1)")
-    sub.add_argument("--ih", type=_int_list, required=True, help="comma list, e.g. 5,4,3,2")
-    sub.add_argument("--repeats", type=int, default=10)
-    sub.add_argument("--jobs", type=int, default=1)
-    sub.add_argument("--test-points", dest="test_points", type=int, default=experiments.DEFAULT_TEST_SIZE)
-    sub.set_defaults(func=cmd_sweep_hf)
-
-    sub = subs.add_parser("sweep-lf", help="vary the low-fidelity budget")
-    _add_source_flags(sub, csv_ok=False)
-    _add_config_flags(sub)
-    sub.add_argument("--il", type=_int_list, help="comma list (default 100d..20d)")
-    sub.add_argument("--ih", type=int, help="fixed high-fidelity count (default 5)")
-    sub.add_argument("--repeats", type=int, default=10)
-    sub.add_argument("--jobs", type=int, default=1)
-    sub.add_argument("--test-points", dest="test_points", type=int, default=experiments.DEFAULT_TEST_SIZE)
-    sub.set_defaults(func=cmd_sweep_lf)
-
-    sub = subs.add_parser("baselines", help="compare against the two ablation baselines")
-    _add_source_flags(sub, csv_ok=False)
-    _add_config_flags(sub)
-    sub.add_argument("--il", type=int)
-    sub.add_argument("--ih", type=int)
-    sub.add_argument("--repeats", type=int, default=10)
-    sub.add_argument("--jobs", type=int, default=1)
-    sub.add_argument("--test-points", dest="test_points", type=int, default=experiments.DEFAULT_TEST_SIZE)
-    sub.set_defaults(func=cmd_baselines)
+    experiment_subcommands = (
+        ("sweep-hf", "vary the high-fidelity budget", cmd_sweep_hf,
+         {"type": int, "help": "fixed low-fidelity count (default 100*d1)"},
+         {"type": _int_list, "required": True, "help": "comma list, e.g. 5,4,3,2"}),
+        ("sweep-lf", "vary the low-fidelity budget", cmd_sweep_lf,
+         {"type": _int_list, "help": "comma list (default 100d..20d)"},
+         {"type": int, "help": "fixed high-fidelity count (default 5)"}),
+        ("baselines", "compare against the two ablation baselines", cmd_baselines,
+         {"type": int}, {"type": int}),
+    )
+    for name, help_text, func, il_flag, ih_flag in experiment_subcommands:
+        sub = subs.add_parser(name, help=help_text)
+        _add_source_flags(sub, csv_ok=False)
+        _add_config_flags(sub)
+        sub.add_argument("--il", **il_flag)
+        sub.add_argument("--ih", **ih_flag)
+        sub.add_argument("--repeats", type=int, default=10)
+        sub.add_argument("--jobs", type=int, default=1)
+        sub.add_argument("--test-points", dest="test_points", type=int, default=experiments.DEFAULT_TEST_SIZE)
+        sub.set_defaults(func=func)
 
     sub = subs.add_parser("scatter", help="export paired low/high-fidelity responses")
     sub.add_argument("--benchmark", required=True)

@@ -14,7 +14,8 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -197,13 +198,12 @@ def _execute_run(
             else:
                 pretrain_lf(model, dataset.lf_x, dataset.lf_y, cfg)
                 pretrained[key] = model.lf_block.copy()
-            before = model.lf_checksum()
             train_adversarial(model, dataset.hf_x, dataset.hf_y, cfg)
-            lf_frozen_ok = model.lf_block.frozen and model.lf_checksum() == before
         value = nrmse(y_true, model.predict(x_test))
         error = None
     except (TrainingDivergedError, FrozenNetworkError) as exc:
         value, error = float("nan"), str(exc)
+        lf_frozen_ok = not isinstance(exc, FrozenNetworkError)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return RunRecord(run_seed, value, wall_ms, lf_frozen_ok, error), pretrained
 
@@ -238,8 +238,7 @@ def run_experiment(
     gan or pgan run whose key is in it trains on a copy of that block instead
     of pretraining its own, which gives bit-identical results; blocks the
     runs do pretrain are added to it (a pretraining that diverged is not).
-    Passing one dict to several calls on the same data pretrains each block
-    once; by default a call starts with an empty cache.
+    By default a call starts with an empty cache.
     """
     if n_repeats < 1 or test_size < 1:
         raise ValueError("need n_repeats >= 1 and test_size >= 1")
@@ -248,15 +247,16 @@ def run_experiment(
     _check_cell(n_lf, n_hf, variant)
     if lf_cache is None:
         lf_cache = {}
-    args = [
-        (pair, n_lf, n_hf, config, config.seed + r, test_size, variant, nested, lf_cache)
-        for r in range(n_repeats)
-    ]
+    run = partial(
+        _execute_run, pair, n_lf, n_hf, config,
+        test_size=test_size, variant=variant, nested=nested, lf_cache=lf_cache,
+    )
+    seeds = range(config.seed, config.seed + n_repeats)
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            outcomes = list(pool.map(_execute_run_star, args))
+            outcomes = list(pool.map(run, seeds))
     else:
-        outcomes = map(_execute_run_star, args)
+        outcomes = map(run, seeds)
     records = []
     for record, pretrained in outcomes:
         lf_cache.update(pretrained)
@@ -264,8 +264,17 @@ def run_experiment(
     return ExperimentResult(pair.name, n_lf, n_hf, tuple(records))
 
 
-def _execute_run_star(args) -> tuple[RunRecord, dict]:
-    return _execute_run(*args)
+def _run_cells(pair, cells, config, n_repeats, **kwargs) -> list[ExperimentResult]:
+    """``run_experiment`` on each ``(n_lf, n_hf, variant)`` cell in order,
+    after checking every cell. The cells share one pretrain cache: its key
+    is a content address, so a hit always gives the block a run would train."""
+    for n_lf, n_hf, variant in cells:
+        _check_cell(n_lf, n_hf, variant)
+    lf_cache: dict = {}
+    return [
+        run_experiment(pair, n_lf, n_hf, config, n_repeats, variant=variant, lf_cache=lf_cache, **kwargs)
+        for n_lf, n_hf, variant in cells
+    ]
 
 
 def run_hf_sweep(
@@ -276,18 +285,12 @@ def run_hf_sweep(
     n_repeats: int = 10,
     **kwargs,
 ) -> list[ExperimentResult]:
-    """Vary the high-fidelity budget at a fixed low-fidelity budget.
-
-    Every cell is checked before any is trained. The low-fidelity data of a
-    seed do not depend on I_H, so the cells share one pretrain cache.
-    """
+    """Vary the high-fidelity budget at a fixed low-fidelity budget."""
     grid = [int(v) for v in hf_grid]
     if not grid:
         raise ValueError("empty high-fidelity grid")
-    for n_hf in grid:
-        _check_cell(n_lf, n_hf, kwargs.get("variant", "gan"))
-    lf_cache: dict = {}
-    return [run_experiment(pair, n_lf, n_hf, config, n_repeats, lf_cache=lf_cache, **kwargs) for n_hf in grid]
+    variant = kwargs.pop("variant", "gan")
+    return _run_cells(pair, [(n_lf, n_hf, variant) for n_hf in grid], config, n_repeats, **kwargs)
 
 
 def run_lf_sweep(
@@ -307,9 +310,8 @@ def run_lf_sweep(
     grid = [int(v) for v in lf_grid]
     if not grid:
         raise ValueError("empty low-fidelity grid")
-    for n_lf in grid:
-        _check_cell(n_lf, n_hf, kwargs.get("variant", "gan"))
-    return [run_experiment(pair, n_lf, n_hf, config, n_repeats, **kwargs) for n_lf in grid]
+    variant = kwargs.pop("variant", "gan")
+    return _run_cells(pair, [(n_lf, n_hf, variant) for n_lf in grid], config, n_repeats, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -321,11 +323,7 @@ class BaselineComparison:
     hf_only: ExperimentResult
 
     def to_dict(self) -> dict:
-        return {
-            "gan": self.gan.to_dict(),
-            "pgan": self.pgan.to_dict(),
-            "hf_only": self.hf_only.to_dict(),
-        }
+        return {f.name: getattr(self, f.name).to_dict() for f in fields(self)}
 
 
 def run_baselines(
@@ -336,17 +334,9 @@ def run_baselines(
     n_repeats: int = 10,
     **kwargs,
 ) -> BaselineComparison:
-    """Train the three variants on identical per-seed datasets and test draws.
-
-    pgan reuses the frozen low-fidelity blocks gan pretrained: the two differ
-    only in the adversarial phase.
-    """
-    lf_cache: dict = {}
-    return BaselineComparison(
-        gan=run_experiment(pair, n_lf, n_hf, config, n_repeats, variant="gan", lf_cache=lf_cache, **kwargs),
-        pgan=run_experiment(pair, n_lf, n_hf, config, n_repeats, variant="pgan", lf_cache=lf_cache, **kwargs),
-        hf_only=run_experiment(pair, n_lf, n_hf, config, n_repeats, variant="hf-only", **kwargs),
-    )
+    """Train the three variants on identical per-seed datasets and test draws."""
+    cells = [(n_lf, n_hf, variant) for variant in VARIANTS]
+    return BaselineComparison(*_run_cells(pair, cells, config, n_repeats, **kwargs))
 
 
 def emit_correlation_scatter(pair: BenchmarkPair, n_points: int, seed=0) -> np.ndarray:

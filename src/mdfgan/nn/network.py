@@ -97,6 +97,16 @@ class DenseNetwork:
         self.weights, self.biases = self._split(params)
         self._version = 0
 
+    def __getstate__(self) -> dict:
+        # pickle the vector alone; views would come back as separate arrays
+        state = self.__dict__.copy()
+        del state["weights"], state["biases"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.weights, self.biases = self._split(self.params)
+
     def _split(self, vector: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer weight and bias views of a vector in the parameter layout."""
         blocks = [vector[span].reshape(shape) for _, span, shape in self._blocks]

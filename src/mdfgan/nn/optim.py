@@ -6,6 +6,11 @@ from typing import Callable
 
 import numpy as np
 
+# moment decay rates and denominator guard of every Adam step
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class NonFiniteGradientError(RuntimeError):
     """Raised when a gradient contains NaN or infinity."""
@@ -14,23 +19,14 @@ class NonFiniteGradientError(RuntimeError):
 class AdamState:
     """First/second moment accumulators and step counter for one parameter vector."""
 
-    def __init__(
-        self,
-        params: np.ndarray,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
+    def __init__(self, params: np.ndarray) -> None:
         self.m = np.zeros_like(params, dtype=float)
         self.v = np.zeros_like(params, dtype=float)
         self.t = 0
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
 
     @classmethod
-    def for_network(cls, net, **kwargs) -> "AdamState":
-        return cls(net.params, **kwargs)
+    def for_network(cls, net) -> "AdamState":
+        return cls(net.params)
 
 
 def adam_step(
@@ -61,16 +57,16 @@ def adam_step(
         where = name_of(index) if name_of else f"index {index}"
         raise NonFiniteGradientError(f"non-finite gradient in {where}")
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - BETA1**state.t
+    bc2 = 1.0 - BETA2**state.t
     # in place, rounding exactly as m = beta1*m + (1-beta1)*g,
     # v = beta2*v + (1-beta2)*g*g and lr*m_hat / (sqrt(v_hat) + eps)
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grad
-    v *= state.beta2
-    v += (1.0 - state.beta2) * grad * grad
+    m *= BETA1
+    m += (1.0 - BETA1) * grad
+    v *= BETA2
+    v += (1.0 - BETA2) * grad * grad
     step = lr * (m / bc1)
-    step /= np.sqrt(v / bc2) + state.eps
+    step /= np.sqrt(v / bc2) + EPS
     params -= step
     return params

@@ -1,6 +1,9 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -417,3 +420,72 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert "separable30d" in proc.stdout
+
+
+# vars() of the namespace that build_parser() gives, with func replaced by
+# its name, recorded before the experiment subcommands were built in a loop:
+# first a call of each subcommand with its required flags only, then each
+# `mdfgan ...` line of README's code blocks as changes to that call.
+_CONFIG_FLAGS = {
+    **dict.fromkeys(
+        ["benchmark", "config", "lr_lf", "lr_disc", "lr_gen", "lr_sup", "epochs_lf", "epochs_hf",
+         "hidden", "activations", "leaky_alpha", "normalizer", "mode", "seed", "out"]
+    ),
+    "nested": False,
+    "no_supervised": False,
+}
+_EXPERIMENT_FLAGS = {**_CONFIG_FLAGS, "il": None, "ih": None, "repeats": 10, "jobs": 1, "test_points": 1000}
+BARE_CALLS = {
+    "mdfgan train": ("cmd_train", {
+        **_CONFIG_FLAGS, "command": "train", "csv_lf": None, "csv_hf": None, "d1": None, "d2": 1,
+        "il": None, "ih": None, "snapshot": False,
+    }),
+    "mdfgan predict --checkpoint c.json": ("cmd_predict", {
+        "command": "predict", "checkpoint": "c.json", "points": None, "csv_in": None, "out": None,
+    }),
+    "mdfgan sweep-hf --ih 5": ("cmd_sweep_hf", {**_EXPERIMENT_FLAGS, "command": "sweep-hf", "ih": [5]}),
+    "mdfgan sweep-lf": ("cmd_sweep_lf", {**_EXPERIMENT_FLAGS, "command": "sweep-lf"}),
+    "mdfgan baselines": ("cmd_baselines", {**_EXPERIMENT_FLAGS, "command": "baselines"}),
+    "mdfgan scatter --benchmark forrester1d": ("cmd_scatter", {
+        "command": "scatter", "benchmark": "forrester1d", "points": 1000, "seed": None, "out": None,
+    }),
+    "mdfgan list-benchmarks": ("cmd_list_benchmarks", {"command": "list-benchmarks"}),
+}
+README_CALLS = {
+    "mdfgan list-benchmarks": {},
+    "mdfgan train --benchmark forrester1d --il 100 --ih 5 --seed 0 --out run1":
+        {"benchmark": "forrester1d", "il": 100, "ih": 5, "seed": 0, "out": "run1"},
+    'mdfgan predict --checkpoint run1/checkpoint.json --points "0.25;0.5;0.75" --out run1':
+        {"checkpoint": "run1/checkpoint.json", "points": "0.25;0.5;0.75", "out": "run1"},
+    "mdfgan train --csv-lf lf.csv --csv-hf hf.csv --d1 2 --out run2":
+        {"csv_lf": "lf.csv", "csv_hf": "hf.csv", "d1": 2, "out": "run2"},
+    "mdfgan sweep-hf --benchmark forrester1d --il 100 --ih 10,5,2 --repeats 10 --out sweep":
+        {"benchmark": "forrester1d", "il": 100, "ih": [10, 5, 2], "out": "sweep"},
+    "mdfgan sweep-lf --benchmark currin2d --ih 5 --out sweep": {"benchmark": "currin2d", "ih": 5, "out": "sweep"},
+    "mdfgan baselines --benchmark forrester1d --il 100 --ih 5 --out cmp":
+        {"benchmark": "forrester1d", "il": 100, "ih": 5, "out": "cmp"},
+    "mdfgan scatter --benchmark oscillatory1d --points 1000 --out viz":
+        {"benchmark": "oscillatory1d", "out": "viz"},
+}
+
+
+def parsed(line):
+    doc = vars(cli.build_parser().parse_args(shlex.split(line)[1:]))
+    return doc.pop("func").__name__, doc
+
+
+def test_parser_surface_is_pinned():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = [
+        line.strip()
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+        if line.startswith("mdfgan ")
+    ]
+    assert sorted(lines) == sorted(README_CALLS)
+    bare = {doc["command"]: (func, doc) for func, doc in BARE_CALLS.values()}
+    for line, changes in README_CALLS.items():
+        func, doc = bare[line.split()[1]]
+        assert parsed(line) == (func, {**doc, **changes}), line
+    for line, expected in BARE_CALLS.items():
+        assert parsed(line) == expected, line

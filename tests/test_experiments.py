@@ -173,6 +173,25 @@ def test_gan_runs_verify_the_lf_checksum():
     assert all(r.lf_frozen_ok for r in res.records)
 
 
+def test_a_changed_lf_block_is_recorded_as_not_frozen(monkeypatch):
+    real = experiments.train_adversarial
+
+    def nudging(model, *args, **kwargs):
+        forward = model.hf_block.forward
+
+        def nudge_then_forward(*f_args, **f_kwargs):
+            model.lf_block.params[0] += 1e-3
+            return forward(*f_args, **f_kwargs)
+
+        model.hf_block.forward = nudge_then_forward
+        return real(model, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "train_adversarial", nudging)
+    record = run_experiment(get("forrester1d"), 15, 3, fast_config(), n_repeats=1, test_size=10).records[0]
+    assert record.failed and "frozen low-fidelity block changed" in record.error
+    assert record.lf_frozen_ok is False
+
+
 def test_parallel_runs_match_serial(tmp_path):
     cfg = fast_config(seed=1)
     pair = get("forrester1d")
@@ -207,7 +226,7 @@ def test_hf_sweep_pretrains_each_lf_block_once(monkeypatch):
     assert len(calls) == 3
 
 
-def test_reused_lf_blocks_match_fresh_pretraining():
+def test_reused_lf_blocks_match_fresh_pretraining(monkeypatch):
     pair = get("forrester1d")
     comp = run_baselines(pair, 20, 3, fast_config(seed=4), n_repeats=2, test_size=15)
     alone = run_experiment(pair, 20, 3, fast_config(seed=4), n_repeats=2, test_size=15, variant="pgan")
@@ -215,6 +234,13 @@ def test_reused_lf_blocks_match_fresh_pretraining():
     sweep = run_hf_sweep(pair, 20, [5, 2], fast_config(seed=4), n_repeats=2, test_size=15)
     alone = run_experiment(pair, 20, 2, fast_config(seed=4), n_repeats=2, test_size=15)
     assert sweep[1].to_dict() == alone.to_dict()
+    # the cells of an LF sweep differ in their LF samples, so none reuses a block
+    calls = count_pretrainings(monkeypatch)
+    sweep = run_lf_sweep(pair, [20, 12, 6], 3, fast_config(seed=4), n_repeats=2, test_size=15)
+    assert len(calls) == 6
+    for cell in sweep:
+        alone = run_experiment(pair, cell.n_lf, 3, fast_config(seed=4), n_repeats=2, test_size=15)
+        assert cell.to_dict() == alone.to_dict()
 
 
 def test_cached_lf_blocks_are_never_trained_with(monkeypatch):

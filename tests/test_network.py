@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -243,6 +244,17 @@ def test_copy_and_from_dict_get_their_own_vector():
         np.testing.assert_array_equal(dup.params, net.params)
         assert not np.shares_memory(dup.params, net.params)
         assert all(np.shares_memory(w, dup.params) for w in dup.weights)
+
+
+def test_pickle_round_trip_keeps_one_parameter_vector():
+    """Process pools ship networks by pickle; the weight and bias views must
+    come back as views into the one vector, not as separate arrays."""
+    net = pickle.loads(pickle.dumps(small_net(seed=3)))
+    assert all(np.shares_memory(view, net.params) for view in (*net.weights, *net.biases))
+    x = np.array([[0.3, -0.2]])
+    assert net.forward(x)[0][0, 0] != 0.0
+    net.params[:] = 0.0
+    np.testing.assert_array_equal(net.forward(x)[0], [[0.0]])
 
 
 def test_checksum_is_pinned():
