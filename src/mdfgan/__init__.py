@@ -48,7 +48,7 @@ from .nn import (
     AdamState,
     DenseNetwork,
     FrozenNetworkError,
-    NonFiniteGradientError,
+    NonFiniteError,
     adam_step,
 )
 
@@ -64,7 +64,7 @@ __all__ = [
     "FrozenNetworkError",
     "GanMdfModel",
     "MultiFidelityDataset",
-    "NonFiniteGradientError",
+    "NonFiniteError",
     "Normalizer",
     "RunRecord",
     "TraceRow",

@@ -289,8 +289,7 @@ def run_hf_sweep(
     grid = [int(v) for v in hf_grid]
     if not grid:
         raise ValueError("empty high-fidelity grid")
-    variant = kwargs.pop("variant", "gan")
-    return _run_cells(pair, [(n_lf, n_hf, variant) for n_hf in grid], config, n_repeats, **kwargs)
+    return _run_cells(pair, [(n_lf, n_hf, "gan") for n_hf in grid], config, n_repeats, **kwargs)
 
 
 def run_lf_sweep(
@@ -310,8 +309,7 @@ def run_lf_sweep(
     grid = [int(v) for v in lf_grid]
     if not grid:
         raise ValueError("empty low-fidelity grid")
-    variant = kwargs.pop("variant", "gan")
-    return _run_cells(pair, [(n_lf, n_hf, variant) for n_lf in grid], config, n_repeats, **kwargs)
+    return _run_cells(pair, [(n_lf, n_hf, "gan") for n_lf in grid], config, n_repeats, **kwargs)
 
 
 @dataclass(frozen=True)

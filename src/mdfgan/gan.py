@@ -41,8 +41,7 @@ from .nn import (
     AdamState,
     DenseNetwork,
     FrozenNetworkError,
-    NonFiniteActivationError,
-    NonFiniteGradientError,
+    NonFiniteError,
     parse_activation,
 )
 
@@ -61,10 +60,6 @@ _SEED_LF_SHUFFLE, _SEED_HF_SHUFFLE = 3, 4
 
 class TrainingDivergedError(RuntimeError):
     """Raised when a training loss, pre-activation or gradient stops being finite."""
-
-
-# what the loss definitions and the nn engine raise when a value stops being finite
-_NON_FINITE = (FloatingPointError, NonFiniteActivationError, NonFiniteGradientError)
 
 
 @dataclass
@@ -267,12 +262,12 @@ def normalized_predict(
 #
 # Each returns the loss and its gradient with respect to the scores or
 # predictions it was given, the upstream that backpropagation starts from,
-# and raises FloatingPointError when the loss is not finite.
+# and raises NonFiniteError when the loss is not finite.
 
 
 def _finite(loss: float, name: str) -> float:
     if not np.isfinite(loss):
-        raise FloatingPointError(f"{name} loss became non-finite")
+        raise NonFiniteError(f"{name} loss became non-finite")
     return loss
 
 
@@ -308,6 +303,15 @@ def _batch_indices(n: int, cap: int, rng: np.random.Generator) -> list[np.ndarra
     return [perm[i : i + size] for i in range(0, n, size)]
 
 
+def _supervised_step(net: DenseNetwork, x: np.ndarray, y: np.ndarray, state: AdamState, lr: float) -> float:
+    """One Adam step on the squared error; returns the loss before the step."""
+    pred, tape = net.forward(x)
+    loss, upstream = squared_error(pred, y)
+    grad, _ = net.gradient(tape, upstream)
+    net.apply_adam(grad, state, lr)
+    return loss
+
+
 def fit_regression(
     net: DenseNetwork,
     x: np.ndarray,
@@ -319,20 +323,16 @@ def fit_regression(
     label: str = "regression",
 ) -> list[float]:
     """Adam on the mean squared-norm residual; returns per-epoch losses."""
-    state = AdamState.for_network(net)
+    state = AdamState(net.params)
     trace: list[float] = []
     n = x.shape[0]
     try:
         for epoch in range(epochs):
             epoch_losses = []
             for idx in _batch_indices(n, batch_cap, rng):
-                pred, tape = net.forward(x[idx])
-                loss, upstream = squared_error(pred, y[idx])
-                grad, _ = net.gradient(tape, upstream)
-                net.apply_adam(grad, state, lr)
-                epoch_losses.append(loss)
+                epoch_losses.append(_supervised_step(net, x[idx], y[idx], state, lr))
             trace.append(float(np.mean(epoch_losses)))
-    except _NON_FINITE as exc:
+    except NonFiniteError as exc:
         raise TrainingDivergedError(f"{label} diverged at epoch {epoch}: {exc}") from exc
     return trace
 
@@ -409,11 +409,11 @@ def train_adversarial(
     gen_inputs = np.concatenate([x, q], axis=1)
 
     hf_net, disc = model.hf_block, model.discriminator
-    st_hf_sup = AdamState.for_network(hf_net)
-    st_hf_disc = AdamState.for_network(hf_net)
-    st_hf_gen = AdamState.for_network(hf_net)
-    st_disc_disc = AdamState.for_network(disc)
-    st_disc_gen = AdamState.for_network(disc)
+    st_hf_sup = AdamState(hf_net.params)
+    st_hf_disc = AdamState(hf_net.params)
+    st_hf_gen = AdamState(hf_net.params)
+    st_disc_disc = AdamState(disc.params)
+    st_disc_gen = AdamState(disc.params)
     coupled = config.mode == MODE_COUPLED
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SEED_HF_SHUFFLE]))
 
@@ -425,17 +425,13 @@ def train_adversarial(
                 iteration += 1
                 gen_in, y_b = gen_inputs[idx], y[idx]
 
-                def supervised_step(update: bool) -> float:
-                    pred, tape = hf_net.forward(gen_in)
-                    loss, upstream = squared_error(pred, y_b)
-                    if update:
-                        grad, _ = hf_net.gradient(tape, upstream)
-                        hf_net.apply_adam(grad, st_hf_sup, config.lr_sup)
-                    return loss
-
                 # stage 1: supervised refinement (measured even when disabled)
                 stage = "supervised"
-                loss_sup = supervised_step(update=config.supervised_trick)
+                if config.supervised_trick:
+                    loss_sup = _supervised_step(hf_net, gen_in, y_b, st_hf_sup, config.lr_sup)
+                else:
+                    pred, _ = hf_net.forward(gen_in)
+                    loss_sup, _ = squared_error(pred, y_b)
 
                 # stage 2: discriminative loss; both gradients are taken at the
                 # current parameters, then applied together
@@ -454,7 +450,7 @@ def train_adversarial(
                 # stage 3: supervised refinement
                 stage = "supervised"
                 if config.supervised_trick:
-                    supervised_step(update=True)
+                    _supervised_step(hf_net, gen_in, y_b, st_hf_sup, config.lr_sup)
 
                 # stage 4: generative loss
                 stage = "generative"
@@ -470,10 +466,10 @@ def train_adversarial(
                 # stage 5: supervised refinement
                 stage = "supervised"
                 if config.supervised_trick:
-                    supervised_step(update=True)
+                    _supervised_step(hf_net, gen_in, y_b, st_hf_sup, config.lr_sup)
 
                 trace.append(TraceRow(iteration, loss_sup, loss_gen, loss_disc))
-    except _NON_FINITE as exc:
+    except NonFiniteError as exc:
         raise TrainingDivergedError(
             f"adversarial training diverged in the {stage} stage at iteration {iteration}: {exc}"
         ) from exc
@@ -485,6 +481,8 @@ def train_adversarial(
 
 def train(dataset: MultiFidelityDataset, config: TrainingConfig) -> tuple[GanMdfModel, list[TraceRow]]:
     """Full pipeline: build, fit normalizers, pretrain, adversarial phase."""
+    if dataset.n_hf < 2:  # checked here too, so that no pretraining is thrown away
+        raise ValueError("adversarial training needs at least two high-fidelity samples")
     model = GanMdfModel.build(dataset.d1, dataset.d2, config)
     model.fit_normalizers(dataset, config.normalizer)
     pretrain_lf(model, dataset.lf_x, dataset.lf_y, config)

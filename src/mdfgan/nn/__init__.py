@@ -8,14 +8,14 @@ from .activations import (
     RICKER,
     SIGMOID,
     Activation,
-    NonFiniteActivationError,
+    NonFiniteError,
     apply,
     backward,
     leaky_relu,
     parse_activation,
 )
 from .network import DenseNetwork, FrozenNetworkError, Tape
-from .optim import AdamState, NonFiniteGradientError, adam_step
+from .optim import AdamState, adam_step
 
 __all__ = [
     "Activation",
@@ -26,8 +26,7 @@ __all__ = [
     "IDENTITY",
     "INVERSE_MULTIQUADRATIC",
     "KINDS",
-    "NonFiniteActivationError",
-    "NonFiniteGradientError",
+    "NonFiniteError",
     "RICKER",
     "SIGMOID",
     "Tape",

@@ -20,8 +20,9 @@ from functools import lru_cache
 import numpy as np
 
 
-class NonFiniteActivationError(ValueError):
-    """Raised when an activation receives a NaN or infinite pre-activation."""
+class NonFiniteError(ValueError):
+    """Raised when a value stops being finite: a pre-activation, a gradient
+    or a training loss."""
 
 
 KINDS = ("identity", "sigmoid", "leaky_relu", "ricker", "dft", "inverse_multiquadratic")
@@ -88,7 +89,7 @@ def apply(act: Activation, v: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     if not np.isfinite(v).all():
-        raise NonFiniteActivationError(f"non-finite input to {act.kind} activation")
+        raise NonFiniteError(f"non-finite input to {act.kind} activation")
     if act.kind == "identity":
         return v.copy()
     if act.kind == "sigmoid":

@@ -6,14 +6,12 @@ from typing import Callable
 
 import numpy as np
 
+from .activations import NonFiniteError
+
 # moment decay rates and denominator guard of every Adam step
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
-
-
-class NonFiniteGradientError(RuntimeError):
-    """Raised when a gradient contains NaN or infinity."""
 
 
 class AdamState:
@@ -23,10 +21,6 @@ class AdamState:
         self.m = np.zeros_like(params, dtype=float)
         self.v = np.zeros_like(params, dtype=float)
         self.t = 0
-
-    @classmethod
-    def for_network(cls, net) -> "AdamState":
-        return cls(net.params)
 
 
 def adam_step(
@@ -55,7 +49,7 @@ def adam_step(
     if not np.isfinite(grad).all():
         index = int(np.flatnonzero(~np.isfinite(grad))[0])
         where = name_of(index) if name_of else f"index {index}"
-        raise NonFiniteGradientError(f"non-finite gradient in {where}")
+        raise NonFiniteError(f"non-finite gradient in {where}")
     state.t += 1
     bc1 = 1.0 - BETA1**state.t
     bc2 = 1.0 - BETA2**state.t

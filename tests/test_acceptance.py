@@ -17,7 +17,7 @@ import conftest
 from mdfgan import cli
 from mdfgan.benchmarks import get
 from mdfgan.data import Normalizer, lhs_sample
-from mdfgan.experiments import nrmse, run_baselines, run_experiment
+from mdfgan.experiments import VARIANTS, BaselineComparison, nrmse, run_experiment
 from mdfgan.gan import train_adversarial
 from mdfgan.nn import activations
 from test_gan import scripted_five_stages, toy_problem
@@ -34,23 +34,34 @@ def _report(num, ok, detail):
 # -- shared heavy runs --------------------------------------------------------
 #
 # Criterion 5 needs all three variants at I_L=100, I_H=5; criterion 6 reuses
-# the GAN arm of that run as its I_H=5 reference; criterion 7 reuses it as
-# its I_L=100 cell.  Criterion 9 audits the freeze flag over all of them.
+# the GAN arm of that run as its I_H=5 reference, and the LF blocks it
+# pretrained, which depend only on the seed and the I_L=100 samples;
+# criterion 7 reuses it as its I_L=100 cell.  Criterion 9 audits the freeze
+# flag over all of them.
 
 
 @pytest.fixture(scope="module")
-def table_runs():
+def lf_blocks():
+    """Pretrain cache shared by criteria 5 and 6, as ``run_baselines`` shares one."""
+    return {}
+
+
+@pytest.fixture(scope="module")
+def table_runs(lf_blocks):
     pair = get("forrester1d")
     start = time.perf_counter()
-    comparison = run_baselines(pair, 100, 5, pair.default_config, n_repeats=10)
+    comparison = BaselineComparison(*[
+        run_experiment(pair, 100, 5, pair.default_config, n_repeats=10, variant=v, lf_cache=lf_blocks)
+        for v in VARIANTS
+    ])
     return comparison, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
-def low_hf_run():
+def low_hf_run(table_runs, lf_blocks):
     pair = get("forrester1d")
     start = time.perf_counter()
-    result = run_experiment(pair, 100, 2, pair.default_config, n_repeats=10)
+    result = run_experiment(pair, 100, 2, pair.default_config, n_repeats=10, lf_cache=lf_blocks)
     return result, time.perf_counter() - start
 
 

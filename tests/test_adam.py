@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mdfgan.nn import AdamState, DenseNetwork, NonFiniteGradientError, SIGMOID, adam_step
+from mdfgan.nn import AdamState, DenseNetwork, NonFiniteError, SIGMOID, adam_step
 from oracles import fresh_adam_mem, scripted_adam_step
 
 
@@ -73,12 +73,12 @@ def test_non_finite_gradient_names_the_block():
     failed step leaves the parameters and the optimizer state untouched."""
     net = DenseNetwork([2, 3, 1], [SIGMOID], seed=0)
     before = net.params.copy()
-    state = AdamState.for_network(net)
+    state = AdamState(net.params)
     grad = np.zeros_like(net.params)
     grad[10] = np.nan
-    with pytest.raises(NonFiniteGradientError, match=r"layer1\.weight"):
+    with pytest.raises(NonFiniteError, match=r"layer1\.weight"):
         net.apply_adam(grad, state, lr=0.1)
-    with pytest.raises(NonFiniteGradientError, match="index 10"):
+    with pytest.raises(NonFiniteError, match="index 10"):
         adam_step(net.params, grad, state, lr=0.1)
     np.testing.assert_array_equal(net.params, before)
     assert state.t == 0 and not state.m.any() and not state.v.any()
@@ -114,9 +114,9 @@ def test_zero_learning_rate_advances_state_only():
     assert state.m[0] != 0.0
 
 
-def test_for_network_matches_parameter_layout():
+def test_state_matches_parameter_layout():
     net = DenseNetwork([2, 3, 1], [SIGMOID], seed=0)
-    state = AdamState.for_network(net)
+    state = AdamState(net.params)
     assert state.m.shape == state.v.shape == net.params.shape == (13,)
     assert not state.m.any() and not state.v.any()
 
@@ -125,7 +125,7 @@ def test_state_updates_in_place_across_blocks():
     """One step on the parameter vector moves every weight and bias view."""
     net = DenseNetwork([2, 2, 1], [SIGMOID], seed=0)
     weights = [w.copy() for w in net.weights]
-    state = AdamState.for_network(net)
+    state = AdamState(net.params)
     net.apply_adam(np.ones_like(net.params), state, lr=0.1)
     net.apply_adam(np.ones_like(net.params), state, lr=0.1)
     assert state.t == 2

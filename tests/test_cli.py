@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mdfgan import cli, experiments
+from mdfgan import cli, experiments, gan
 from mdfgan.gan import load_checkpoint
 
 FAST = [
@@ -191,6 +191,19 @@ def test_sweeps_validate_every_cell_before_training(tmp_path, capsys, monkeypatc
     assert "n_lf >= n_hf" in capsys.readouterr().err
 
 
+def test_train_rejects_one_hf_sample_before_pretraining(tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("pretraining started before the high-fidelity count was checked")
+
+    monkeypatch.setattr(gan, "pretrain_lf", no_training)
+    rc = cli.main(
+        ["train", "--benchmark", "forrester1d", "--il", "20", "--ih", "1",
+         "--out", str(tmp_path), *FAST_TRAIN]
+    )
+    assert rc == 2
+    assert "two high-fidelity samples" in capsys.readouterr().err
+
+
 def test_predict_round_trip(tmp_path, capsys):
     assert cli.main(
         ["train", "--benchmark", "forrester1d", "--il", "15", "--ih", "3",
@@ -223,16 +236,20 @@ def test_predict_input_validation(tmp_path, capsys):
     assert cli.main(["predict", "--checkpoint", ckpt, "--points", "abc"]) == 2
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
 def test_predict_rejects_non_finite_points(tmp_path, capsys):
     assert cli.main(
         ["train", "--benchmark", "forrester1d", "--il", "10", "--ih", "2",
-         "--out", str(tmp_path), *FAST_TRAIN]
+         "--normalizer", "standard", "--out", str(tmp_path), *FAST_TRAIN]
     ) == 0
     capsys.readouterr()
     ckpt = str(tmp_path / "checkpoint.json")
     for bad in ("nan", "0.5;inf"):
         assert cli.main(["predict", "--checkpoint", ckpt, "--points", bad, "--out", str(tmp_path)]) == 2
         assert "finite" in capsys.readouterr().err
+    # a finite point that the input normalizer scales past the float range
+    assert cli.main(["predict", "--checkpoint", ckpt, "--points", "1e308", "--out", str(tmp_path)]) == 2
+    assert "error: non-finite input to sigmoid activation" in capsys.readouterr().err
 
 
 def test_sweep_hf_csv_layout_and_determinism(tmp_path, capsys):

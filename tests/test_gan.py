@@ -27,7 +27,7 @@ from mdfgan.gan import (
     train_adversarial,
     write_loss_trace,
 )
-from mdfgan.nn import DenseNetwork, FrozenNetworkError, IDENTITY, SIGMOID
+from mdfgan.nn import DenseNetwork, FrozenNetworkError, IDENTITY, NonFiniteError, SIGMOID
 from oracles import fresh_adam_mem, scripted_adam_step
 
 
@@ -216,11 +216,11 @@ def test_discriminative_loss_formula():
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_losses_reject_non_finite_values():
-    with pytest.raises(FloatingPointError, match="squared-error"):
+    with pytest.raises(NonFiniteError, match="squared-error"):
         squared_error(np.array([[1e200]]), np.zeros((1, 1)))
-    with pytest.raises(FloatingPointError, match="generative"):
+    with pytest.raises(NonFiniteError, match="generative"):
         generative(np.array([[np.nan]]))
-    with pytest.raises(FloatingPointError, match="discriminative"):
+    with pytest.raises(NonFiniteError, match="discriminative"):
         discriminative(np.array([[0.5]]), np.array([[np.inf]]))
 
 
@@ -274,17 +274,41 @@ def test_fit_regression_divergence_names_epoch():
         )
 
 
+def inf_gradient(monkeypatch):
+    """Make every parameter gradient carry an infinity in its first entry,
+    which lies in layer0.weight."""
+    gradient = DenseNetwork.gradient
+
+    def poisoned(self, tape, upstream):
+        grad, into = gradient(self, tape, upstream)
+        grad[0] = np.inf
+        return grad, into
+
+    monkeypatch.setattr(DenseNetwork, "gradient", poisoned)
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
-def test_fit_regression_non_finite_preactivation_is_divergence():
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("preactivation", "low-fidelity pretraining diverged at epoch 0: non-finite input to sigmoid activation"),
+        ("gradient", "low-fidelity pretraining diverged at epoch 0: non-finite gradient in layer0.weight"),
+    ],
+    ids=["preactivation", "gradient"],
+)
+def test_pretraining_non_finite_value_is_divergence(monkeypatch, source, message):
     """Weights of 1e308 overflow a pre-activation to infinity inside the
-    forward pass; that is divergence, not a usage error."""
-    net = DenseNetwork([1, 4, 1], [SIGMOID], IDENTITY, seed=0)
-    net.params[:] = 1e308
-    with pytest.raises(TrainingDivergedError, match="epoch 0.*non-finite input"):
-        fit_regression(
-            net, np.array([[1.0]]), np.array([[0.0]]), 0.01, 3, 32,
-            np.random.default_rng(0), label="pretraining",
-        )
+    forward pass, and a gradient entry can stop being finite; both are
+    divergence, not a usage error."""
+    cfg = tiny_config(epochs_lf=3)
+    model = GanMdfModel.build(1, 1, cfg)
+    if source == "preactivation":
+        model.lf_block.params[:] = 1e308
+    else:
+        inf_gradient(monkeypatch)
+    with pytest.raises(TrainingDivergedError) as info:
+        pretrain_lf(model, np.array([[1.0]]), np.array([[0.0]]), cfg)
+    assert str(info.value) == message
 
 
 # -- adversarial phase: the five-stage schedule ---------------------------------------
@@ -503,12 +527,33 @@ def test_adversarial_divergence_names_iteration_and_loss():
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
-def test_adversarial_non_finite_preactivation_names_the_stage():
-    """An overflowing discriminator pre-activation first shows in stage 2."""
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        (
+            "preactivation",
+            "adversarial training diverged in the discriminative stage at iteration 1: "
+            "non-finite input to sigmoid activation",
+        ),
+        (
+            "gradient",
+            "adversarial training diverged in the supervised stage at iteration 1: "
+            "non-finite gradient in layer0.weight",
+        ),
+    ],
+    ids=["preactivation", "gradient"],
+)
+def test_adversarial_non_finite_value_names_the_stage(monkeypatch, source, message):
+    """An overflowing discriminator pre-activation first shows in stage 2,
+    a non-finite gradient in the first update, stage 1."""
     model, hf_x, hf_y, cfg = toy_problem()
-    model.discriminator.params[:] = 1e308
-    with pytest.raises(TrainingDivergedError, match="discriminative stage at iteration 1.*non-finite input"):
+    if source == "preactivation":
+        model.discriminator.params[:] = 1e308
+    else:
+        inf_gradient(monkeypatch)
+    with pytest.raises(TrainingDivergedError) as info:
         train_adversarial(model, hf_x, hf_y, cfg)
+    assert str(info.value) == message
 
 
 def test_trace_iterations_count_epochs():

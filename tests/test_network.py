@@ -101,7 +101,7 @@ def test_gradient_rejects_stale_tape():
     """A parameter update invalidates tapes recorded before it."""
     net = small_net()
     out, tape = net.forward(np.array([0.1, 0.2]))
-    state = AdamState.for_network(net)
+    state = AdamState(net.params)
     grads, _ = net.gradient(tape, np.ones_like(out))
     net.apply_adam(grads, state, 0.01)
     with pytest.raises(ValueError, match="stale"):
@@ -135,7 +135,7 @@ def test_freeze_blocks_updates_but_not_evaluation():
     out, tape = net.forward(np.array([0.5, 0.5]))
     grads, _ = net.gradient(tape, np.ones_like(out))
     with pytest.raises(FrozenNetworkError):
-        net.apply_adam(grads, AdamState.for_network(net), 0.01)
+        net.apply_adam(grads, AdamState(net.params), 0.01)
     np.testing.assert_array_equal(net.forward(np.array([0.5, 0.5]))[0], out)
 
 
@@ -145,7 +145,7 @@ def test_checksum_tracks_parameters():
     assert before == net.checksum()
     out, tape = net.forward(np.array([1.0, -1.0]))
     grads, _ = net.gradient(tape, np.ones_like(out))
-    net.apply_adam(grads, AdamState.for_network(net), 0.05)
+    net.apply_adam(grads, AdamState(net.params), 0.05)
     assert net.checksum() != before
 
 
@@ -198,7 +198,7 @@ def test_apply_adam_bumps_version():
     v0 = net._version
     out, tape = net.forward(np.array([0.0, 0.0]))
     grads, _ = net.gradient(tape, np.ones_like(out))
-    net.apply_adam(grads, AdamState.for_network(net), 0.0)
+    net.apply_adam(grads, AdamState(net.params), 0.0)
     assert net._version == v0 + 1
 
 
