@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import warnings
 from dataclasses import asdict, dataclass
@@ -254,7 +255,16 @@ def normalized_predict(
     batch = np.atleast_2d(inputs)
     if batch.shape[1] != width:
         raise ValueError(f"expected inputs of width {width}, got shape {inputs.shape}")
-    out = output_norm.inverse_transform(forward(input_norm.transform(batch)))
+    with np.errstate(over="ignore"):
+        z = input_norm.transform(batch)
+    finite = np.isfinite(z).all(axis=1)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite)[0])
+        raise ValueError(
+            f"input row {row} {batch[row].tolist()} is out of range: "
+            "the input normalizer maps it to a non-finite value"
+        )
+    out = output_norm.inverse_transform(forward(z))
     return out[0] if single else out
 
 
@@ -266,7 +276,7 @@ def normalized_predict(
 
 
 def _finite(loss: float, name: str) -> float:
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise NonFiniteError(f"{name} loss became non-finite")
     return loss
 
@@ -293,21 +303,29 @@ def generative(fake: np.ndarray) -> tuple[float, np.ndarray]:
 # -- training ----------------------------------------------------------------
 
 
-def _batch_indices(n: int, cap: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Mini-batch index sets for one epoch. A batch covering the whole set
-    keeps the natural order; otherwise rows are shuffled per epoch."""
+def _batches(x: np.ndarray, y: np.ndarray, cap: int, rng: np.random.Generator):
+    """Mini-batches of (x, y) rows for one epoch, each C-contiguous. A batch
+    covering the whole set is the set itself, in its natural order;
+    otherwise rows are shuffled per epoch, gathered once, and each batch is a
+    view of consecutive shuffled rows."""
+    n = x.shape[0]
+    if y.shape[0] != n:
+        raise ValueError(f"{n} input rows but {y.shape[0]} response rows")
     size = min(cap, n)
     if size >= n:
-        return [np.arange(n)]
+        yield np.ascontiguousarray(x), np.ascontiguousarray(y)
+        return
     perm = rng.permutation(n)
-    return [perm[i : i + size] for i in range(0, n, size)]
+    x, y = x[perm], y[perm]
+    for i in range(0, n, size):
+        yield x[i : i + size], y[i : i + size]
 
 
 def _supervised_step(net: DenseNetwork, x: np.ndarray, y: np.ndarray, state: AdamState, lr: float) -> float:
     """One Adam step on the squared error; returns the loss before the step."""
     pred, tape = net.forward(x)
     loss, upstream = squared_error(pred, y)
-    grad, _ = net.gradient(tape, upstream)
+    grad, _ = net.gradient(tape, upstream, input_grad=False)
     net.apply_adam(grad, state, lr)
     return loss
 
@@ -325,12 +343,11 @@ def fit_regression(
     """Adam on the mean squared-norm residual; returns per-epoch losses."""
     state = AdamState(net.params)
     trace: list[float] = []
-    n = x.shape[0]
     try:
         for epoch in range(epochs):
             epoch_losses = []
-            for idx in _batch_indices(n, batch_cap, rng):
-                epoch_losses.append(_supervised_step(net, x[idx], y[idx], state, lr))
+            for x_b, y_b in _batches(x, y, batch_cap, rng):
+                epoch_losses.append(_supervised_step(net, x_b, y_b, state, lr))
             trace.append(float(np.mean(epoch_losses)))
     except NonFiniteError as exc:
         raise TrainingDivergedError(f"{label} diverged at epoch {epoch}: {exc}") from exc
@@ -421,9 +438,8 @@ def train_adversarial(
     iteration = 0
     try:
         for _epoch in range(config.epochs_hf):
-            for idx in _batch_indices(n, HF_BATCH_CAP, rng):
+            for gen_in, y_b in _batches(gen_inputs, y, HF_BATCH_CAP, rng):
                 iteration += 1
-                gen_in, y_b = gen_inputs[idx], y[idx]
 
                 # stage 1: supervised refinement (measured even when disabled)
                 stage = "supervised"
@@ -440,10 +456,10 @@ def train_adversarial(
                 fake_pred, tape_hf = hf_net.forward(gen_in)
                 fake, tape_fake = disc.forward(fake_pred)
                 loss_disc, up_real, up_fake = discriminative(real, fake)
-                g_real, _ = disc.gradient(tape_real, up_real)
+                g_real, _ = disc.gradient(tape_real, up_real, input_grad=False)
                 g_fake, into_fake = disc.gradient(tape_fake, up_fake)
                 if coupled:
-                    g_hf, _ = hf_net.gradient(tape_hf, into_fake)
+                    g_hf, _ = hf_net.gradient(tape_hf, into_fake, input_grad=False)
                     hf_net.apply_adam(g_hf, st_hf_disc, config.lr_disc)
                 disc.apply_adam(g_real + g_fake, st_disc_disc, config.lr_disc)
 
@@ -458,7 +474,7 @@ def train_adversarial(
                 fake, tape_fake = disc.forward(fake_pred)
                 loss_gen, up_fake = generative(fake)
                 g_disc, into_fake = disc.gradient(tape_fake, up_fake)
-                g_hf, _ = hf_net.gradient(tape_hf, into_fake)
+                g_hf, _ = hf_net.gradient(tape_hf, into_fake, input_grad=False)
                 hf_net.apply_adam(g_hf, st_hf_gen, config.lr_gen)
                 if coupled:
                     disc.apply_adam(g_disc, st_disc_gen, config.lr_gen)

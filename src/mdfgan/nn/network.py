@@ -4,7 +4,8 @@ A network keeps all of its parameters in one contiguous float vector laid out
 as w0, b0, w1, b1, ... (each weight matrix row-major, shape (fan_out, fan_in)).
 ``weights[i]`` and ``biases[i]`` are reshaped views into that vector, and
 gradients come back as one vector in the same layout, so the optimizer and the
-checksum work on a single array.
+checksum work on a single array. Backpropagation writes into one gradient
+vector per network, with the same views, and hands out a copy of it.
 """
 
 from __future__ import annotations
@@ -81,6 +82,8 @@ class DenseNetwork:
         self.layer_sizes = [int(s) for s in layer_sizes]
         self.hidden_activations = list(hidden_activations)
         self.output_activation = output_activation
+        # one activation per layer: the hidden ones, then the output one
+        self.layer_activations = (*self.hidden_activations, output_activation)
         self.frozen = False
 
         self._blocks = _layout(self.layer_sizes)
@@ -94,18 +97,27 @@ class DenseNetwork:
     def _bind(self, params: np.ndarray) -> None:
         """Adopt ``params`` as the parameter vector and rebuild the views."""
         self.params = params
-        self.weights, self.biases = self._split(params)
         self._version = 0
+        self._build_views()
+
+    def _build_views(self) -> None:
+        """Views into the parameter vector, and a gradient scratch vector of
+        this network's own with its views."""
+        self.weights, self.biases = self._split(self.params)
+        self._grad = np.empty_like(self.params)
+        self._d_weights, self._d_biases = self._split(self._grad)
 
     def __getstate__(self) -> dict:
-        # pickle the vector alone; views would come back as separate arrays
+        # pickle the parameter vector alone; views would come back as
+        # separate arrays, and the scratch is rebuilt on load
         state = self.__dict__.copy()
-        del state["weights"], state["biases"]
+        for key in ("weights", "biases", "_grad", "_d_weights", "_d_biases"):
+            del state[key]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self.weights, self.biases = self._split(self.params)
+        self._build_views()
 
     def _split(self, vector: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer weight and bias views of a vector in the parameter layout."""
@@ -126,11 +138,6 @@ class DenseNetwork:
     def output_width(self) -> int:
         return self.layer_sizes[-1]
 
-    @property
-    def layer_activations(self) -> list[Activation]:
-        """One activation per layer: the hidden ones, then the output one."""
-        return [*self.hidden_activations, self.output_activation]
-
     def block_name(self, index: int) -> str:
         """Name of the block, such as ``layer1.weight``, holding a parameter-vector index."""
         for name, span, _ in self._blocks:
@@ -144,7 +151,7 @@ class DenseNetwork:
         """Evaluate the network on a vector or a batch of row vectors."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        a = inputs = np.atleast_2d(x)
+        a = inputs = x if x.ndim == 2 else np.atleast_2d(x)
         if a.ndim != 2 or a.shape[1] != self.input_width:
             raise ValueError(f"expected input width {self.input_width}, got shape {x.shape}")
         pre: list[np.ndarray] = []
@@ -157,12 +164,16 @@ class DenseNetwork:
             post.append(a)
         return (a[0] if single else a), Tape(inputs, pre, post, self, self._version, single)
 
-    def gradient(self, tape: Tape, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def gradient(
+        self, tape: Tape, upstream: np.ndarray, *, input_grad: bool = True
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """Backpropagate ``upstream`` (= dLoss/dOutput) through a recorded forward pass.
 
-        Returns the parameter gradient, one vector in the parameter layout,
+        Returns the parameter gradient, a new vector in the parameter layout,
         and the gradient with respect to the network input, both summed over
-        the batch rows of the tape.
+        the batch rows of the tape. With ``input_grad=False`` the input
+        gradient is None and the first layer's input product is skipped; the
+        parameter gradient is the same either way.
         """
         if tape.net is not self or tape.version != self._version:
             raise ValueError("stale tape: parameters changed since this forward pass")
@@ -173,18 +184,19 @@ class DenseNetwork:
             raise ValueError(
                 f"upstream shape {np.shape(upstream)} does not match output shape {tape.post[-1].shape}"
             )
-        grad = np.empty_like(self.params)
-        d_weights, d_biases = self._split(grad)
+        first = self.weights[0]
         layers = zip(
             self.weights, self.layer_activations, tape.pre, tape.post,
-            [tape.inputs, *tape.post[:-1]], d_weights, d_biases,
+            [tape.inputs, *tape.post[:-1]], self._d_weights, self._d_biases,
         )
         for w, act, pre, post, below, d_w, d_b in reversed(list(layers)):
             gz = activations.backward(act, pre, post, g)
             np.matmul(gz.T, below, out=d_w)
-            gz.sum(axis=0, out=d_b)
-            g = gz @ w
-        return grad, (g[0] if tape.single else g)
+            np.add.reduce(gz, axis=0, out=d_b)
+            if input_grad or w is not first:
+                g = gz @ w
+        into = (g[0] if tape.single else g) if input_grad else None
+        return self._grad.copy(), into
 
     # -- mutation -----------------------------------------------------------
 

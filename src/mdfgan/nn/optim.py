@@ -6,7 +6,7 @@ from typing import Callable
 
 import numpy as np
 
-from .activations import NonFiniteError
+from .activations import NonFiniteError, all_finite
 
 # moment decay rates and denominator guard of every Adam step
 BETA1 = 0.9
@@ -15,12 +15,14 @@ EPS = 1e-8
 
 
 class AdamState:
-    """First/second moment accumulators and step counter for one parameter vector."""
+    """First/second moment accumulators and step counter for one parameter
+    vector, plus two scratch vectors that each step overwrites."""
 
     def __init__(self, params: np.ndarray) -> None:
         self.m = np.zeros_like(params, dtype=float)
         self.v = np.zeros_like(params, dtype=float)
         self.t = 0
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
 
 def adam_step(
@@ -46,7 +48,7 @@ def adam_step(
             f"gradient shape {grad.shape}, parameter shape {params.shape} and "
             f"optimizer state shape {state.m.shape} differ"
         )
-    if not np.isfinite(grad).all():
+    if not all_finite(grad):
         index = int(np.flatnonzero(~np.isfinite(grad))[0])
         where = name_of(index) if name_of else f"index {index}"
         raise NonFiniteError(f"non-finite gradient in {where}")
@@ -56,11 +58,19 @@ def adam_step(
     # in place, rounding exactly as m = beta1*m + (1-beta1)*g,
     # v = beta2*v + (1-beta2)*g*g and lr*m_hat / (sqrt(v_hat) + eps)
     m, v = state.m, state.v
+    a, b = state.scratch
+    np.multiply(grad, 1.0 - BETA1, out=a)
     m *= BETA1
-    m += (1.0 - BETA1) * grad
+    m += a
+    np.multiply(grad, 1.0 - BETA2, out=a)
+    a *= grad
     v *= BETA2
-    v += (1.0 - BETA2) * grad * grad
-    step = lr * (m / bc1)
-    step /= np.sqrt(v / bc2) + EPS
-    params -= step
+    v += a
+    np.divide(m, bc1, out=a)
+    a *= lr
+    np.divide(v, bc2, out=b)
+    np.sqrt(b, out=b)
+    b += EPS
+    a /= b
+    params -= a
     return params

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -133,3 +136,17 @@ def test_state_updates_in_place_across_blocks():
         assert (w < w0).all()
     for b in net.biases:
         assert (b < 0.0).all()
+
+
+def test_scratch_is_never_shared():
+    """Each state owns two scratch vectors; a pickled or deep-copied state
+    gets its own, so two optimizers never write into one buffer."""
+    net = DenseNetwork([2, 3, 1], [SIGMOID], seed=0)
+    state = AdamState(net.params)
+    net.apply_adam(np.ones_like(net.params), state, lr=0.1)
+    others = [AdamState(net.params), pickle.loads(pickle.dumps(state)), copy.deepcopy(state)]
+    for other in others:
+        assert not any(np.shares_memory(a, b) for a in state.scratch for b in other.scratch)
+        assert not any(np.shares_memory(a, b) for a in other.scratch for b in (other.m, other.v, net.params))
+    again = others[1]
+    assert again.t == 1 and np.array_equal(again.m, state.m) and np.array_equal(again.v, state.v)

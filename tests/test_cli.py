@@ -249,7 +249,7 @@ def test_predict_rejects_non_finite_points(tmp_path, capsys):
         assert "finite" in capsys.readouterr().err
     # a finite point that the input normalizer scales past the float range
     assert cli.main(["predict", "--checkpoint", ckpt, "--points", "1e308", "--out", str(tmp_path)]) == 2
-    assert "error: non-finite input to sigmoid activation" in capsys.readouterr().err
+    assert "error: input row 0 [1e+308] is out of range" in capsys.readouterr().err
 
 
 def test_sweep_hf_csv_layout_and_determinism(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from mdfgan.experiments import (
     write_summary_json,
 )
 from mdfgan.data import make_dataset
-from mdfgan.gan import TrainingConfig
+from mdfgan.gan import TrainingConfig, train
 
 
 def fast_config(**overrides):
@@ -160,6 +161,23 @@ def test_hf_only_predict_normalizes_like_the_gan_model():
     np.testing.assert_allclose(model.predict(x[0]), model.predict(x)[0], atol=1e-12)
     with pytest.raises(ValueError, match="width"):
         model.predict(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("variant", ["gan", "hf-only"])
+def test_predict_names_an_input_the_normalizer_cannot_scale(variant):
+    """A finite input that the fitted standard normalizer scales past the
+    float range is bad input: a ValueError that names the row, raised
+    before the network runs and without a RuntimeWarning."""
+    ds = make_dataset(get("forrester1d"), 10, 4, seed=4)
+    cfg = fast_config(normalizer="standard")
+    model = train(ds, cfg)[0] if variant == "gan" else train_hf_only(ds, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            model.predict(np.array([[0.5], [1e308]]))
+    assert str(info.value) == (
+        "input row 1 [1e+308] is out of range: the input normalizer maps it to a non-finite value"
+    )
 
 
 def test_hf_only_run_records_trivially_keep_lf_frozen():

@@ -263,6 +263,18 @@ def test_pretrain_rejects_empty_or_mismatched_samples():
         pretrain_lf(model, np.zeros((3, 2)), np.zeros((3, 1)), cfg)
 
 
+def test_training_rejects_unequal_row_counts():
+    """Inputs and responses pair up row by row; one response row must not
+    broadcast over a batch of inputs."""
+    cfg = tiny_config(epochs_lf=1)
+    for n_y in (1, 2):
+        with pytest.raises(ValueError, match=f"3 input rows but {n_y} response rows"):
+            pretrain_lf(GanMdfModel.build(1, 1, cfg), np.zeros((3, 1)), np.zeros((n_y, 1)), cfg)
+    model, hf_x, hf_y, cfg = toy_problem()
+    with pytest.raises(ValueError, match="2 input rows but 1 response rows"):
+        train_adversarial(model, hf_x, hf_y[:1], cfg)
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_fit_regression_divergence_names_epoch():
     net = DenseNetwork([1, 1], [], IDENTITY, seed=0)
@@ -279,8 +291,8 @@ def inf_gradient(monkeypatch):
     which lies in layer0.weight."""
     gradient = DenseNetwork.gradient
 
-    def poisoned(self, tape, upstream):
-        grad, into = gradient(self, tape, upstream)
+    def poisoned(self, tape, upstream, **kwargs):
+        grad, into = gradient(self, tape, upstream, **kwargs)
         grad[0] = np.inf
         return grad, into
 

@@ -1,10 +1,13 @@
+import copy
 import json
 import pickle
 
 import numpy as np
 import pytest
 
+from mdfgan.gan import fit_regression
 from mdfgan.nn import (
+    DFT,
     IDENTITY,
     SIGMOID,
     AdamState,
@@ -262,3 +265,62 @@ def test_checksum_is_pinned():
     checks and saved checksums depend on this exact value."""
     net = DenseNetwork([1, 32, 32, 1], [SIGMOID, SIGMOID], seed=0)
     assert net.checksum() == "6f4076f84b8d25a8c1f5222381f262fae32db4003f154001f53e3f6ee950868d"
+
+
+# -- the gradient scratch vector -------------------------------------------------
+
+
+def test_gradient_results_never_alias():
+    """Each call hands out its own vector, so a first result survives a
+    second call, and g_real + g_fake adds two distinct gradients."""
+    net = small_net(seed=5)
+    out, tape = net.forward(np.array([[0.3, -0.2], [0.1, 0.4]]))
+    first, _ = net.gradient(tape, np.ones_like(out))
+    kept = first.copy()
+    second, _ = net.gradient(tape, -2.0 * np.ones_like(out))
+    np.testing.assert_array_equal(first, kept)
+    np.testing.assert_array_equal(second, -2.0 * kept)
+    assert not np.shares_memory(first, second)
+    assert not any(np.shares_memory(first, view) for view in (*net.weights, *net.biases))
+
+
+def test_copies_and_pickles_get_their_own_gradient_scratch():
+    net, x = small_net(seed=7), np.array([0.2, 0.9])
+    out, tape = net.forward(x)
+    want, _ = net.gradient(tape, np.ones_like(out))
+    assert not {"_grad", "_d_weights", "_d_biases"} & set(net.__getstate__())
+    for dup in (net.copy(), pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+        assert not np.shares_memory(dup._grad, net._grad)
+        assert all(np.shares_memory(view, dup._grad) for view in (*dup._d_weights, *dup._d_biases))
+        out, tape = dup.forward(x)
+        np.testing.assert_array_equal(dup.gradient(tape, np.ones_like(out))[0], want)
+
+
+def test_cached_block_is_unchanged_when_its_copy_trains():
+    rng = np.random.default_rng(3)
+    x, y = rng.normal(size=(12, 2)), rng.normal(size=(12, 1))
+    cached = small_net(seed=11)
+    fit_regression(cached, x, y, 0.01, 3, 4, rng)
+    cached.freeze()
+    before = cached.checksum()
+    dup = cached.copy()
+    dup.frozen = False
+    fit_regression(dup, x, y, 0.01, 3, 4, rng)
+    assert dup.checksum() != before
+    assert cached.checksum() == before
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_parameter_gradient_does_not_depend_on_the_input_gradient(seed):
+    """Skipping the first layer's input product leaves the parameter
+    gradient bit-identical, for a vector or a batch, and returns None in
+    place of the input gradient."""
+    rng = np.random.default_rng(seed)
+    net = DenseNetwork([3, 4, 4, 2], [SIGMOID, DFT], leaky_relu(0.2), seed=seed)
+    for x in (rng.normal(size=3), rng.normal(size=(5, 3))):
+        out, tape = net.forward(x)
+        upstream = rng.normal(size=out.shape)
+        grad, into = net.gradient(tape, upstream)
+        lean, none = net.gradient(tape, upstream, input_grad=False)
+        assert np.array_equal(grad, lean)
+        assert into.shape == np.shape(x) and none is None

@@ -9,9 +9,11 @@ import inspect
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mdfgan import gan
+from mdfgan.nn import SIGMOID, AdamState, DenseNetwork, activations, network
 from mdfgan.data import MultiFidelityDataset
 from mdfgan.experiments import RunRecord
 from mdfgan.gan import GanMdfModel, TrainingConfig
@@ -65,3 +67,29 @@ def test_hooks_read_existing_attributes(tracer):
     # the constants the hooks count Adam steps and iterations with
     assert tracer.HF_BATCH_CAP == gan.HF_BATCH_CAP
     assert gan.MODE_COUPLED == "coupled"
+
+
+def test_a_training_step_calls_the_wrapped_kernels_by_name(monkeypatch):
+    """The tracer counts kernel calls by rebinding module attributes
+    (``adam_step`` where ``network`` imported it), so the engine must look
+    these names up at call time: one supervised step on a three-layer net
+    makes one activation call and one activation backward per layer, and
+    one Adam step."""
+    calls = {"apply": 0, "backward": 0, "adam_step": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(activations, "apply")
+    counting(activations, "backward")
+    counting(network, "adam_step")
+    net = DenseNetwork([2, 4, 4, 1], [SIGMOID, SIGMOID], seed=0)
+    x = np.random.default_rng(0).normal(size=(5, 2))
+    gan._supervised_step(net, x, np.zeros((5, 1)), AdamState(net.params), 0.01)
+    assert calls == {"apply": 3, "backward": 3, "adam_step": 1}
