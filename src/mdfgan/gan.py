@@ -249,22 +249,34 @@ def normalized_predict(
 ) -> np.ndarray:
     """Evaluate a normalized-space map on raw inputs (a vector or batch rows):
     apply the fitted input transform, run ``forward`` on the batch, and undo
-    the output transform."""
+    the output transform. A finite row that overflows in the input transform
+    or in ``forward`` is bad input: a ValueError names the first such row."""
     inputs = np.asarray(inputs, dtype=float)
     single = inputs.ndim == 1
     batch = np.atleast_2d(inputs)
     if batch.shape[1] != width:
         raise ValueError(f"expected inputs of width {width}, got shape {inputs.shape}")
-    with np.errstate(over="ignore"):
+
+    def out_of_range(row: int, why: str) -> ValueError:
+        return ValueError(f"input row {row} {batch[row].tolist()} is out of range: {why}")
+
+    with np.errstate(over="ignore", invalid="ignore"):
         z = input_norm.transform(batch)
-    finite = np.isfinite(z).all(axis=1)
-    if not finite.all():
-        row = int(np.flatnonzero(~finite)[0])
-        raise ValueError(
-            f"input row {row} {batch[row].tolist()} is out of range: "
-            "the input normalizer maps it to a non-finite value"
-        )
-    out = output_norm.inverse_transform(forward(z))
+        finite = np.isfinite(z).all(axis=1)
+        if not finite.all():
+            row = int(np.flatnonzero(~finite)[0])
+            raise out_of_range(row, "the input normalizer maps it to a non-finite value")
+        try:
+            pred = forward(z)
+        except NonFiniteError:
+            # rows are evaluated independently, so the culprit fails alone
+            for row in range(len(z)):
+                try:
+                    forward(z[row : row + 1])
+                except NonFiniteError:
+                    raise out_of_range(row, "the network overflows on it") from None
+            raise
+    out = output_norm.inverse_transform(pred)
     return out[0] if single else out
 
 
@@ -281,23 +293,29 @@ def _finite(loss: float, name: str) -> float:
     return loss
 
 
+def _mean(a: np.ndarray) -> np.floating:
+    """``a.mean()`` with the same bits, without numpy's Python-level wrapper."""
+    return np.add.reduce(a, axis=None) / a.size
+
+
 def squared_error(pred: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Supervised loss: mean over the batch of the squared Euclidean error."""
     resid = pred - y
     n = resid.shape[0]
-    return _finite(float((resid * resid).sum(axis=1).sum() / n), "squared-error"), 2.0 * resid / n
+    loss = np.add.reduce(np.add.reduce(resid * resid, axis=1)) / n
+    return _finite(float(loss), "squared-error"), 2.0 * resid / n
 
 
 def discriminative(real: np.ndarray, fake: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean of (1 - D[real response]) plus mean of D[generated response];
     returns the loss and the upstreams of the real and the fake scores."""
-    loss = _finite(float((1.0 - real).mean() + fake.mean()), "discriminative")
+    loss = _finite(float(_mean(1.0 - real) + _mean(fake)), "discriminative")
     return loss, np.full_like(real, -1.0 / real.shape[0]), np.full_like(fake, 1.0 / fake.shape[0])
 
 
 def generative(fake: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean over the batch of (1 - D[G[x]])."""
-    return _finite(float((1.0 - fake).mean()), "generative"), np.full_like(fake, -1.0 / fake.shape[0])
+    return _finite(float(_mean(1.0 - fake)), "generative"), np.full_like(fake, -1.0 / fake.shape[0])
 
 
 # -- training ----------------------------------------------------------------
@@ -348,7 +366,7 @@ def fit_regression(
             epoch_losses = []
             for x_b, y_b in _batches(x, y, batch_cap, rng):
                 epoch_losses.append(_supervised_step(net, x_b, y_b, state, lr))
-            trace.append(float(np.mean(epoch_losses)))
+            trace.append(float(np.add.reduce(epoch_losses) / len(epoch_losses)))
     except NonFiniteError as exc:
         raise TrainingDivergedError(f"{label} diverged at epoch {epoch}: {exc}") from exc
     return trace

@@ -11,7 +11,7 @@ import numpy as np
 
 def masked_sigmoid(v):
     """1/(1+exp(-v)) where v >= 0 and exp(v)/(1+exp(v)) elsewhere, so that
-    exp never overflows; the library's sigmoid must match it bit for bit."""
+    exp never overflows; the library's sigmoid must stay within 2^-52 of it."""
     v = np.asarray(v, dtype=float)
     out = np.empty_like(v)
     pos = v >= 0

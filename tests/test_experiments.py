@@ -180,6 +180,23 @@ def test_predict_names_an_input_the_normalizer_cannot_scale(variant):
     )
 
 
+@pytest.mark.parametrize("variant", ["gan", "hf-only"])
+def test_predict_names_an_input_the_network_overflows_on(variant):
+    """Without a normalizer a finite but huge input overflows in the first
+    layer's product; that is bad input too: a ValueError naming the row, not
+    an internal activation, and no RuntimeWarning."""
+    ds = make_dataset(get("separable20d"), 10, 4, seed=4)
+    cfg = fast_config(normalizer="none", hidden_activations=("leaky_relu",))
+    model = train(ds, cfg)[0] if variant == "gan" else train_hf_only(ds, cfg)
+    inputs = np.array([np.full(20, 0.5), np.full(20, 1e308)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            model.predict(inputs)
+    assert str(info.value) == f"input row 1 {inputs[1].tolist()} is out of range: the network overflows on it"
+    assert model.predict(inputs[:1]).shape == (1, 1)
+
+
 def test_hf_only_run_records_trivially_keep_lf_frozen():
     res = run_experiment(get("forrester1d"), 10, 2, fast_config(), n_repeats=1,
                          test_size=10, variant="hf-only")

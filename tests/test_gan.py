@@ -593,15 +593,17 @@ def test_train_end_to_end_smoke():
     "name, n_lf, n_hf, epochs_lf, epochs_hf, digest",
     [
         # sigmoid hidden layers, shuffled LF batches (I_L > lf_batch_cap)
-        ("forrester1d", 100, 5, 150, 30, "b8bfb01af97dd7299cd702920a223f550d176d33f7d0700c4de35a7561945edc"),
+        ("forrester1d", 100, 5, 150, 30, "586384b347e477deeb97d77761afef5ae46486c1a4b7f3bebb870c5eeac5f5e9"),
         # leaky_relu hidden layers, standard normalizer, 20-D inputs
-        ("separable20d", 80, 20, 60, 20, "069f0409cca91049513ffdfeacb6bc7ba464b4e1a246a96732923d44c3bec332"),
+        ("separable20d", 80, 20, 60, 20, "b35c8368a1a86c258d41a803ff37c5926849d40c326a293cf06cc16547659bfe"),
     ],
+    ids=["forrester1d-100-5-150-30", "separable20d-80-20-60-20"],
 )
 def test_train_digest_is_pinned(name, n_lf, n_hf, epochs_lf, epochs_hf, digest):
     """SHA-256 over the three trained parameter vectors and the loss trace,
-    recorded before the nn kernels were rewritten: any change to the
-    arithmetic of a forward pass, a gradient, an Adam step or a loss shows."""
+    recorded when the sigmoid became 0.5*(1+tanh(v/2)): any change to the
+    arithmetic of a forward pass, a gradient, an Adam step or a loss shows.
+    The discriminator's sigmoid head moves the leaky_relu digest too."""
     pair = get(name)
     ds = make_dataset(pair, n_lf, n_hf, seed=3)
     cfg = replace(pair.default_config, epochs_lf=epochs_lf, epochs_hf=epochs_hf, seed=3)
