@@ -464,18 +464,20 @@ def train_adversarial(
                 if config.supervised_trick:
                     loss_sup = _supervised_step(hf_net, gen_in, y_b, st_hf_sup, config.lr_sup)
                 else:
-                    pred, _ = hf_net.forward(gen_in)
-                    loss_sup, _ = squared_error(pred, y_b)
+                    # no update before stage 2, which reuses this pass
+                    fake_pred, tape_hf = hf_net.forward(gen_in)
+                    loss_sup, _ = squared_error(fake_pred, y_b)
 
                 # stage 2: discriminative loss; both gradients are taken at the
                 # current parameters, then applied together
                 stage = "discriminative"
                 real, tape_real = disc.forward(y_b)
-                fake_pred, tape_hf = hf_net.forward(gen_in)
+                if config.supervised_trick:
+                    fake_pred, tape_hf = hf_net.forward(gen_in)
                 fake, tape_fake = disc.forward(fake_pred)
                 loss_disc, up_real, up_fake = discriminative(real, fake)
                 g_real, _ = disc.gradient(tape_real, up_real, input_grad=False)
-                g_fake, into_fake = disc.gradient(tape_fake, up_fake)
+                g_fake, into_fake = disc.gradient(tape_fake, up_fake, input_grad=coupled)
                 if coupled:
                     g_hf, _ = hf_net.gradient(tape_hf, into_fake, input_grad=False)
                     hf_net.apply_adam(g_hf, st_hf_disc, config.lr_disc)

@@ -10,6 +10,14 @@ cannot overflow and lies in [0, 1]. It differs from the masked form,
 1/(1+exp(-v)) where v >= 0 and exp(v)/(1+exp(v)) elsewhere, by at most
 2^-52 (measured over 2e7 inputs from 1e-320 to 1e308 in magnitude), and it
 is exactly 0 for v <= -37.981, where tanh(v/2) rounds to -1.
+
+The leaky_relu is ``max(v, alpha*v)`` for alpha <= 1 (``min`` for
+alpha > 1), two ufunc calls in one buffer, and its derivative is
+``max(sign(v), alpha)``. Both give the same bits as the masked forms
+``where(v > 0, v, alpha*v)`` and ``where(v > 0, 1, alpha)``: rounding is
+monotone, so alpha*v never passes v, and where the two are equal they are
+the same float; at v = +-0 both sides give alpha*v, which keeps the sign of
+the zero. The derivative for alpha > 1 keeps the masked form.
 """
 
 from __future__ import annotations
@@ -91,6 +99,14 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     return t
 
 
+def _leaky_relu(v: np.ndarray, alpha: float) -> np.ndarray:
+    # v where v > 0 and alpha*v elsewhere: the larger of the two when
+    # alpha <= 1, the smaller when alpha > 1
+    t = v * alpha
+    (np.maximum if alpha <= 1 else np.minimum)(t, v, out=t)
+    return t
+
+
 def apply(act: Activation, v: np.ndarray) -> np.ndarray:
     """Apply an activation to a pre-activation vector (or batch of rows).
 
@@ -105,7 +121,7 @@ def apply(act: Activation, v: np.ndarray) -> np.ndarray:
     if act.kind == "sigmoid":
         return _sigmoid(v)
     if act.kind == "leaky_relu":
-        return np.where(v > 0, v, act.alpha * v)
+        return _leaky_relu(v, act.alpha)
     if act.kind == "ricker":
         u = np.pi * v / 1000.0
         u2 = u * u
@@ -129,8 +145,13 @@ def backward(act: Activation, pre: np.ndarray, post: np.ndarray, upstream: np.nd
     if act.kind == "sigmoid":
         return upstream * post * (1.0 - post)
     if act.kind == "leaky_relu":
-        # the alpha branch covers pre == 0 exactly
-        return upstream * np.where(pre > 0, 1.0, act.alpha)
+        if act.alpha > 1:
+            return upstream * np.where(pre > 0, 1.0, act.alpha)
+        # max(sign(pre), alpha): 1 where pre > 0, alpha elsewhere (pre == 0 too)
+        slope = np.sign(pre)
+        np.maximum(slope, act.alpha, out=slope)
+        slope *= upstream
+        return slope
     if act.kind == "ricker":
         u = np.pi * pre / 1000.0
         u2 = u * u

@@ -2,8 +2,8 @@
 
 Nothing here calls the library's gradient or optimizer code paths; gradients
 come from central finite differences of the forward map, the Adam trace is
-recomputed from the bare recurrences, and the sigmoid reference evaluates each
-sign's textbook form on its own half of the input.
+recomputed from the bare recurrences, and the sigmoid and leaky_relu
+references evaluate each sign's textbook form on its own half of the input.
 """
 
 import numpy as np
@@ -19,6 +19,14 @@ def masked_sigmoid(v):
     ev = np.exp(v[~pos])
     out[~pos] = ev / (1.0 + ev)
     return out
+
+
+def masked_leaky_relu(v, alpha):
+    """where(v > 0, v, alpha*v) and its slope where(v > 0, 1, alpha), the
+    kink at v == 0 on the alpha side; the library's leaky_relu and its
+    backward must give these bits."""
+    v = np.asarray(v, dtype=float)
+    return np.where(v > 0, v, alpha * v), np.where(v > 0, 1.0, alpha)
 
 
 def scalar_loss(net, x, coeff):

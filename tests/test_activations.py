@@ -17,7 +17,7 @@ from mdfgan.nn.activations import (
     leaky_relu,
     parse_activation,
 )
-from oracles import masked_sigmoid
+from oracles import masked_leaky_relu, masked_sigmoid
 
 
 def test_sigmoid_at_zero():
@@ -119,6 +119,38 @@ def test_leaky_relu_monotone():
     v = np.linspace(-5, 5, 201)
     out = apply(leaky_relu(0.5), v)
     assert (np.diff(out) >= 0).all()
+
+
+def _leaky_relu_grid():
+    """Signed zeros and the smallest subnormals, uniform [-40, 40], and
+    log-uniform magnitudes from 1e-320 to 1e307 of either sign, so that
+    alpha*v stays finite for every alpha tested."""
+    rng = np.random.default_rng(23)
+    magnitudes = 10.0 ** rng.uniform(-320.0, 307.0, size=20_000)
+    return np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324],
+        rng.uniform(-40.0, 40.0, size=20_000),
+        magnitudes * rng.choice([-1.0, 1.0], size=magnitudes.size),
+    ])
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.2, 1.0, 3.0])
+def test_leaky_relu_is_bit_identical_to_the_masked_form(alpha):
+    """Forward and backward against the np.where oracle, compared as int64
+    bit patterns (so -0.0 differs from 0.0), as a vector and as a batch;
+    neither call writes into its arguments."""
+    act = leaky_relu(alpha)
+    grid = _leaky_relu_grid()
+    up = np.random.default_rng(29).normal(size=grid.size) * 10.0 ** np.linspace(-8.0, 8.0, grid.size)
+    want, slope = masked_leaky_relu(grid, alpha)
+    want_grad = up * slope
+    for shape in (grid.shape, (4, -1)):
+        v, u = grid.reshape(shape).copy(), up.reshape(shape).copy()
+        out = apply(act, v)
+        grad = backward(act, v, out, u)
+        assert np.array_equal(out.view(np.int64), want.reshape(shape).view(np.int64))
+        assert np.array_equal(grad.view(np.int64), want_grad.reshape(shape).view(np.int64))
+        assert v.tobytes() == grid.tobytes() and u.tobytes() == up.tobytes()
 
 
 def test_ricker_near_one_on_small_inputs():

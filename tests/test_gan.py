@@ -27,7 +27,7 @@ from mdfgan.gan import (
     train_adversarial,
     write_loss_trace,
 )
-from mdfgan.nn import DenseNetwork, FrozenNetworkError, IDENTITY, NonFiniteError, SIGMOID
+from mdfgan.nn import DenseNetwork, FrozenNetworkError, IDENTITY, NonFiniteError, SIGMOID, network
 from oracles import fresh_adam_mem, scripted_adam_step
 
 
@@ -522,6 +522,43 @@ def test_pgan_skips_supervised_updates_but_records_the_loss():
     assert trace_full[-1].supervised != trace_pgan[-1].supervised
 
 
+@pytest.mark.parametrize("mode", [MODE_COUPLED, MODE_STANDARD_GAN])
+@pytest.mark.parametrize("trick", [True, False], ids=["trick", "no-trick"])
+def test_one_iteration_runs_each_forward_pass_once(monkeypatch, mode, trick):
+    """Per adversarial iteration: five forward passes, plus one per
+    supervised stage (none is repeated: without the trick, stage 2 reuses
+    stage 1's high-fidelity pass); Adam steps as the benchmark's tracer
+    counts them; and an input gradient only where it feeds the high-fidelity
+    block."""
+    cfg = tiny_config(mode=mode, supervised_trick=trick)
+    model, hf_x, hf_y, _ = toy_problem(cfg)
+    calls = {"forward": 0, "adam_step": 0, "input_grad": 0}
+    real_forward, real_gradient, real_adam = DenseNetwork.forward, DenseNetwork.gradient, network.adam_step
+
+    def forward(net, x):
+        calls["forward"] += net is not model.lf_block  # not the one LF pass per run
+        return real_forward(net, x)
+
+    def gradient(net, tape, upstream, *, input_grad=True):
+        calls["input_grad"] += input_grad
+        return real_gradient(net, tape, upstream, input_grad=input_grad)
+
+    def adam_step(*args, **kwargs):
+        calls["adam_step"] += 1
+        return real_adam(*args, **kwargs)
+
+    monkeypatch.setattr(DenseNetwork, "forward", forward)
+    monkeypatch.setattr(DenseNetwork, "gradient", gradient)
+    monkeypatch.setattr(network, "adam_step", adam_step)
+    coupled = mode == MODE_COUPLED
+    assert len(train_adversarial(model, hf_x, hf_y, cfg)) == 1
+    assert calls == {
+        "forward": 5 + (3 if trick else 0),
+        "adam_step": (4 if coupled else 2) + (3 if trick else 0),
+        "input_grad": 2 if coupled else 1,
+    }
+
+
 def test_supervised_only_training_reduces_the_loss():
     with pytest.warns(UserWarning, match="lr_disc"):
         cfg = tiny_config(epochs_hf=40, lr_disc=0.0, lr_gen=0.0, lr_sup=0.01, hidden_sizes=(8,))
@@ -590,23 +627,34 @@ def test_train_end_to_end_smoke():
 
 
 @pytest.mark.parametrize(
-    "name, n_lf, n_hf, epochs_lf, epochs_hf, digest",
+    "name, n_lf, n_hf, epochs_lf, epochs_hf, overrides, digest",
     [
         # sigmoid hidden layers, shuffled LF batches (I_L > lf_batch_cap)
-        ("forrester1d", 100, 5, 150, 30, "586384b347e477deeb97d77761afef5ae46486c1a4b7f3bebb870c5eeac5f5e9"),
+        ("forrester1d", 100, 5, 150, 30, {}, "586384b347e477deeb97d77761afef5ae46486c1a4b7f3bebb870c5eeac5f5e9"),
         # leaky_relu hidden layers, standard normalizer, 20-D inputs
-        ("separable20d", 80, 20, 60, 20, "b35c8368a1a86c258d41a803ff37c5926849d40c326a293cf06cc16547659bfe"),
+        ("separable20d", 80, 20, 60, 20, {}, "b35c8368a1a86c258d41a803ff37c5926849d40c326a293cf06cc16547659bfe"),
+        # the two ablation paths: no supervised stages, and standard-gan updates
+        ("separable20d", 80, 20, 60, 20, {"supervised_trick": False},
+         "eee286a34b8940e565a18ed07e0e6a9cd80a63b3aedb2329ceaa0dec1a15794c"),
+        ("separable20d", 80, 20, 60, 20, {"mode": MODE_STANDARD_GAN},
+         "07a08c9cc6d165370c99279a6c15a4b05fb0c9d2f249909b19e0f7ffb22d8275"),
     ],
-    ids=["forrester1d-100-5-150-30", "separable20d-80-20-60-20"],
+    ids=[
+        "forrester1d-100-5-150-30",
+        "separable20d-80-20-60-20",
+        "separable20d-80-20-60-20-no-trick",
+        "separable20d-80-20-60-20-standard-gan",
+    ],
 )
-def test_train_digest_is_pinned(name, n_lf, n_hf, epochs_lf, epochs_hf, digest):
+def test_train_digest_is_pinned(name, n_lf, n_hf, epochs_lf, epochs_hf, overrides, digest):
     """SHA-256 over the three trained parameter vectors and the loss trace,
-    recorded when the sigmoid became 0.5*(1+tanh(v/2)): any change to the
+    recorded when the sigmoid became 0.5*(1+tanh(v/2)) (the two ablation
+    cases before the leaky_relu became max(v, alpha*v)): any change to the
     arithmetic of a forward pass, a gradient, an Adam step or a loss shows.
-    The discriminator's sigmoid head moves the leaky_relu digest too."""
+    The discriminator's sigmoid head moves the leaky_relu digests too."""
     pair = get(name)
     ds = make_dataset(pair, n_lf, n_hf, seed=3)
-    cfg = replace(pair.default_config, epochs_lf=epochs_lf, epochs_hf=epochs_hf, seed=3)
+    cfg = replace(pair.default_config, epochs_lf=epochs_lf, epochs_hf=epochs_hf, seed=3, **overrides)
     model, trace = train(ds, cfg)
     h = hashlib.sha256()
     for net in (model.lf_block, model.hf_block, model.discriminator):

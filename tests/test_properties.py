@@ -1,5 +1,7 @@
-"""Property tests: the sigmoid, the normalizer inverse and the checkpoint round trip."""
+"""Property tests: the sigmoid, the leaky_relu, LHS stratification, the
+normalizer inverse, and the snapshot and checkpoint round trips."""
 
+import json
 import tempfile
 import warnings
 from pathlib import Path
@@ -10,10 +12,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mdfgan.benchmarks import get
-from mdfgan.data import NORMALIZER_KINDS, Normalizer, make_dataset
+from mdfgan.data import (
+    NORMALIZER_KINDS,
+    MultiFidelityDataset,
+    Normalizer,
+    lhs_sample,
+    load_csv,
+    make_dataset,
+    save_snapshot,
+)
 from mdfgan.gan import TrainingConfig, load_checkpoint, save_checkpoint, train
-from mdfgan.nn.activations import SIGMOID, apply
-from oracles import masked_sigmoid
+from mdfgan.nn.activations import SIGMOID, apply, backward, leaky_relu
+from oracles import masked_leaky_relu, masked_sigmoid
 
 finite = st.floats(-1e6, 1e6, allow_subnormal=False)
 samples = st.tuples(st.integers(1, 8), st.integers(1, 4)).flatmap(lambda shape: arrays(float, shape, elements=finite))
@@ -30,6 +40,70 @@ def test_sigmoid_is_bounded_symmetric_and_close_to_the_masked_form(v):
     assert 0.0 <= s <= 1.0
     assert abs(s + s_neg - 1.0) <= ULP_AT_ONE
     assert abs(s - masked_sigmoid(np.array([v]))[0]) <= ULP_AT_ONE
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    v=st.floats(-1e307, 1e307),
+    alpha=st.one_of(st.sampled_from([0.01, 0.2, 1.0, 3.0]), st.floats(1e-6, 10.0)),
+    upstream=st.floats(-1e300, 1e300),
+)
+def test_leaky_relu_gives_the_bits_of_the_masked_form(v, alpha, upstream):
+    """For any finite v (signed zeros and subnormals included) and slope
+    alpha in (0, 10], the forward and backward give the np.where oracle's
+    bits; alpha*v stays finite on these ranges."""
+    act = leaky_relu(alpha)
+    pre, up = np.array([v, -v]), np.array([upstream, -upstream])
+    want, slope = masked_leaky_relu(pre, alpha)
+    out = apply(act, pre)
+    assert np.array_equal(out.view(np.int64), want.view(np.int64))
+    assert np.array_equal(backward(act, pre, out, up).view(np.int64), (up * slope).view(np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    d=st.integers(1, 4),
+    lo=st.floats(-1e3, 1e3),
+    width=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lhs_fills_every_stratum_once(n, d, lo, width, seed):
+    """In every dimension each of the n equal strata of [lo, hi] holds
+    exactly one point, and every point lies in the box."""
+    hi = lo + width
+    pts = lhs_sample(n, d, [lo, hi], seed)
+    assert pts.shape == (n, d)
+    assert ((pts >= lo) & (pts <= hi)).all()
+    strata = np.minimum(np.floor((pts - lo) / (hi - lo) * n).astype(int), n - 1)
+    for j in range(d):
+        assert sorted(strata[:, j].tolist()) == list(range(n))
+
+
+def _rows(n, width):
+    return arrays(float, (n, width), elements=st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d1=st.integers(1, 3), d2=st.integers(1, 2), n_lf=st.integers(1, 8), n_hf=st.integers(1, 4), data=st.data())
+def test_snapshot_round_trips_through_load_csv(d1, d2, n_lf, n_hf, data):
+    """Any finite dataset written by save_snapshot reads back through
+    load_csv with the same bits (signed zeros and subnormals included),
+    and the sidecar records its shape and box."""
+    lf_x, hf_x = data.draw(_rows(n_lf, d1)), data.draw(_rows(n_hf, d1))
+    box = np.tile([-np.finfo(float).max, np.finfo(float).max], (d1, 1))  # holds every finite input
+    ds = MultiFidelityDataset(lf_x, data.draw(_rows(n_lf, d2)), hf_x, data.draw(_rows(n_hf, d2)), box)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = save_snapshot(ds, tmp, seed=7)
+        lf, hf = load_csv(paths["lf"], d1, d2), load_csv(paths["hf"], d1, d2)
+        sidecar = json.loads(paths["sidecar"].read_text(encoding="utf-8"))
+    for rows, x, y in ((lf, ds.lf_x, ds.lf_y), (hf, ds.hf_x, ds.hf_y)):
+        assert np.array([r[0] for r in rows]).tobytes() == x.tobytes()
+        assert np.array([r[1] for r in rows]).tobytes() == y.tobytes()
+    assert sidecar == {
+        "bounds": ds.bounds.tolist(), "seed": 7,
+        "n_lf": n_lf, "n_hf": n_hf, "d1": d1, "d2": d2,
+    }
 
 
 @settings(max_examples=80, deadline=None)
