@@ -61,11 +61,17 @@ def _parse_config_file(path: Path) -> dict:
     return doc
 
 
+_BOOLEANS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
 def _config_value_parser(default):
     """Text-to-value parser for a config field, chosen by its default: tuples
-    take comma-separated items, booleans a truthy word."""
+    take comma-separated items, booleans one of the words in ``_BOOLEANS``."""
     if isinstance(default, bool):
-        return lambda text: text.lower() in ("1", "true", "yes", "on")
+        return lambda text: _BOOLEANS[text.lower()]
     if isinstance(default, tuple):
         item = type(default[0])
         return lambda text: tuple(item(part.strip()) for part in text.split(","))
@@ -77,7 +83,12 @@ def _base_seed(args, fallback: int = 0) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get(ENV_SEED)
-    return int(env) if env else fallback
+    if not env:
+        return fallback
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"${ENV_SEED} must be an integer, got {env!r}") from None
 
 
 def resolve_config(args, defaults: TrainingConfig) -> TrainingConfig:
@@ -90,7 +101,7 @@ def resolve_config(args, defaults: TrainingConfig) -> TrainingConfig:
                 raise UsageError(f"unknown config key {key!r}")
             try:
                 doc[key] = parsers[key](value)
-            except ValueError:
+            except (KeyError, ValueError):
                 raise UsageError(f"bad value for config key {key!r}: {value!r}") from None
     for f in fields(TrainingConfig):
         value = getattr(args, f.name, None)

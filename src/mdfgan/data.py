@@ -255,9 +255,12 @@ def dataset_from_rows(
         hf_x, hf_y = hf_x[idx], hf_y[idx]
     all_x = np.vstack([lf_x, hf_x])
     bounds = np.column_stack([all_x.min(axis=0), all_x.max(axis=0)])
+    # widen zero-extent dimensions so the box is valid: by 0.5, or by one ulp
+    # where x +- 0.5 rounds back to x (from 2^52 on), within the float range
     flat = bounds[:, 0] == bounds[:, 1]
-    bounds[flat, 0] -= 0.5  # widen zero-extent dimensions so the box is valid
-    bounds[flat, 1] += 0.5
+    x, top = bounds[flat, 0], np.finfo(float).max
+    bounds[flat, 0] = np.minimum(x - 0.5, np.nextafter(x, -top))
+    bounds[flat, 1] = np.maximum(x + 0.5, np.nextafter(x, top))
     return MultiFidelityDataset(lf_x=lf_x, lf_y=lf_y, hf_x=hf_x, hf_y=hf_y, bounds=bounds)
 
 

@@ -29,7 +29,6 @@ from .gan import (
     TrainingDivergedError,
     fit_regression,
     normalized_predict,
-    pretrain_key,
     pretrain_lf,
     train_adversarial,
 )
@@ -162,17 +161,17 @@ def _execute_run(
     n_hf: int,
     config: TrainingConfig,
     run_seed: int,
+    lf_block: DenseNetwork | None,
     test_size: int,
     variant: str,
     nested: bool,
-    lf_cache: dict,
-) -> tuple[RunRecord, dict]:
+) -> tuple[RunRecord, DenseNetwork | None]:
     """One seeded train-and-score run. Test points depend only on the run
     seed, so the three variants are scored on identical draws.
 
-    A gan or pgan run whose ``pretrain_key`` is in ``lf_cache`` installs a
-    copy of that frozen block instead of pretraining. Returns the record and
-    the blocks this run pretrained, under their keys, for the caller to merge.
+    A gan or pgan run given the frozen ``lf_block`` of its (I_L, seed)
+    trains on a copy of it instead of pretraining. Returns the record and
+    the block this run pretrained, or None.
     """
     cfg = replace(config, seed=run_seed)
     if variant == "pgan":
@@ -185,19 +184,18 @@ def _execute_run(
 
     start = time.perf_counter()
     lf_frozen_ok = True
-    pretrained = {}
+    pretrained = None
     try:
         if variant == "hf-only":
             model = train_hf_only(dataset, cfg)
         else:
             model = GanMdfModel.build(dataset.d1, dataset.d2, cfg)
             model.fit_normalizers(dataset, cfg.normalizer)
-            key = pretrain_key(dataset.lf_x, dataset.lf_y, cfg)
-            if key in lf_cache:
-                model.lf_block = lf_cache[key].copy()
+            if lf_block is not None:
+                model.lf_block = lf_block.copy()
             else:
                 pretrain_lf(model, dataset.lf_x, dataset.lf_y, cfg)
-                pretrained[key] = model.lf_block.copy()
+                pretrained = model.lf_block.copy()
             train_adversarial(model, dataset.hf_x, dataset.hf_y, cfg)
         value = nrmse(y_true, model.predict(x_test))
         error = None
@@ -227,52 +225,47 @@ def run_experiment(
     nested: bool = False,
     n_jobs: int = 1,
     *,
-    lf_cache: dict | None = None,
+    _lf_blocks: dict | None = None,
 ) -> ExperimentResult:
     """Repeat a run ``n_repeats`` times with seeds base, base+1, ...
 
     The base seed is ``config.seed``. Failed repeats are kept in the record
     list with their error text and excluded from the mean.
-
-    ``lf_cache`` maps ``gan.pretrain_key`` to a frozen low-fidelity block. A
-    gan or pgan run whose key is in it trains on a copy of that block instead
-    of pretraining its own, which gives bit-identical results; blocks the
-    runs do pretrain are added to it (a pretraining that diverged is not).
-    By default a call starts with an empty cache.
     """
-    if n_repeats < 1 or test_size < 1:
-        raise ValueError("need n_repeats >= 1 and test_size >= 1")
+    if n_repeats < 1 or test_size < 1 or n_jobs < 1:
+        raise ValueError("need n_repeats >= 1, test_size >= 1 and n_jobs >= 1")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     _check_cell(n_lf, n_hf, variant)
-    if lf_cache is None:
-        lf_cache = {}
-    run = partial(
-        _execute_run, pair, n_lf, n_hf, config,
-        test_size=test_size, variant=variant, nested=nested, lf_cache=lf_cache,
-    )
+    lf_blocks = {} if _lf_blocks is None else _lf_blocks
     seeds = range(config.seed, config.seed + n_repeats)
+    given = [None if variant == "hf-only" else lf_blocks.get((n_lf, seed)) for seed in seeds]
+    run = partial(_execute_run, pair, n_lf, n_hf, config, test_size=test_size, variant=variant, nested=nested)
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            outcomes = list(pool.map(run, seeds))
+            outcomes = list(pool.map(run, seeds, given))
     else:
-        outcomes = map(run, seeds)
+        outcomes = map(run, seeds, given)
     records = []
-    for record, pretrained in outcomes:
-        lf_cache.update(pretrained)
+    for seed, (record, pretrained) in zip(seeds, outcomes):
+        if pretrained is not None:
+            lf_blocks[n_lf, seed] = pretrained
         records.append(record)
     return ExperimentResult(pair.name, n_lf, n_hf, tuple(records))
 
 
 def _run_cells(pair, cells, config, n_repeats, **kwargs) -> list[ExperimentResult]:
     """``run_experiment`` on each ``(n_lf, n_hf, variant)`` cell in order,
-    after checking every cell. The cells share one pretrain cache: its key
-    is a content address, so a hit always gives the block a run would train."""
+    after checking every cell. The cells share the frozen LF blocks they
+    pretrain, keyed by (I_L, seed): within one table the pair and the config
+    are fixed, pretraining ignores ``supervised_trick``, and ``make_dataset``
+    draws the LF samples from the seed and I_L alone, so a block pretrained
+    for one cell is the block any other cell would pretrain."""
     for n_lf, n_hf, variant in cells:
         _check_cell(n_lf, n_hf, variant)
-    lf_cache: dict = {}
+    lf_blocks: dict = {}
     return [
-        run_experiment(pair, n_lf, n_hf, config, n_repeats, variant=variant, lf_cache=lf_cache, **kwargs)
+        run_experiment(pair, n_lf, n_hf, config, n_repeats, variant=variant, _lf_blocks=lf_blocks, **kwargs)
         for n_lf, n_hf, variant in cells
     ]
 

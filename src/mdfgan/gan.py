@@ -25,7 +25,6 @@ only the high-fidelity block. Disabling ``supervised_trick`` skips stages
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import os
@@ -370,28 +369,6 @@ def fit_regression(
     except NonFiniteError as exc:
         raise TrainingDivergedError(f"{label} diverged at epoch {epoch}: {exc}") from exc
     return trace
-
-
-def pretrain_key(lf_x: np.ndarray, lf_y: np.ndarray, config: TrainingConfig) -> tuple:
-    """Everything ``pretrain_lf`` reads, as a hashable key.
-
-    A model from ``GanMdfModel.build(d1, d2, config)`` whose normalizers were
-    fitted on the same low-fidelity samples (``fit_normalizers``) pretrains
-    to a bit-identical low-fidelity block whenever the key is equal: the key
-    holds the seed, a SHA-256 of the samples with their shapes, and the
-    config fields that shape or train that block.
-    """
-    digest = hashlib.sha256()
-    shapes = []
-    for a in (lf_x, lf_y):
-        a = np.ascontiguousarray(np.atleast_2d(np.asarray(a, float)))
-        digest.update(a.tobytes())
-        shapes.append(a.shape)
-    return (
-        config.seed, digest.hexdigest(), *shapes,
-        config.normalizer, config.lr_lf, config.epochs_lf, config.lf_batch_cap,
-        config.hidden_sizes, config.hidden_activations, config.leaky_alpha,
-    )
 
 
 def pretrain_lf(model: GanMdfModel, lf_x: np.ndarray, lf_y: np.ndarray, config: TrainingConfig) -> list[float]:

@@ -17,7 +17,7 @@ import conftest
 from mdfgan import cli
 from mdfgan.benchmarks import get
 from mdfgan.data import Normalizer, lhs_sample
-from mdfgan.experiments import VARIANTS, BaselineComparison, nrmse, run_experiment
+from mdfgan.experiments import VARIANTS, BaselineComparison, _run_cells, nrmse, run_experiment
 from mdfgan.gan import train_adversarial
 from mdfgan.nn import activations
 from test_gan import scripted_five_stages, toy_problem
@@ -33,42 +33,26 @@ def _report(num, ok, detail):
 
 # -- shared heavy runs --------------------------------------------------------
 #
-# Criterion 5 needs all three variants at I_L=100, I_H=5; criterion 6 reuses
-# the GAN arm of that run as its I_H=5 reference, and the LF blocks it
-# pretrained, which depend only on the seed and the I_L=100 samples;
-# criterion 7 reuses it as its I_L=100 cell.  Criterion 9 audits the freeze
-# flag over all of them.
+# Criteria 5 and 6 run as one table, as ``run_baselines`` runs its cells: all
+# three variants at I_L=100, I_H=5, then the GAN at I_H=2, which reuses the
+# LF blocks pretrained at I_L=100 (they depend only on I_L and the seed).
+# Criterion 7 reuses the GAN arm as its I_L=100 cell.  Criterion 9 audits
+# the freeze flag over all of them.
 
 
 @pytest.fixture(scope="module")
-def lf_blocks():
-    """Pretrain cache shared by criteria 5 and 6, as ``run_baselines`` shares one."""
-    return {}
-
-
-@pytest.fixture(scope="module")
-def table_runs(lf_blocks):
+def table_runs():
     pair = get("forrester1d")
+    cells = [(100, 5, v) for v in VARIANTS] + [(100, 2, "gan")]
     start = time.perf_counter()
-    comparison = BaselineComparison(*[
-        run_experiment(pair, 100, 5, pair.default_config, n_repeats=10, variant=v, lf_cache=lf_blocks)
-        for v in VARIANTS
-    ])
-    return comparison, time.perf_counter() - start
-
-
-@pytest.fixture(scope="module")
-def low_hf_run(table_runs, lf_blocks):
-    pair = get("forrester1d")
-    start = time.perf_counter()
-    result = run_experiment(pair, 100, 2, pair.default_config, n_repeats=10, lf_cache=lf_blocks)
-    return result, time.perf_counter() - start
+    *arms, low = _run_cells(pair, cells, pair.default_config, 10)
+    return BaselineComparison(*arms), low, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
 def lf_sweep_runs(table_runs):
     pair = get("forrester1d")
-    comparison, _ = table_runs
+    comparison = table_runs[0]
     start = time.perf_counter()
     cells = {
         n: run_experiment(pair, n, 5, pair.default_config, n_repeats=10)
@@ -164,7 +148,7 @@ def test_criterion_4_five_stage_trace():
 
 
 def test_criterion_5_ablation_direction(table_runs):
-    comparison, elapsed = table_runs
+    comparison, _, elapsed = table_runs
     g = comparison.gan.mean_nrmse
     p = comparison.pgan.mean_nrmse
     h = comparison.hf_only.mean_nrmse
@@ -178,11 +162,9 @@ def test_criterion_5_ablation_direction(table_runs):
     )
 
 
-def test_criterion_6_low_hf_robustness(table_runs, low_hf_run):
-    comparison, base_elapsed = table_runs
-    low, extra_elapsed = low_hf_run
+def test_criterion_6_low_hf_robustness(table_runs):
+    comparison, low, elapsed = table_runs
     base = comparison.gan.mean_nrmse
-    elapsed = base_elapsed + extra_elapsed
     ok = low.mean_nrmse < 2.5 * base and elapsed < 600.0
     _report(
         6,
@@ -232,14 +214,13 @@ def test_criterion_8_sweep_determinism(tmp_path):
     )
 
 
-def test_criterion_9_freezing_contract(table_runs, low_hf_run, lf_sweep_runs):
-    comparison, _ = table_runs
+def test_criterion_9_freezing_contract(table_runs, lf_sweep_runs):
+    comparison, low, _ = table_runs
     records = [
         r
-        for result in (comparison.gan, comparison.pgan)
+        for result in (comparison.gan, comparison.pgan, low)
         for r in result.records
     ]
-    records += list(low_hf_run[0].records)
     records += lf_sweep_runs[1]
     n_ok = sum(1 for r in records if r.lf_frozen_ok)
     _report(

@@ -137,6 +137,19 @@ def test_train_rejects_non_finite_csv_responses(tmp_path, capsys):
     assert "hf.csv:2: non-finite" in capsys.readouterr().err
 
 
+def test_train_on_a_constant_input_column_past_2_52(tmp_path, capsys):
+    """x +- 0.5 rounds back to 1e16, so the widened box must step by an ulp."""
+    for tag in ("lf", "hf"):
+        (tmp_path / f"{tag}.csv").write_text("1e16,0.0\n1e16,0.5\n")
+    rc = cli.main(
+        ["train", "--csv-lf", str(tmp_path / "lf.csv"), "--csv-hf", str(tmp_path / "hf.csv"), "--d1", "1",
+         "--snapshot", "--out", str(tmp_path / "out"), *FAST_TRAIN]
+    )
+    assert rc == 0, capsys.readouterr().err
+    [[lo, hi]] = json.loads((tmp_path / "out" / "dataset" / "dataset.json").read_text())["bounds"]
+    assert lo < 1e16 < hi
+
+
 @pytest.mark.parametrize(
     "doc",
     [[1, 2], {"format_version": 1, "model": [1]}, {"format_version": 1, "config": [1]}],
@@ -189,6 +202,21 @@ def test_sweeps_validate_every_cell_before_training(tmp_path, capsys, monkeypatc
     )
     assert rc == 2
     assert "n_lf >= n_hf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_baselines_reject_fewer_than_one_job_before_training(tmp_path, capsys, monkeypatch, jobs):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started before --jobs was checked")
+
+    monkeypatch.setattr(experiments, "pretrain_lf", no_training)
+    monkeypatch.setattr(experiments, "train_hf_only", no_training)
+    rc = cli.main(
+        ["baselines", "--benchmark", "forrester1d", "--il", "20", "--ih", "3", "--jobs", jobs,
+         "--out", str(tmp_path), *FAST]
+    )
+    assert rc == 2
+    assert "n_jobs >= 1" in capsys.readouterr().err
 
 
 def test_train_rejects_one_hf_sample_before_pretraining(tmp_path, capsys, monkeypatch):
@@ -391,6 +419,22 @@ def test_config_file_rejects_bad_values(tmp_path, capsys):
         assert "bad value for config key" in capsys.readouterr().err
 
 
+def test_config_file_booleans_are_strict(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    for word, value in (("ON", True), ("off", False), ("1", True), ("No", False)):
+        cfg_file.write_text(f"supervised_trick = {word}\nepochs_lf = 5\nepochs_hf = 2\n")
+        rc = cli.main(
+            ["train", "--benchmark", "forrester1d", "--il", "10", "--ih", "2",
+             "--config", str(cfg_file), "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        assert load_checkpoint(tmp_path / "checkpoint.json")[1].supervised_trick is value
+    cfg_file.write_text("supervised_trick = ture\n")
+    rc = cli.main(["train", "--benchmark", "forrester1d", "--config", str(cfg_file), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "bad value for config key 'supervised_trick': 'ture'" in capsys.readouterr().err
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("momentum = 0.9\n")
@@ -422,6 +466,13 @@ def test_seed_flag_beats_env(tmp_path, capsys, monkeypatch):
     assert rc == 0
     _, cfg = load_checkpoint(tmp_path / "checkpoint.json")
     assert cfg.seed == 3
+
+
+def test_a_non_integer_env_seed_is_named(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(cli.ENV_SEED, "abc")
+    rc = cli.main(["train", "--benchmark", "forrester1d", "--out", str(tmp_path), *FAST_TRAIN])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: $MDFGAN_SEED must be an integer, got 'abc'\n"
 
 
 def test_bad_flag_exits_two(capsys):

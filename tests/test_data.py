@@ -274,6 +274,16 @@ def test_dataset_from_rows_widens_flat_dimensions():
     np.testing.assert_array_equal(ds.bounds[1], [0.0, 2.0])
 
 
+@pytest.mark.parametrize("x", [-3.25, 2.0**52, 1e16, -1e16, np.finfo(float).max, -np.finfo(float).max])
+def test_a_flat_dimension_gets_a_box_at_any_finite_constant(x):
+    """Widened by 0.5 where that moves the bound, else by one ulp."""
+    ds = dataset_from_rows([(np.array([x]), np.array([0.0]))], [(np.array([x]), np.array([1.0]))])
+    lo, hi = ds.bounds[0]
+    assert lo <= x <= hi and lo < hi and np.isfinite([lo, hi]).all()
+    if abs(x) < 2.0**52:
+        assert (lo, hi) == (x - 0.5, x + 0.5)
+
+
 def test_save_snapshot_round_trips_through_load_csv(tmp_path):
     pair = get("forrester1d")
     ds = make_dataset(pair, 8, 3, seed=4)

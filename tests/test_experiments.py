@@ -7,6 +7,7 @@ import pytest
 from mdfgan import experiments
 from mdfgan.benchmarks import BenchmarkPair, get
 from mdfgan.experiments import (
+    VARIANTS,
     BaselineComparison,
     ExperimentResult,
     RunRecord,
@@ -287,16 +288,60 @@ def test_cached_lf_blocks_are_never_trained_with(monkeypatch):
         return real(model, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "train_adversarial", spy)
-    pair, cfg, cache = get("forrester1d"), fast_config(), {}
-    run_experiment(pair, 20, 3, cfg, n_repeats=2, test_size=10, lf_cache=cache)
-    assert len(cache) == 2 and all(net.frozen for net in cache.values())
-    checksums = {key: net.checksum() for key, net in cache.items()}
-    run_experiment(pair, 20, 3, cfg, n_repeats=2, test_size=10, variant="pgan", lf_cache=cache)
-    run_experiment(pair, 20, 2, cfg, n_repeats=2, test_size=10, lf_cache=cache)
-    assert {key: net.checksum() for key, net in cache.items()} == checksums
+    pair, cfg, blocks = get("forrester1d"), fast_config(), {}
+    run_experiment(pair, 20, 3, cfg, n_repeats=2, test_size=10, _lf_blocks=blocks)
+    assert sorted(blocks) == [(20, 0), (20, 1)] and all(net.frozen for net in blocks.values())
+    checksums = {key: net.checksum() for key, net in blocks.items()}
+    run_experiment(pair, 20, 3, cfg, n_repeats=2, test_size=10, variant="pgan", _lf_blocks=blocks)
+    run_experiment(pair, 20, 2, cfg, n_repeats=2, test_size=10, _lf_blocks=blocks)
+    assert {key: net.checksum() for key, net in blocks.items()} == checksums
     assert len(trained_with) == 6
     for block in trained_with:
-        assert not any(np.shares_memory(block.params, net.params) for net in cache.values())
+        assert not any(np.shares_memory(block.params, net.params) for net in blocks.values())
+
+
+def pretrained_checksum(n_lf, n_hf, seed, variant="gan", nested=False):
+    """The checksum of the LF block one run pretrains."""
+    cfg = fast_config(lf_batch_cap=8, hidden_activations=("leaky_relu",))
+    _, block = experiments._execute_run(
+        get("forrester1d"), n_lf, n_hf, cfg, seed, None, test_size=10, variant=variant, nested=nested
+    )
+    return block.checksum()
+
+
+@pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "hf-only"])
+def test_a_table_pretrains_the_same_lf_block_at_the_same_i_l_and_seed(variant):
+    """Why the cells of a table can share blocks by (I_L, seed): the block
+    moves with neither the variant, nor I_H, nor ``nested``, only with them."""
+    reference = pretrained_checksum(20, 5, 1)
+    for n_hf in (2, 5):
+        for nested in (False, True):
+            assert pretrained_checksum(20, n_hf, 1, variant, nested) == reference, (n_hf, nested)
+    assert pretrained_checksum(21, 5, 1, variant) != reference
+    assert pretrained_checksum(20, 5, 2, variant) != reference
+
+
+def test_each_run_is_handed_only_its_own_lf_block(monkeypatch):
+    handed, made = [], {}
+    real = experiments._execute_run
+
+    def spy(pair, n_lf, n_hf, config, run_seed, lf_block, **kwargs):
+        handed.append((n_lf, run_seed, kwargs["variant"], None if lf_block is None else lf_block.checksum()))
+        record, pretrained = real(pair, n_lf, n_hf, config, run_seed, lf_block, **kwargs)
+        if pretrained is not None:
+            made[n_lf, run_seed] = pretrained.checksum()
+        return record, pretrained
+
+    monkeypatch.setattr(experiments, "_execute_run", spy)
+    cells = [(20, 3, "gan"), (20, 3, "hf-only"), (20, 2, "pgan"), (12, 2, "gan")]
+    experiments._run_cells(get("forrester1d"), cells, fast_config(), 2, test_size=10)
+    assert sorted(made) == [(12, 0), (12, 1), (20, 0), (20, 1)]
+    assert handed == [
+        (20, 0, "gan", None), (20, 1, "gan", None),
+        (20, 0, "hf-only", None), (20, 1, "hf-only", None),
+        (20, 0, "pgan", made[20, 0]), (20, 1, "pgan", made[20, 1]),
+        (12, 0, "gan", None), (12, 1, "gan", None),
+    ]
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
