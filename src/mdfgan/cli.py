@@ -205,15 +205,15 @@ def cmd_predict(args) -> int:
             ]
         except ValueError:
             raise UsageError(f"cannot parse --points {args.points!r}") from None
-        inputs = np.asarray(rows, dtype=float)
     else:
         try:
             pairs = load_csv(args.csv_in, model.d1, 0)
         except OSError as exc:
             raise UsageError(str(exc)) from exc
-        inputs = np.array([x for x, _ in pairs])
-    if inputs.ndim != 2 or inputs.shape[1] != model.d1:
+        rows = [x for x, _ in pairs]
+    if not rows or any(len(row) != model.d1 for row in rows):
         raise UsageError(f"inputs must be rows of width {model.d1}")
+    inputs = np.asarray(rows, dtype=float)
     if not np.isfinite(inputs).all():
         raise UsageError("inputs must be finite numbers")
     outputs = model.predict(inputs)

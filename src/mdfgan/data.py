@@ -69,7 +69,9 @@ class Normalizer:
     def fit(cls, kind: str, data: np.ndarray) -> "Normalizer":
         if kind == "none":
             return cls("none")
-        data = np.atleast_2d(np.asarray(data, dtype=float))
+        data = np.asarray(data, dtype=float)
+        if data.ndim != 2:
+            raise ValueError(f"normalizer needs a batch of rows, got shape {data.shape}")
         if kind == "minmax":
             shift = data.min(axis=0)
             scale = data.max(axis=0) - shift

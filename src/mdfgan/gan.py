@@ -202,11 +202,11 @@ class GanMdfModel:
         """Compose the two generator blocks: x -> q -> response estimate.
 
         The high-fidelity block sees the input stacked before the feature
-        vector: (x_1..x_d1, q_1..q_d2). Works on a vector or batch rows.
+        vector: (x_1..x_d1, q_1..q_d2). Takes a batch of rows, shape (n, d1).
         """
         x = np.asarray(x, dtype=float)
         q, _ = self.lf_block.forward(x)
-        stacked = np.concatenate([x, q], axis=-1)
+        stacked = np.concatenate([x, q], axis=1)
         out, _ = self.hf_block.forward(stacked)
         return out
 
@@ -374,12 +374,10 @@ def fit_regression(
 def pretrain_lf(model: GanMdfModel, lf_x: np.ndarray, lf_y: np.ndarray, config: TrainingConfig) -> list[float]:
     """Fit the low-fidelity block on normalized low-fidelity samples, then
     freeze it for the rest of training. Returns per-epoch losses."""
-    lf_x = np.atleast_2d(np.asarray(lf_x, float))
-    lf_y = np.atleast_2d(np.asarray(lf_y, float))
-    if lf_x.shape[0] == 0:
-        raise ValueError("empty low-fidelity sample set")
-    if lf_x.shape[1] != model.d1 or lf_y.shape[1] != model.d2:
+    if np.shape(lf_x)[1:] != (model.d1,) or np.shape(lf_y)[1:] != (model.d2,):
         raise ValueError("low-fidelity sample shapes do not match the model")
+    if len(lf_x) == 0:
+        raise ValueError("empty low-fidelity sample set")
     if model.lf_block.frozen:
         raise FrozenNetworkError("low-fidelity block is already frozen")
     x = model.input_norm.transform(lf_x)
@@ -403,13 +401,10 @@ def train_adversarial(
     five update stages described in the module docstring. Returns the
     per-iteration loss trace.
     """
-    hf_x = np.atleast_2d(np.asarray(hf_x, float))
-    hf_y = np.atleast_2d(np.asarray(hf_y, float))
-    n = hf_x.shape[0]
-    if n < 2:
-        raise ValueError("adversarial training needs at least two high-fidelity samples")
-    if hf_x.shape[1] != model.d1 or hf_y.shape[1] != model.d2:
+    if np.shape(hf_x)[1:] != (model.d1,) or np.shape(hf_y)[1:] != (model.d2,):
         raise ValueError("high-fidelity sample shapes do not match the model")
+    if len(hf_x) < 2:
+        raise ValueError("adversarial training needs at least two high-fidelity samples")
     if not model.lf_block.frozen:
         raise FrozenNetworkError("low-fidelity block must be pretrained and frozen first")
 

@@ -37,7 +37,6 @@ class Tape:
     post: list[np.ndarray]
     net: "DenseNetwork"
     version: int
-    single: bool
 
 
 def _layout(layer_sizes: list[int]) -> list[tuple[str, slice, tuple[int, ...]]]:
@@ -148,11 +147,9 @@ class DenseNetwork:
     # -- evaluation ---------------------------------------------------------
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, Tape]:
-        """Evaluate the network on a vector or a batch of row vectors."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        a = inputs = x if x.ndim == 2 else np.atleast_2d(x)
-        if a.ndim != 2 or a.shape[1] != self.input_width:
+        """Evaluate the network on a batch of rows, shape (n, input width)."""
+        a = x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.input_width:
             raise ValueError(f"expected input width {self.input_width}, got shape {x.shape}")
         pre: list[np.ndarray] = []
         post: list[np.ndarray] = []
@@ -162,7 +159,7 @@ class DenseNetwork:
             a = activations.apply(act, z)
             pre.append(z)
             post.append(a)
-        return (a[0] if single else a), Tape(inputs, pre, post, self, self._version, single)
+        return a, Tape(x, pre, post, self, self._version)
 
     def gradient(
         self, tape: Tape, upstream: np.ndarray, *, input_grad: bool = True
@@ -178,8 +175,6 @@ class DenseNetwork:
         if tape.net is not self or tape.version != self._version:
             raise ValueError("stale tape: parameters changed since this forward pass")
         g = np.asarray(upstream, dtype=float)
-        if tape.single and g.ndim == 1:
-            g = g[None, :]
         if g.shape != tape.post[-1].shape:
             raise ValueError(
                 f"upstream shape {np.shape(upstream)} does not match output shape {tape.post[-1].shape}"
@@ -195,8 +190,7 @@ class DenseNetwork:
             np.add.reduce(gz, axis=0, out=d_b)
             if input_grad or w is not first:
                 g = gz @ w
-        into = (g[0] if tape.single else g) if input_grad else None
-        return self._grad.copy(), into
+        return self._grad.copy(), (g if input_grad else None)
 
     # -- mutation -----------------------------------------------------------
 

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per release criterion, one verdict line each.
 
 Runs everything at the documented budgets, so this module is the slow part
-of the suite (a few minutes).  The three training-heavy criteria share
+of the suite (about a minute: 54-58 s on a 2-core x86_64 host, nearly all
+of it criteria 5-7).  The three training-heavy criteria share
 module-scoped runs instead of retraining from scratch.  Verdict lines are
 printed as they happen (visible with ``pytest -s``) and repeated in the
 terminal summary.

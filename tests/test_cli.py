@@ -264,6 +264,20 @@ def test_predict_input_validation(tmp_path, capsys):
     assert cli.main(["predict", "--checkpoint", ckpt, "--points", "abc"]) == 2
 
 
+def test_predict_rejects_ragged_points(tmp_path, capsys):
+    """Rows of unequal length are bad input: the width usage error, not
+    numpy's inhomogeneous-shape error."""
+    assert cli.main(
+        ["train", "--benchmark", "forrester1d", "--il", "10", "--ih", "2",
+         "--out", str(tmp_path), *FAST_TRAIN]
+    ) == 0
+    ckpt = str(tmp_path / "checkpoint.json")
+    for ragged in ("0.5;0.5,0.5", "0.5,0.5;0.5"):
+        capsys.readouterr()
+        assert cli.main(["predict", "--checkpoint", ckpt, "--points", ragged, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: inputs must be rows of width 1\n"
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_predict_rejects_non_finite_points(tmp_path, capsys):
     assert cli.main(

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -94,6 +97,18 @@ def test_constant_column_passes_through_with_warning():
     out = norm.transform(data)
     np.testing.assert_allclose(out[:, 0], [0.0, 0.5, 1.0])
     np.testing.assert_allclose(out[:, 1], [5.0, 5.0, 5.0])  # untouched, not NaN
+
+
+@pytest.mark.parametrize("kind", ["minmax", "standard"])
+def test_normalizer_fit_rejects_a_rank_other_than_two(kind):
+    """A 1-D column is not promoted to one row (which would warn about
+    constant columns and widen a (3, 1) batch to (3, 3)); any rank but 2
+    is a ValueError that names the shape."""
+    for bad in (np.array([1.0, 2.0, 3.0]), np.float64(2.0), np.zeros((2, 3, 1))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(bad)}")):
+                Normalizer.fit(kind, bad)
 
 
 def test_unknown_normalizer_kind_rejected():

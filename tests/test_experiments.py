@@ -1,5 +1,7 @@
+import hashlib
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,6 +164,26 @@ def test_hf_only_predict_normalizes_like_the_gan_model():
     np.testing.assert_allclose(model.predict(x[0]), model.predict(x)[0], atol=1e-12)
     with pytest.raises(ValueError, match="width"):
         model.predict(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "name, n_lf, n_hf, epochs_lf, digest",
+    [
+        # sigmoid hidden layers, one batch of all five samples per epoch
+        ("forrester1d", 100, 5, 150, "8d2b780d7fc1462950b3c89e245cbbdca3442c670c0800f361e989dbc787f148"),
+        # leaky_relu hidden layers, standard normalizer, shuffled batches (I_H > 32)
+        ("separable20d", 80, 40, 60, "cfacfdaef053f4c4d32889481b0b292faa8d0a871ee365b0c07d0bf21912bd42"),
+    ],
+    ids=["forrester1d-5-150", "separable20d-40-60"],
+)
+def test_train_hf_only_digest_is_pinned(name, n_lf, n_hf, epochs_lf, digest):
+    """SHA-256 over the trained parameter vector of the hf-only baseline:
+    any change to the arithmetic of its forward pass, gradient, Adam step,
+    loss or shuffles shows."""
+    pair = get(name)
+    ds = make_dataset(pair, n_lf, n_hf, seed=3)
+    model = train_hf_only(ds, replace(pair.default_config, epochs_lf=epochs_lf, seed=3))
+    assert hashlib.sha256(model.net.params.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("variant", ["gan", "hf-only"])

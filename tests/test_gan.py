@@ -131,8 +131,8 @@ def test_generator_forward_composes_blocks():
     q, _ = model.lf_block.forward(x)
     expected, _ = model.hf_block.forward(np.hstack([x, q]))
     np.testing.assert_array_equal(model.generator_forward(x), expected)
-    # single-vector form agrees with the batch form
-    np.testing.assert_array_equal(model.generator_forward(x[0]), expected[0])
+    with pytest.raises(ValueError, match="width"):
+        model.generator_forward(x[0])
 
 
 def test_predict_shapes_and_width_check():
@@ -260,6 +260,10 @@ def test_pretrain_rejects_empty_or_mismatched_samples():
         pretrain_lf(model, np.zeros((0, 1)), np.zeros((0, 1)), cfg)
     with pytest.raises(ValueError, match="shape"):
         pretrain_lf(model, np.zeros((3, 2)), np.zeros((3, 1)), cfg)
+    # one sample as a vector is not promoted to a row: rows only
+    for x, y in ((np.zeros(1), np.zeros(1)), (np.zeros((1, 1)), np.zeros(1)), (0.5, 0.5)):
+        with pytest.raises(ValueError, match="shapes do not match the model"):
+            pretrain_lf(model, x, y, cfg)
 
 
 def test_training_rejects_unequal_row_counts():
@@ -456,6 +460,13 @@ def test_adversarial_requires_two_samples():
     model, _, _, cfg = toy_problem()
     with pytest.raises(ValueError, match="two"):
         train_adversarial(model, np.array([[0.1]]), np.array([[0.0]]), cfg)
+
+
+def test_adversarial_rejects_a_rank_other_than_two():
+    model, hf_x, hf_y, cfg = toy_problem()
+    for x, y in ((hf_x[:, 0], hf_y), (hf_x, hf_y[:, 0]), (hf_x[None], hf_y[None])):
+        with pytest.raises(ValueError, match="shapes do not match the model"):
+            train_adversarial(model, x, y, cfg)
 
 
 def test_adversarial_zero_epochs_changes_nothing():

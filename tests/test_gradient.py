@@ -26,8 +26,8 @@ def random_net(kind, rng, output_activation=IDENTITY):
 
 
 def check_net(net, rng, x_scale=1.0):
-    x = rng.normal(scale=x_scale, size=net.input_width)
-    coeff = rng.normal(size=net.output_width)
+    x = rng.normal(scale=x_scale, size=(1, net.input_width))
+    coeff = rng.normal(size=(1, net.output_width))
     out, tape = net.forward(x)
     grad, input_grad = net.gradient(tape, coeff)
     err = max_rel_error(grad, fd_parameter_grads(net, x, coeff))
@@ -93,10 +93,10 @@ def test_leaky_relu_exact_away_from_kink():
     sits near zero, so the comparison passes a much tighter bound."""
     rng = np.random.default_rng(23)
     net = DenseNetwork([2, 6, 1], [leaky_relu(0.1)], IDENTITY, seed=rng)
-    x = np.array([1.3, -2.1])
+    x = np.array([[1.3, -2.1]])
     pre = x @ net.weights[0].T + net.biases[0]
     assert np.abs(pre).min() > 1e-3  # seed chosen to stay off the kink
-    coeff = np.ones(1)
+    coeff = np.ones((1, 1))
     _, tape = net.forward(x)
     grad, _ = net.gradient(tape, coeff)
     assert max_rel_error(grad, fd_parameter_grads(net, x, coeff)) < 1e-8
