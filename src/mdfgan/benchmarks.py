@@ -29,8 +29,8 @@ class BenchmarkPair:
     default_config: TrainingConfig
 
     def _evaluate(self, fn, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.d1:
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.d1:
             raise ValueError(f"{self.name} expects inputs of width {self.d1}, got shape {x.shape}")
         out = np.asarray(fn(x), dtype=float)
         if out.ndim == 1:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmarks, experiments
-from .data import dataset_from_rows, load_csv, make_dataset, save_snapshot
+from .data import NORMALIZER_KINDS, dataset_from_rows, load_csv, make_dataset, save_snapshot, write_csv
 from .gan import (
     MODES,
     TrainingConfig,
@@ -149,12 +149,15 @@ def _build_dataset(args, pair, config):
             raise UsageError("csv input needs both --csv-lf and --csv-hf")
         if args.d1 is None:
             raise UsageError("csv input needs --d1 (and --d2 when responses are not scalar)")
+        for flag, value in (("--d1", args.d1), ("--d2", args.d2), ("--il", args.il), ("--ih", args.ih)):
+            if value is not None and value < 1:
+                raise UsageError(f"{flag} must be at least 1, got {value}")
         try:
-            lf_rows = load_csv(args.csv_lf, args.d1, args.d2)
-            hf_rows = load_csv(args.csv_hf, args.d1, args.d2)
+            lf = load_csv(args.csv_lf, args.d1, args.d2)
+            hf = load_csv(args.csv_hf, args.d1, args.d2)
         except OSError as exc:
             raise UsageError(str(exc)) from exc
-        dataset = dataset_from_rows(lf_rows, hf_rows, args.il, args.ih, seed=config.seed)
+        dataset = dataset_from_rows(lf, hf, args.il, args.ih, seed=config.seed)
         return dataset, f"csv {args.csv_lf}+{args.csv_hf}"
     n_lf = args.il if args.il is not None else 100 * pair.d1
     n_hf = args.ih if args.ih is not None else 5
@@ -205,25 +208,21 @@ def cmd_predict(args) -> int:
             ]
         except ValueError:
             raise UsageError(f"cannot parse --points {args.points!r}") from None
+        if not rows or any(len(row) != model.d1 for row in rows):
+            raise UsageError(f"inputs must be rows of width {model.d1}")
+        inputs = np.asarray(rows, dtype=float)
+        if not np.isfinite(inputs).all():
+            raise UsageError("inputs must be finite numbers")
     else:
         try:
-            pairs = load_csv(args.csv_in, model.d1, 0)
+            inputs, _ = load_csv(args.csv_in, model.d1, 0)
         except OSError as exc:
             raise UsageError(str(exc)) from exc
-        rows = [x for x, _ in pairs]
-    if not rows or any(len(row) != model.d1 for row in rows):
-        raise UsageError(f"inputs must be rows of width {model.d1}")
-    inputs = np.asarray(rows, dtype=float)
-    if not np.isfinite(inputs).all():
-        raise UsageError("inputs must be finite numbers")
+        if len(inputs) == 0:
+            raise UsageError(f"{args.csv_in} holds no input rows")
     outputs = model.predict(inputs)
-    out = _out_dir(args)
-    path = out / "predictions.csv"
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        header = [f"x{i + 1}" for i in range(model.d1)] + [f"y{i + 1}" for i in range(model.d2)]
-        fh.write(",".join(header) + "\n")
-        for x_row, y_row in zip(inputs, outputs):
-            fh.write(",".join(repr(float(v)) for v in (*x_row, *y_row)) + "\n")
+    header = [f"x{i + 1}" for i in range(model.d1)] + [f"y{i + 1}" for i in range(model.d2)]
+    path = write_csv(_out_dir(args) / "predictions.csv", header, np.hstack([inputs, outputs]).tolist())
     print(f"predicted {len(inputs)} point(s) with the {model.d1}->{model.d2} checkpoint")
     _announce(path)
     return 0
@@ -313,7 +312,7 @@ def _add_config_flags(sub) -> None:
     sub.add_argument("--hidden", help="hidden layer widths, e.g. 32,32")
     sub.add_argument("--activations", help="hidden activation kinds, e.g. sigmoid,leaky_relu")
     sub.add_argument("--leaky-alpha", dest="leaky_alpha", type=float)
-    sub.add_argument("--normalizer", choices=("none", "minmax", "standard"))
+    sub.add_argument("--normalizer", choices=NORMALIZER_KINDS)
     sub.add_argument("--mode", choices=MODES)
     sub.add_argument("--no-supervised", dest="no_supervised", action="store_true",
                      help="drop the supervised refinement steps (pure adversarial)")

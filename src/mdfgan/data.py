@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -115,44 +116,53 @@ class Normalizer:
         return cls(doc["kind"], np.asarray(doc["shift"], float), np.asarray(doc["scale"], float))
 
 
-def load_csv(path, d1: int, d2: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Read (input, response) pairs from a comma-separated file.
+def load_csv(path, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read (input, response) rows from a comma-separated file.
 
     Every row must hold ``d1 + d2`` finite numeric fields; a single leading
-    header row is detected and skipped. Returns pairs in row order.
+    header row is detected and skipped. Returns C-contiguous ``(n, d1)``
+    inputs and ``(n, d2)`` responses in row order.
     """
     path = Path(path)
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
+    rows: list[list[float]] = []
     header: tuple[int, list[str]] | None = None
-    first_content = True
     with path.open(newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not cell.strip() for cell in row):
+            if not any(cell.strip() for cell in row):
                 continue
             if len(row) != d1 + d2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {d1 + d2} fields, got {len(row)}"
-                )
+                raise ValueError(f"{path}:{lineno}: expected {d1 + d2} fields, got {len(row)}")
             try:
-                values = np.array([float(cell) for cell in row])
+                values = [float(cell) for cell in row]
             except ValueError:
-                if first_content:
-                    # candidate header; only accepted if data rows follow
-                    header = (lineno, row)
-                    first_content = False
+                if header is None and not rows:
+                    header = (lineno, row)  # candidate header; only accepted if data rows follow
                     continue
                 raise ValueError(f"{path}:{lineno}: non-numeric field in {row!r}") from None
-            if not np.isfinite(values).all():
+            if not all(map(math.isfinite, values)):
                 raise ValueError(f"{path}:{lineno}: non-finite field in {row!r}")
-            first_content = False
-            pairs.append((values[:d1], values[d1:]))
-    if header is not None and not pairs:
+            rows.append(values)
+    if header is not None and not rows:
         lineno, row = header
         raise ValueError(f"{path}:{lineno}: non-numeric field in {row!r}")
-    if not pairs:
+    if not rows:
         warnings.warn(f"{path}: no data rows found", stacklevel=2)
-    log.debug("loaded %d rows from %s", len(pairs), path)
-    return pairs
+    log.debug("loaded %d rows from %s", len(rows), path)
+    table = np.array(rows, dtype=float).reshape(len(rows), d1 + d2)
+    return np.ascontiguousarray(table[:, :d1]), np.ascontiguousarray(table[:, d1:])
+
+
+def write_csv(path, header, rows) -> Path:
+    """Write the ``header`` row (none if empty), then ``rows``, comma-separated
+    with CRLF line ends. Rows hold ints, strings and Python floats; a float is
+    written as its shortest repr, so it reads back bit-exactly."""
+    path = Path(path)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        if header:
+            writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 @dataclass(frozen=True)
@@ -226,35 +236,37 @@ def make_dataset(pair, n_lf: int, n_hf: int, seed, *, nested: bool = False) -> M
     )
 
 
+def _subsample(rows, n: int | None, tag: str, seed) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` of the ``(x, y)`` rows (all of them if ``n`` is None), drawn
+    without replacement; deterministic per seed."""
+    x, y = rows
+    if len(x) == 0:
+        raise ValueError("need at least one row per fidelity")
+    if n is None:
+        return x, y
+    if n < 1:
+        raise ValueError(f"asked for {n} {tag}-fidelity rows, need at least 1")
+    if n > len(x):
+        raise ValueError(f"asked for {n} {tag}-fidelity rows, file has {len(x)}")
+    idx = np.random.default_rng(seed).choice(len(x), size=n, replace=False)
+    return x[idx], y[idx]
+
+
 def dataset_from_rows(
-    lf_rows: list[tuple[np.ndarray, np.ndarray]],
-    hf_rows: list[tuple[np.ndarray, np.ndarray]],
+    lf: tuple[np.ndarray, np.ndarray],
+    hf: tuple[np.ndarray, np.ndarray],
     n_lf: int | None = None,
     n_hf: int | None = None,
     seed=0,
 ) -> MultiFidelityDataset:
-    """Assemble a dataset from parsed CSV rows, optionally subsampling.
+    """Assemble a dataset from the ``(x, y)`` row arrays of each fidelity, as
+    ``load_csv`` returns them, optionally subsampling ``n_lf`` / ``n_hf`` rows.
 
-    Subsampling is without replacement and deterministic per seed; the
-    input box is the componentwise hull of all inputs.
+    The input box is the componentwise hull of all inputs.
     """
-    if not lf_rows or not hf_rows:
-        raise ValueError("need at least one row per fidelity")
     lf_seed, hf_seed = np.random.SeedSequence(seed).spawn(2)
-    lf_x = np.array([x for x, _ in lf_rows])
-    lf_y = np.array([y for _, y in lf_rows])
-    hf_x = np.array([x for x, _ in hf_rows])
-    hf_y = np.array([y for _, y in hf_rows])
-    if n_lf is not None:
-        if n_lf > len(lf_rows):
-            raise ValueError(f"asked for {n_lf} low-fidelity rows, file has {len(lf_rows)}")
-        idx = np.random.default_rng(lf_seed).choice(len(lf_rows), size=n_lf, replace=False)
-        lf_x, lf_y = lf_x[idx], lf_y[idx]
-    if n_hf is not None:
-        if n_hf > len(hf_rows):
-            raise ValueError(f"asked for {n_hf} high-fidelity rows, file has {len(hf_rows)}")
-        idx = np.random.default_rng(hf_seed).choice(len(hf_rows), size=n_hf, replace=False)
-        hf_x, hf_y = hf_x[idx], hf_y[idx]
+    lf_x, lf_y = _subsample(lf, n_lf, "low", lf_seed)
+    hf_x, hf_y = _subsample(hf, n_hf, "high", hf_seed)
     all_x = np.vstack([lf_x, hf_x])
     bounds = np.column_stack([all_x.min(axis=0), all_x.max(axis=0)])
     # widen zero-extent dimensions so the box is valid: by 0.5, or by one ulp
@@ -272,12 +284,7 @@ def save_snapshot(dataset: MultiFidelityDataset, directory, seed=None) -> dict[s
     directory.mkdir(parents=True, exist_ok=True)
     paths = {}
     for tag, x, y in (("lf", dataset.lf_x, dataset.lf_y), ("hf", dataset.hf_x, dataset.hf_y)):
-        path = directory / f"{tag}.csv"
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            for xi, yi in zip(x, y):
-                writer.writerow([repr(float(v)) for v in (*xi, *yi)])
-        paths[tag] = path
+        paths[tag] = write_csv(directory / f"{tag}.csv", None, np.hstack([x, y]).tolist())
     sidecar = directory / "dataset.json"
     sidecar.write_text(
         json.dumps(

@@ -10,7 +10,6 @@ per-seed data.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .benchmarks import BenchmarkPair
-from .data import MultiFidelityDataset, Normalizer, lhs_sample, make_dataset
+from .data import MultiFidelityDataset, Normalizer, lhs_sample, make_dataset, write_csv
 from .gan import (
     HF_BATCH_CAP,
     GanMdfModel,
@@ -44,16 +43,16 @@ _SEED_HF_ONLY_SHUFFLE = 103
 
 
 def nrmse(truth, pred) -> float:
-    """Normalized root mean square error.
+    """Normalized root mean square error of matching ``(n, d)`` row batches.
 
     sqrt(sum of squared errors) over sqrt(sum of squared truth norms); the
     per-sample 1/N factors cancel. Zero for a perfect predictor, one for a
     predictor that always answers zero.
     """
-    truth = np.atleast_2d(np.asarray(truth, dtype=float))
-    pred = np.atleast_2d(np.asarray(pred, dtype=float))
-    if truth.shape != pred.shape or truth.shape[0] == 0:
-        raise ValueError(f"need matching non-empty shapes, got {truth.shape} and {pred.shape}")
+    truth = np.asarray(truth, dtype=float)
+    pred = np.asarray(pred, dtype=float)
+    if truth.ndim != 2 or truth.shape != pred.shape or truth.shape[0] == 0:
+        raise ValueError(f"need matching non-empty (n, d) shapes, got {truth.shape} and {pred.shape}")
     denom = np.sqrt((truth**2).sum())
     if denom == 0.0:
         raise ValueError("all-zero truth: NRMSE normalization is undefined")
@@ -347,16 +346,15 @@ def emit_correlation_scatter(pair: BenchmarkPair, n_points: int, seed=0) -> np.n
 
 def write_results_csv(results: list[ExperimentResult], path) -> Path:
     """One row per run: benchmark, i_l, i_h, seed, nrmse, wall_ms."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["benchmark", "i_l", "i_h", "seed", "nrmse", "wall_ms"])
-        for result in results:
-            for rec in result.records:
-                writer.writerow(
-                    [result.benchmark, result.n_lf, result.n_hf, rec.seed, repr(rec.nrmse), repr(rec.wall_ms)]
-                )
-    return path
+    return write_csv(
+        path,
+        ["benchmark", "i_l", "i_h", "seed", "nrmse", "wall_ms"],
+        (
+            [result.benchmark, result.n_lf, result.n_hf, rec.seed, rec.nrmse, rec.wall_ms]
+            for result in results
+            for rec in result.records
+        ),
+    )
 
 
 def write_summary_json(results: list[ExperimentResult], path) -> Path:
@@ -368,10 +366,4 @@ def write_summary_json(results: list[ExperimentResult], path) -> Path:
 
 
 def write_scatter_csv(points: np.ndarray, path) -> Path:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y_lf", "y_hf"])
-        for y_lf, y_hf in np.asarray(points):
-            writer.writerow([repr(float(y_lf)), repr(float(y_hf))])
-    return path
+    return write_csv(path, ["y_lf", "y_hf"], np.asarray(points, dtype=float).tolist())

@@ -24,7 +24,6 @@ only the high-fidelity block. Disabling ``supervised_trick`` skips stages
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -34,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import NORMALIZER_KINDS, MultiFidelityDataset, Normalizer
+from .data import NORMALIZER_KINDS, MultiFidelityDataset, Normalizer, write_csv
 from .nn import (
     IDENTITY,
     SIGMOID,
@@ -85,8 +84,8 @@ class TrainingConfig:
         self.hidden_sizes = tuple(int(s) for s in self.hidden_sizes)
         self.hidden_activations = tuple(self.hidden_activations)
         for name in ("lr_lf", "lr_disc", "lr_gen", "lr_sup"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:  # also false for nan
+                raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
         if self.epochs_lf < 0 or self.epochs_hf < 0:
             raise ValueError("epoch counts must be non-negative")
         if self.lf_batch_cap < 1:
@@ -538,10 +537,8 @@ def _json_object(doc, what: str) -> dict:
 
 
 def write_loss_trace(trace: list[TraceRow], path) -> Path:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "loss_supervised", "loss_generative", "loss_discriminative"])
-        for row in trace:
-            writer.writerow([row.iteration, repr(row.supervised), repr(row.generative), repr(row.discriminative)])
-    return path
+    return write_csv(
+        path,
+        ["iteration", "loss_supervised", "loss_generative", "loss_discriminative"],
+        ([row.iteration, row.supervised, row.generative, row.discriminative] for row in trace),
+    )

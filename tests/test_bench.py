@@ -24,7 +24,7 @@ def test_registry_covers_the_dimension_ladder():
 
 def test_every_pair_is_finite_at_the_box_center():
     for pair in registry():
-        center = pair.bounds.mean(axis=1)
+        center = pair.bounds.mean(axis=1)[None, :]
         assert np.isfinite(pair.evaluate_hf(center)).all(), pair.name
         assert np.isfinite(pair.evaluate_lf(center)).all(), pair.name
 
@@ -93,10 +93,10 @@ def test_borehole_scale_is_physical():
 
 def test_evaluate_normalizes_shapes():
     pair = get("currin2d")
-    out = pair.evaluate_hf(np.array([0.5, 0.5]))  # single vector
-    assert out.shape == (1, 1)
     out = pair.evaluate_hf(np.zeros((5, 2)) + 0.5)
     assert out.shape == (5, 1)
+    with pytest.raises(ValueError, match=r"width 2, got shape \(2,\)"):
+        pair.evaluate_hf(np.array([0.5, 0.5]))  # a single vector is not a batch of rows
 
 
 def test_evaluate_rejects_wrong_width():
@@ -180,3 +180,8 @@ def test_nrmse_all_zero_truth_rejected():
 def test_nrmse_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="shape"):
         nrmse(np.ones((3, 1)), np.ones((4, 1)))
+
+
+def test_nrmse_rejects_vectors():
+    with pytest.raises(ValueError, match=r"\(n, d\) shapes, got \(3,\)"):
+        nrmse(np.ones(3), np.ones(3))

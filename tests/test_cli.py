@@ -137,6 +137,30 @@ def test_train_rejects_non_finite_csv_responses(tmp_path, capsys):
     assert "hf.csv:2: non-finite" in capsys.readouterr().err
 
 
+def test_non_finite_learning_rate_is_a_usage_error(tmp_path, capsys):
+    """A nan rate used to train and then exit 1 as a divergence."""
+    out = tmp_path / "out"
+    rc = cli.main(["train", "--benchmark", "forrester1d", "--lr-sup", "nan", "--out", str(out), *FAST_TRAIN])
+    assert rc == 2
+    assert "lr_sup must be finite" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any training
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--d1", "1", "--il", "-1"], ["--d1", "1", "--ih", "0"], ["--d1", "1", "--d2", "0"], ["--d1", "0"]],
+)
+def test_csv_counts_and_widths_below_one_name_the_flag(tmp_path, capsys, flags):
+    for tag in ("lf", "hf"):
+        (tmp_path / f"{tag}.csv").write_text("0.25,1.0\n0.75,2.0\n")
+    rc = cli.main(
+        ["train", "--csv-lf", str(tmp_path / "lf.csv"), "--csv-hf", str(tmp_path / "hf.csv"), *flags,
+         "--out", str(tmp_path / "out"), *FAST_TRAIN]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {flags[-2]} must be at least 1, got {flags[-1]}\n"
+
+
 def test_train_on_a_constant_input_column_past_2_52(tmp_path, capsys):
     """x +- 0.5 rounds back to 1e16, so the widened box must step by an ulp."""
     for tag in ("lf", "hf"):
@@ -250,6 +274,25 @@ def test_predict_round_trip(tmp_path, capsys):
     np.testing.assert_allclose(
         float(lines[1].split(",")[1]), model.predict(np.array([0.25]))[0], atol=1e-12
     )
+
+
+def test_predict_from_csv_matches_points_and_ends_lines_in_crlf(tmp_path, capsys):
+    assert cli.main(
+        ["train", "--benchmark", "forrester1d", "--il", "10", "--ih", "2",
+         "--out", str(tmp_path), *FAST_TRAIN]
+    ) == 0
+    ckpt = str(tmp_path / "checkpoint.json")
+    (tmp_path / "in.csv").write_text("x1\n0.25\n0.75\n")
+    assert cli.main(["predict", "--checkpoint", ckpt, "--csv-in", str(tmp_path / "in.csv"), "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["predict", "--checkpoint", ckpt, "--points", "0.25;0.75", "--out", str(tmp_path / "b")]) == 0
+    from_csv = (tmp_path / "a" / "predictions.csv").read_bytes()
+    assert from_csv == (tmp_path / "b" / "predictions.csv").read_bytes()
+    assert from_csv.startswith(b"x1,y1\r\n0.25,") and from_csv.count(b"\r\n") == 3
+    (tmp_path / "empty.csv").write_text("\n")
+    capsys.readouterr()
+    with pytest.warns(UserWarning, match="no data rows"):
+        assert cli.main(["predict", "--checkpoint", ckpt, "--csv-in", str(tmp_path / "empty.csv")]) == 2
+    assert capsys.readouterr().err.endswith("empty.csv holds no input rows\n")
 
 
 def test_predict_input_validation(tmp_path, capsys):

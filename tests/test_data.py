@@ -1,9 +1,11 @@
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mdfgan
 from mdfgan.benchmarks import get
 from mdfgan.data import (
     MultiFidelityDataset,
@@ -13,6 +15,7 @@ from mdfgan.data import (
     load_csv,
     make_dataset,
     save_snapshot,
+    write_csv,
 )
 
 
@@ -139,17 +142,17 @@ def test_identity_normalizer_copies_input():
 def test_load_csv_plain_rows(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("0.1,0.2,3.0\n0.4,0.5,6.0\n")
-    rows = load_csv(path, 2, 1)
-    assert len(rows) == 2
-    np.testing.assert_array_equal(rows[0][0], [0.1, 0.2])
-    np.testing.assert_array_equal(rows[1][1], [6.0])
+    x, y = load_csv(path, 2, 1)
+    np.testing.assert_array_equal(x, [[0.1, 0.2], [0.4, 0.5]])
+    np.testing.assert_array_equal(y, [[3.0], [6.0]])
+    assert x.flags.c_contiguous and y.flags.c_contiguous
 
 
 def test_load_csv_skips_single_header(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("x1,x2,y\n0.1,0.2,3.0\n")
-    rows = load_csv(path, 2, 1)
-    assert len(rows) == 1
+    x, y = load_csv(path, 2, 1)
+    assert x.shape == (1, 2) and y.shape == (1, 1)
 
 
 def test_load_csv_header_only_file_is_a_parse_error(tmp_path):
@@ -185,16 +188,33 @@ def test_load_csv_empty_file_warns(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("\n\n")
     with pytest.warns(UserWarning, match="no data rows"):
-        rows = load_csv(path, 1, 1)
-    assert rows == []
+        x, y = load_csv(path, 1, 1)
+    assert x.shape == (0, 1) and y.shape == (0, 1)
 
 
 def test_load_csv_scientific_notation(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("1e-3,2.5E+2\n")
-    rows = load_csv(path, 1, 1)
-    np.testing.assert_allclose(rows[0][0], [1e-3])
-    np.testing.assert_allclose(rows[0][1], [250.0])
+    x, y = load_csv(path, 1, 1)
+    np.testing.assert_allclose(x, [[1e-3]])
+    np.testing.assert_allclose(y, [[250.0]])
+
+
+def test_write_csv_uses_crlf_and_shortest_float_reprs(tmp_path):
+    path = write_csv(tmp_path / "out.csv", ["name", "n", "value"], [["a", 3, 0.1], ["b", -1, 1e-310]])
+    assert path.read_bytes() == b"name,n,value\r\na,3,0.1\r\nb,-1,1e-310\r\n"
+    assert write_csv(path, None, [[2.5]]).read_bytes() == b"2.5\r\n"  # no header row
+
+
+def test_csv_is_imported_by_data_alone():
+    """data.write_csv is the one CSV writer and load_csv the one reader."""
+    package = Path(mdfgan.__file__).parent
+    importers = sorted(
+        path.relative_to(package).as_posix()
+        for path in package.rglob("*.py")
+        if re.search(r"^\s*(import csv|from csv import)\b", path.read_text(encoding="utf-8"), re.M)
+    )
+    assert importers == ["data.py"]
 
 
 # -- dataset assembly --------------------------------------------------------------
@@ -266,23 +286,30 @@ def test_dataset_validation_catches_mismatches():
 
 def test_dataset_from_rows_subsamples_deterministically():
     rng = np.random.default_rng(0)
-    lf_rows = [(rng.uniform(size=2), rng.uniform(size=1)) for _ in range(30)]
-    hf_rows = [(rng.uniform(size=2), rng.uniform(size=1)) for _ in range(10)]
-    a = dataset_from_rows(lf_rows, hf_rows, 12, 4, seed=1)
-    b = dataset_from_rows(lf_rows, hf_rows, 12, 4, seed=1)
+    lf = rng.uniform(size=(30, 2)), rng.uniform(size=(30, 1))
+    hf = rng.uniform(size=(10, 2)), rng.uniform(size=(10, 1))
+    a = dataset_from_rows(lf, hf, 12, 4, seed=1)
+    b = dataset_from_rows(lf, hf, 12, 4, seed=1)
     assert a.n_lf == 12 and a.n_hf == 4
     np.testing.assert_array_equal(a.lf_x, b.lf_x)
     np.testing.assert_array_equal(a.hf_x, b.hf_x)
 
 
 def test_dataset_from_rows_rejects_oversampling():
-    rows = [(np.array([0.5]), np.array([1.0]))]
+    rows = np.array([[0.5]]), np.array([[1.0]])
     with pytest.raises(ValueError, match="file has 1"):
         dataset_from_rows(rows, rows, 2, None)
 
 
+@pytest.mark.parametrize(("n_lf", "n_hf", "fidelity"), [(-1, None, "low"), (None, 0, "high")])
+def test_dataset_from_rows_rejects_counts_below_one(n_lf, n_hf, fidelity):
+    rows = np.array([[0.25], [0.5]]), np.array([[1.0], [2.0]])
+    with pytest.raises(ValueError, match=f"{fidelity}-fidelity rows, need at least 1"):
+        dataset_from_rows(rows, rows, n_lf, n_hf)
+
+
 def test_dataset_from_rows_widens_flat_dimensions():
-    rows = [(np.array([0.5, i * 1.0]), np.array([1.0])) for i in range(3)]
+    rows = np.array([[0.5, 0.0], [0.5, 1.0], [0.5, 2.0]]), np.ones((3, 1))
     ds = dataset_from_rows(rows, rows)
     lo, hi = ds.bounds[0]
     assert lo < 0.5 < hi  # the constant first coordinate got a real box
@@ -292,7 +319,7 @@ def test_dataset_from_rows_widens_flat_dimensions():
 @pytest.mark.parametrize("x", [-3.25, 2.0**52, 1e16, -1e16, np.finfo(float).max, -np.finfo(float).max])
 def test_a_flat_dimension_gets_a_box_at_any_finite_constant(x):
     """Widened by 0.5 where that moves the bound, else by one ulp."""
-    ds = dataset_from_rows([(np.array([x]), np.array([0.0]))], [(np.array([x]), np.array([1.0]))])
+    ds = dataset_from_rows((np.array([[x]]), np.array([[0.0]])), (np.array([[x]]), np.array([[1.0]])))
     lo, hi = ds.bounds[0]
     assert lo <= x <= hi and lo < hi and np.isfinite([lo, hi]).all()
     if abs(x) < 2.0**52:
@@ -304,7 +331,6 @@ def test_save_snapshot_round_trips_through_load_csv(tmp_path):
     ds = make_dataset(pair, 8, 3, seed=4)
     paths = save_snapshot(ds, tmp_path / "snap", seed=4)
     assert all(p.exists() for p in paths.values())
-    rows = load_csv(paths["lf"], 1, 1)
-    assert len(rows) == 8
-    np.testing.assert_array_equal(np.array([x for x, _ in rows]), ds.lf_x)
-    np.testing.assert_array_equal(np.array([y for _, y in rows]), ds.lf_y)
+    x, y = load_csv(paths["lf"], 1, 1)
+    np.testing.assert_array_equal(x, ds.lf_x)
+    np.testing.assert_array_equal(y, ds.lf_y)

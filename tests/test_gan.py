@@ -60,6 +60,13 @@ def test_config_rejects_negative_rates():
         TrainingConfig(lr_gen=-0.001)
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["lr_lf", "lr_disc", "lr_gen", "lr_sup"])
+def test_config_rejects_non_finite_rates(name, rate):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        TrainingConfig(**{name: rate})
+
+
 def test_config_rejects_bad_mode_and_normalizer():
     with pytest.raises(ValueError, match="mode"):
         TrainingConfig(mode="alternating")
