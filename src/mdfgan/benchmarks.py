@@ -74,10 +74,6 @@ def nonlinear_hf(x: np.ndarray) -> np.ndarray:
     return (t - np.sqrt(2.0)) * np.sin(8.0 * np.pi * t) ** 2
 
 
-def oscillatory_lf(x: np.ndarray) -> np.ndarray:
-    return np.sin(8.0 * np.pi * x[:, 0])
-
-
 def oscillatory_hf(x: np.ndarray) -> np.ndarray:
     """Phase-shifted squared oscillation: nearly uncorrelated with the
     low-fidelity field, so fusion gains little here by construction."""
@@ -88,11 +84,6 @@ def oscillatory_hf(x: np.ndarray) -> np.ndarray:
 def jump_hf(x: np.ndarray) -> np.ndarray:
     t = x[:, 0]
     return forrester_hf(x) + 10.0 * (t > 0.5)
-
-
-def jump_lf(x: np.ndarray) -> np.ndarray:
-    """Same linear-shift surrogate as the smooth pair; it misses the jump."""
-    return forrester_lf(x)
 
 
 # -- 2-D Currin exponential ------------------------------------------------------
@@ -239,11 +230,12 @@ def registry() -> list[BenchmarkPair]:
             TrainingConfig(normalizer="standard"),
         ),
         BenchmarkPair(
-            "oscillatory1d", 1, 1, _unit_box(1), oscillatory_lf, oscillatory_hf,
+            "oscillatory1d", 1, 1, _unit_box(1), nonlinear_lf, oscillatory_hf,
             TrainingConfig(normalizer="standard"),
         ),
         BenchmarkPair(
-            "jump1d", 1, 1, _unit_box(1), jump_lf, jump_hf,
+            # the smooth pair's linear-shift surrogate, which misses the jump
+            "jump1d", 1, 1, _unit_box(1), forrester_lf, jump_hf,
             TrainingConfig(
                 lr_lf=0.02,
                 epochs_lf=5000,

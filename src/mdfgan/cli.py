@@ -9,7 +9,6 @@ errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmarks, experiments
-from .data import NORMALIZER_KINDS, dataset_from_rows, load_csv, make_dataset, save_snapshot, write_csv
+from .data import NORMALIZER_KINDS, dataset_from_rows, load_csv, make_dataset, save_snapshot, write_csv, write_json
 from .gan import (
     MODES,
     TrainingConfig,
@@ -139,6 +138,15 @@ def _require_benchmark(args) -> benchmarks.BenchmarkPair:
         raise UsageError(str(exc)) from None
 
 
+def _check_counts(args) -> None:
+    """Reject a count flag below 1, or a list flag item below 1, under the flag's own name."""
+    for flag in ("--d1", "--d2", "--il", "--ih", "--repeats", "--jobs", "--test-points", "--points"):
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, int) and item < 1:  # predict's --points is text, not a count
+                raise UsageError(f"{flag} must be at least 1, got {item}")
+
+
 def _build_dataset(args, pair, config):
     """Benchmark XOR csv pair; returns (dataset, description)."""
     use_csv = bool(getattr(args, "csv_lf", None) or getattr(args, "csv_hf", None))
@@ -149,9 +157,6 @@ def _build_dataset(args, pair, config):
             raise UsageError("csv input needs both --csv-lf and --csv-hf")
         if args.d1 is None:
             raise UsageError("csv input needs --d1 (and --d2 when responses are not scalar)")
-        for flag, value in (("--d1", args.d1), ("--d2", args.d2), ("--il", args.il), ("--ih", args.ih)):
-            if value is not None and value < 1:
-                raise UsageError(f"{flag} must be at least 1, got {value}")
         try:
             lf = load_csv(args.csv_lf, args.d1, args.d2)
             hf = load_csv(args.csv_hf, args.d1, args.d2)
@@ -277,9 +282,7 @@ def cmd_baselines(args) -> int:
     out = _out_dir(args)
     for tag, result in (("gan", comparison.gan), ("pgan", comparison.pgan), ("hf_only", comparison.hf_only)):
         _announce(experiments.write_results_csv([result], out / f"baselines_{tag}.csv"))
-    summary = out / "baselines_summary.json"
-    summary.write_text(json.dumps(comparison.to_dict(), indent=2) + "\n", encoding="utf-8")
-    _announce(summary)
+    _announce(write_json(out / "baselines_summary.json", comparison.to_dict()))
     return 0
 
 
@@ -392,6 +395,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

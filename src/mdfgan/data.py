@@ -1,11 +1,13 @@
-"""Sampling, normalization, and dataset assembly for multi-fidelity experiments."""
+"""Sampling, normalization, dataset assembly, and the CSV/JSON artifact i/o of multi-fidelity experiments."""
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -152,17 +154,35 @@ def load_csv(path, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(table[:, :d1]), np.ascontiguousarray(table[:, d1:])
 
 
+def _write_text(path, text: str) -> Path:
+    """Write ``text`` to a sibling file and rename it over ``path``, so that
+    a failed write never leaves a truncated file where a good one was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8", newline="")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return path
+
+
 def write_csv(path, header, rows) -> Path:
     """Write the ``header`` row (none if empty), then ``rows``, comma-separated
     with CRLF line ends. Rows hold ints, strings and Python floats; a float is
     written as its shortest repr, so it reads back bit-exactly."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if header:
-            writer.writerow(header)
-        writer.writerows(rows)
-    return path
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    if header:
+        writer.writerow(header)
+    writer.writerows(rows)
+    return _write_text(path, buf.getvalue())
+
+
+def write_json(path, doc, indent: int | None = 2) -> Path:
+    """Write ``doc`` as standard JSON plus a newline; a NaN or infinity
+    raises ``ValueError`` instead of reaching the file."""
+    return _write_text(path, json.dumps(doc, indent=indent, allow_nan=False) + "\n")
 
 
 @dataclass(frozen=True)
@@ -188,7 +208,7 @@ class MultiFidelityDataset:
             raise ValueError("low- and high-fidelity responses differ in dimension")
         if self.lf_x.shape[0] != self.lf_y.shape[0] or self.hf_x.shape[0] != self.hf_y.shape[0]:
             raise ValueError("inputs and responses differ in row count")
-        _as_bounds(self.bounds, self.d1)
+        object.__setattr__(self, "bounds", _as_bounds(self.bounds, self.d1))
         for x in (self.lf_x, self.hf_x):
             if ((x < self.bounds[:, 0] - 1e-12) | (x > self.bounds[:, 1] + 1e-12)).any():
                 raise ValueError("sample inputs fall outside the declared bounds")
@@ -285,21 +305,15 @@ def save_snapshot(dataset: MultiFidelityDataset, directory, seed=None) -> dict[s
     paths = {}
     for tag, x, y in (("lf", dataset.lf_x, dataset.lf_y), ("hf", dataset.hf_x, dataset.hf_y)):
         paths[tag] = write_csv(directory / f"{tag}.csv", None, np.hstack([x, y]).tolist())
-    sidecar = directory / "dataset.json"
-    sidecar.write_text(
-        json.dumps(
-            {
-                "bounds": dataset.bounds.tolist(),
-                "seed": seed,
-                "n_lf": dataset.n_lf,
-                "n_hf": dataset.n_hf,
-                "d1": dataset.d1,
-                "d2": dataset.d2,
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
+    paths["sidecar"] = write_json(
+        directory / "dataset.json",
+        {
+            "bounds": dataset.bounds.tolist(),
+            "seed": seed,
+            "n_lf": dataset.n_lf,
+            "n_hf": dataset.n_hf,
+            "d1": dataset.d1,
+            "d2": dataset.d2,
+        },
     )
-    paths["sidecar"] = sidecar
     return paths

@@ -10,7 +10,6 @@ per-seed data.
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .benchmarks import BenchmarkPair
-from .data import MultiFidelityDataset, Normalizer, lhs_sample, make_dataset, write_csv
+from .data import MultiFidelityDataset, Normalizer, lhs_sample, make_dataset, write_csv, write_json
 from .gan import (
     HF_BATCH_CAP,
     GanMdfModel,
@@ -107,10 +106,11 @@ class ExperimentResult:
             "i_l": self.n_lf,
             "i_h": self.n_hf,
             "n_repeats": len(self.records),
-            "mean_nrmse": self.mean_nrmse,
+            "mean_nrmse": self.mean_nrmse if self.nrmses else None,
             "partial": self.partial,
             "runs": [
-                {"seed": r.seed, "nrmse": r.nrmse, "lf_frozen_ok": r.lf_frozen_ok, "error": r.error}
+                {"seed": r.seed, "nrmse": None if r.failed else r.nrmse, "lf_frozen_ok": r.lf_frozen_ok,
+                 "error": r.error}
                 for r in self.records
             ],
         }
@@ -360,9 +360,7 @@ def write_results_csv(results: list[ExperimentResult], path) -> Path:
 def write_summary_json(results: list[ExperimentResult], path) -> Path:
     """Mean NRMSE per (i_l, i_h) cell with per-seed detail; no wall-clock
     fields, so reruns with the same seed are byte-identical."""
-    path = Path(path)
-    path.write_text(json.dumps({"results": [r.to_dict() for r in results]}, indent=2) + "\n", encoding="utf-8")
-    return path
+    return write_json(path, {"results": [r.to_dict() for r in results]})
 
 
 def write_scatter_csv(points: np.ndarray, path) -> Path:

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import NORMALIZER_KINDS, MultiFidelityDataset, Normalizer, write_csv
+from .data import NORMALIZER_KINDS, MultiFidelityDataset, Normalizer, write_csv, write_json
 from .nn import (
     IDENTITY,
     SIGMOID,
@@ -501,22 +500,13 @@ def train(dataset: MultiFidelityDataset, config: TrainingConfig) -> tuple[GanMdf
 
 
 def save_checkpoint(model: GanMdfModel, config: TrainingConfig, path) -> Path:
-    path = Path(path)
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "seed": config.seed,
         "config": config.to_dict(),
         "model": model.to_dict(),
     }
-    # write a sibling file and rename it over the target, so that a failed
-    # write never leaves a truncated checkpoint where a good one was
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(doc) + "\n", encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return path
+    return write_json(path, doc, indent=None)
 
 
 def load_checkpoint(path) -> tuple[GanMdfModel, TrainingConfig]:

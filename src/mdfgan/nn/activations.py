@@ -52,8 +52,8 @@ class Activation:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown activation kind {self.kind!r} (choose from {KINDS})")
-        if self.kind == "leaky_relu" and not self.alpha > 0:
-            raise ValueError("leaky_relu slope must be positive")
+        if self.kind == "leaky_relu" and not 0 < self.alpha < np.inf:  # also false for nan
+            raise ValueError(f"leaky_relu slope must be positive and finite, got {self.alpha}")
 
     def to_dict(self) -> dict:
         if self.kind == "leaky_relu":

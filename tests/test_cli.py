@@ -148,17 +148,57 @@ def test_non_finite_learning_rate_is_a_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--d1", "1", "--il", "-1"], ["--d1", "1", "--ih", "0"], ["--d1", "1", "--d2", "0"], ["--d1", "0"]],
+    [
+        ["--d1", "1", "--il", "-1"], ["--d1", "1", "--ih", "0"], ["--d1", "1", "--d2", "0"], ["--d1", "0"],
+        ["train", "--benchmark", "forrester1d", "--il", "-1"],
+        ["train", "--benchmark", "forrester1d", "--ih", "0"],
+        ["sweep-hf", "--benchmark", "forrester1d", "--ih", "0"],
+        ["sweep-lf", "--benchmark", "forrester1d", "--il", "0"],
+        ["baselines", "--benchmark", "forrester1d", "--repeats", "0"],
+        ["sweep-hf", "--benchmark", "forrester1d", "--ih", "3", "--jobs", "0"],
+        ["sweep-lf", "--benchmark", "forrester1d", "--test-points", "0"],
+        ["scatter", "--benchmark", "forrester1d", "--points", "0"],
+    ],
 )
-def test_csv_counts_and_widths_below_one_name_the_flag(tmp_path, capsys, flags):
+def test_csv_counts_and_widths_below_one_name_the_flag(tmp_path, capsys, monkeypatch, flags):
+    """Every count flag, on the CSV source (the first four cases, which
+    name no subcommand) and on every benchmark subcommand, is rejected under
+    its own name before any training."""
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started before the count flags were checked")
+
+    for module in (gan, experiments):
+        monkeypatch.setattr(module, "pretrain_lf", no_training)
+    monkeypatch.setattr(experiments, "train_hf_only", no_training)
     for tag in ("lf", "hf"):
         (tmp_path / f"{tag}.csv").write_text("0.25,1.0\n0.75,2.0\n")
-    rc = cli.main(
-        ["train", "--csv-lf", str(tmp_path / "lf.csv"), "--csv-hf", str(tmp_path / "hf.csv"), *flags,
-         "--out", str(tmp_path / "out"), *FAST_TRAIN]
-    )
+    command = flags if not flags[0].startswith("--") else [
+        "train", "--csv-lf", str(tmp_path / "lf.csv"), "--csv-hf", str(tmp_path / "hf.csv"), *flags
+    ]
+    rc = cli.main([*command, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {flags[-2]} must be at least 1, got {flags[-1]}\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["train"], ["sweep-hf", "--ih", "3", "--repeats", "2", "--test-points", "10"]],
+    ids=["train", "sweep-hf"],
+)
+def test_an_infinite_leaky_relu_slope_is_a_usage_error(tmp_path, capsys, monkeypatch, command):
+    """An inf slope used to pass the check: train pretrained and exited 1,
+    and sweep-hf exited 0 with every repeat NaN."""
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started before the slope was checked")
+
+    for module in (gan, experiments):
+        monkeypatch.setattr(module, "pretrain_lf", no_training)
+    rc = cli.main(
+        [*command, "--benchmark", "forrester1d", "--il", "20", "--activations", "leaky_relu",
+         "--leaky-alpha", "inf", "--out", str(tmp_path), *FAST_TRAIN]
+    )
+    assert rc == 2
+    assert "leaky_relu slope must be positive and finite, got inf" in capsys.readouterr().err
 
 
 def test_train_on_a_constant_input_column_past_2_52(tmp_path, capsys):
@@ -240,7 +280,7 @@ def test_baselines_reject_fewer_than_one_job_before_training(tmp_path, capsys, m
          "--out", str(tmp_path), *FAST]
     )
     assert rc == 2
-    assert "n_jobs >= 1" in capsys.readouterr().err
+    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
 
 
 def test_train_rejects_one_hf_sample_before_pretraining(tmp_path, capsys, monkeypatch):

@@ -16,7 +16,9 @@ from mdfgan.data import (
     make_dataset,
     save_snapshot,
     write_csv,
+    write_json,
 )
+from mdfgan.experiments import ExperimentResult, RunRecord, write_summary_json
 
 
 # -- Latin hypercube sampling ------------------------------------------------
@@ -217,6 +219,53 @@ def test_csv_is_imported_by_data_alone():
     assert importers == ["data.py"]
 
 
+def test_json_dumps_and_os_replace_are_called_by_data_alone():
+    """data.write_json is the one JSON writer and data._write_text the one
+    place that replaces a file."""
+    package = Path(mdfgan.__file__).parent
+    callers = sorted(
+        path.relative_to(package).as_posix()
+        for path in package.rglob("*.py")
+        if re.search(r"\b(json\.dumps|os\.replace)\(", path.read_text(encoding="utf-8"))
+    )
+    assert callers == ["data.py"]
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path, seed: write_csv(path, ["seed"], [[seed]]),
+        lambda path, seed: write_json(path, {"seed": seed}),
+        lambda path, seed: write_summary_json(
+            [ExperimentResult("x", 10, 2, (RunRecord(seed, 0.5, 1.0, True),))], path
+        ),
+    ],
+    ids=["write_csv", "write_json", "write_summary_json"],
+)
+def test_artifact_writers_replace_the_file_atomically(tmp_path, monkeypatch, write):
+    """A write that fails part-way leaves the previous artifact byte for
+    byte and no temporary file behind."""
+    path = write(tmp_path / "artifact", 1)
+    before = path.read_bytes()
+    real_write_text = Path.write_text
+
+    def failing_write_text(self, data, *args, **kwargs):
+        real_write_text(self, data[:10], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", failing_write_text)
+    with pytest.raises(OSError, match="disk full"):
+        write(path, 2)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"]
+
+
+def test_write_json_rejects_non_finite_floats(tmp_path):
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_json(tmp_path / "doc.json", {"x": float("nan")})
+    assert not (tmp_path / "doc.json").exists()
+
+
 # -- dataset assembly --------------------------------------------------------------
 
 
@@ -282,6 +331,14 @@ def test_dataset_validation_catches_mismatches():
         MultiFidelityDataset(**{**ok, "hf_x": np.zeros((2, 2))})
     with pytest.raises(ValueError, match="outside"):
         MultiFidelityDataset(**{**ok, "hf_x": np.full((2, 1), 4.0)})
+
+
+def test_dataset_takes_the_two_number_bounds_shorthand():
+    """A (2,) box applies to every dimension, as in lhs_sample; it used to
+    be validated, thrown away and then indexed as (d, 2)."""
+    x, y = np.full((2, 3), 0.5), np.zeros((2, 1))
+    ds = MultiFidelityDataset(lf_x=x, lf_y=y, hf_x=x, hf_y=y, bounds=[0.0, 1.0])
+    np.testing.assert_array_equal(ds.bounds, [[0.0, 1.0]] * 3)
 
 
 def test_dataset_from_rows_subsamples_deterministically():

@@ -443,6 +443,25 @@ def test_summary_json_is_wall_clock_free(tmp_path):
     assert [run["seed"] for run in entry["runs"]] == [0, 1]
 
 
+def test_partial_summary_is_standard_json(tmp_path):
+    """A failed repeat is written as null, never as a bare NaN that strict
+    JSON parsers reject, and so is the mean of a cell with no success."""
+    ok = RunRecord(0, 0.5, 1.0, True)
+    bad = RunRecord(1, float("nan"), 1.0, True, error="boom")
+    results = [ExperimentResult("x", 10, 2, (ok, bad)), ExperimentResult("x", 10, 3, (bad,))]
+    path = write_summary_json(results, tmp_path / "summary.json")
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    doc = json.loads(path.read_text(), parse_constant=reject)
+    partial, failed = doc["results"]
+    assert partial["mean_nrmse"] == 0.5 and partial["partial"]
+    assert [run["nrmse"] for run in partial["runs"]] == [0.5, None]
+    assert failed["mean_nrmse"] is None
+    assert failed["runs"][0]["error"] == "boom"
+
+
 def test_scatter_csv_round_trip(tmp_path):
     pts = emit_correlation_scatter(get("forrester1d"), 5, seed=2)
     path = write_scatter_csv(pts, tmp_path / "scatter.csv")
