@@ -40,6 +40,7 @@ from .nn import (
     DenseNetwork,
     FrozenNetworkError,
     NonFiniteError,
+    Tape,
     parse_activation,
 )
 
@@ -95,12 +96,15 @@ class TrainingConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.normalizer not in NORMALIZER_KINDS:
             raise ValueError(f"normalizer must be one of {NORMALIZER_KINDS}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         n_acts = len(self.hidden_activations)
         if n_acts not in (1, len(self.hidden_sizes)):
             raise ValueError(
                 f"{len(self.hidden_sizes)} hidden layers take 1 or "
                 f"{len(self.hidden_sizes)} activations, got {n_acts}"
             )
+        self.resolved_activations()  # an unknown kind or a bad leaky_relu slope raises here
         if self.lr_disc <= self.lr_gen:
             warnings.warn(
                 "lr_disc <= lr_gen: the discriminative rate is usually the larger one",
@@ -300,7 +304,10 @@ def squared_error(pred: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     resid = pred - y
     n = resid.shape[0]
     loss = np.add.reduce(np.add.reduce(resid * resid, axis=1)) / n
-    return _finite(float(loss), "squared-error"), 2.0 * resid / n
+    # the upstream 2.0 * resid / n, rounded the same way, in resid's buffer
+    resid *= 2.0
+    resid /= n
+    return _finite(float(loss), "squared-error"), resid
 
 
 def discriminative(real: np.ndarray, fake: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -336,13 +343,16 @@ def _batches(x: np.ndarray, y: np.ndarray, cap: int, rng: np.random.Generator):
         yield x[i : i + size], y[i : i + size]
 
 
-def _supervised_step(net: DenseNetwork, x: np.ndarray, y: np.ndarray, state: AdamState, lr: float) -> float:
-    """One Adam step on the squared error; returns the loss before the step."""
-    pred, tape = net.forward(x)
+def _supervised_step(
+    net: DenseNetwork, x: np.ndarray, y: np.ndarray, state: AdamState, lr: float, tape: Tape | None = None
+) -> tuple[float, Tape]:
+    """One Adam step on the squared error, refilling ``tape`` when it fits;
+    returns the loss before the step and the tape used."""
+    pred, tape = net.forward(x, tape)
     loss, upstream = squared_error(pred, y)
     grad, _ = net.gradient(tape, upstream, input_grad=False)
     net.apply_adam(grad, state, lr)
-    return loss
+    return loss, tape
 
 
 def fit_regression(
@@ -357,12 +367,14 @@ def fit_regression(
 ) -> list[float]:
     """Adam on the mean squared-norm residual; returns per-epoch losses."""
     state = AdamState(net.params)
+    tapes: dict[int, Tape] = {}  # one per batch row count
     trace: list[float] = []
     try:
         for epoch in range(epochs):
             epoch_losses = []
             for x_b, y_b in _batches(x, y, batch_cap, rng):
-                epoch_losses.append(_supervised_step(net, x_b, y_b, state, lr))
+                loss, tapes[len(x_b)] = _supervised_step(net, x_b, y_b, state, lr, tapes.get(len(x_b)))
+                epoch_losses.append(loss)
             trace.append(float(np.add.reduce(epoch_losses) / len(epoch_losses)))
     except NonFiniteError as exc:
         raise TrainingDivergedError(f"{label} diverged at epoch {epoch}: {exc}") from exc
@@ -422,29 +434,33 @@ def train_adversarial(
     coupled = config.mode == MODE_COUPLED
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SEED_HF_SHUFFLE]))
 
+    # per batch row count: the tapes of the high-fidelity block and of the
+    # discriminator on real and on generated responses
+    tapes: dict[int, tuple[Tape | None, Tape | None, Tape | None]] = {}
     trace: list[TraceRow] = []
     iteration = 0
     try:
         for _epoch in range(config.epochs_hf):
             for gen_in, y_b in _batches(gen_inputs, y, HF_BATCH_CAP, rng):
                 iteration += 1
+                tape_hf, tape_real, tape_fake = tapes.get(len(y_b), (None, None, None))
 
                 # stage 1: supervised refinement (measured even when disabled)
                 stage = "supervised"
                 if config.supervised_trick:
-                    loss_sup = _supervised_step(hf_net, gen_in, y_b, st_hf_sup, config.lr_sup)
+                    loss_sup, tape_hf = _supervised_step(hf_net, gen_in, y_b, st_hf_sup, config.lr_sup, tape_hf)
                 else:
                     # no update before stage 2, which reuses this pass
-                    fake_pred, tape_hf = hf_net.forward(gen_in)
+                    fake_pred, tape_hf = hf_net.forward(gen_in, tape_hf)
                     loss_sup, _ = squared_error(fake_pred, y_b)
 
                 # stage 2: discriminative loss; both gradients are taken at the
                 # current parameters, then applied together
                 stage = "discriminative"
-                real, tape_real = disc.forward(y_b)
+                real, tape_real = disc.forward(y_b, tape_real)
                 if config.supervised_trick:
-                    fake_pred, tape_hf = hf_net.forward(gen_in)
-                fake, tape_fake = disc.forward(fake_pred)
+                    fake_pred, tape_hf = hf_net.forward(gen_in, tape_hf)
+                fake, tape_fake = disc.forward(fake_pred, tape_fake)
                 loss_disc, up_real, up_fake = discriminative(real, fake)
                 g_real, _ = disc.gradient(tape_real, up_real, input_grad=False)
                 g_fake, into_fake = disc.gradient(tape_fake, up_fake, input_grad=coupled)
@@ -456,12 +472,12 @@ def train_adversarial(
                 # stage 3: supervised refinement
                 stage = "supervised"
                 if config.supervised_trick:
-                    _supervised_step(hf_net, gen_in, y_b, st_hf_sup, config.lr_sup)
+                    _supervised_step(hf_net, gen_in, y_b, st_hf_sup, config.lr_sup, tape_hf)
 
                 # stage 4: generative loss
                 stage = "generative"
-                fake_pred, tape_hf = hf_net.forward(gen_in)
-                fake, tape_fake = disc.forward(fake_pred)
+                fake_pred, tape_hf = hf_net.forward(gen_in, tape_hf)
+                fake, tape_fake = disc.forward(fake_pred, tape_fake)
                 loss_gen, up_fake = generative(fake)
                 g_disc, into_fake = disc.gradient(tape_fake, up_fake)
                 g_hf, _ = hf_net.gradient(tape_hf, into_fake, input_grad=False)
@@ -472,8 +488,9 @@ def train_adversarial(
                 # stage 5: supervised refinement
                 stage = "supervised"
                 if config.supervised_trick:
-                    _supervised_step(hf_net, gen_in, y_b, st_hf_sup, config.lr_sup)
+                    _supervised_step(hf_net, gen_in, y_b, st_hf_sup, config.lr_sup, tape_hf)
 
+                tapes[len(y_b)] = tape_hf, tape_real, tape_fake
                 trace.append(TraceRow(iteration, loss_sup, loss_gen, loss_disc))
     except NonFiniteError as exc:
         raise TrainingDivergedError(

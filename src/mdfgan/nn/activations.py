@@ -90,65 +90,81 @@ def _dft_real_matrix(width: int) -> np.ndarray:
     return mat
 
 
-def _sigmoid(v: np.ndarray) -> np.ndarray:
-    # 0.5 * (1 + tanh(0.5 * v)), the same bits, computed in place
-    t = v * 0.5
+def _sigmoid(v: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    # 0.5 * (1 + tanh(0.5 * v)), the same bits, computed in one buffer
+    t = np.multiply(v, 0.5, out=out)
     np.tanh(t, out=t)
     t += 1.0
     t *= 0.5
     return t
 
 
-def _leaky_relu(v: np.ndarray, alpha: float) -> np.ndarray:
+def _leaky_relu(v: np.ndarray, alpha: float, out: np.ndarray | None) -> np.ndarray:
     # v where v > 0 and alpha*v elsewhere: the larger of the two when
     # alpha <= 1, the smaller when alpha > 1
-    t = v * alpha
+    t = np.multiply(v, alpha, out=out)
     (np.maximum if alpha <= 1 else np.minimum)(t, v, out=t)
     return t
 
 
-def apply(act: Activation, v: np.ndarray) -> np.ndarray:
+def _into(result: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``result``, copied into ``out`` when one is given."""
+    if out is None:
+        return result
+    np.copyto(out, result)
+    return out
+
+
+def apply(act: Activation, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Apply an activation to a pre-activation vector (or batch of rows).
 
-    For ``dft`` the last axis is treated as the full layer vector.
-    Raises on non-finite input, and on an empty vector for ``dft``.
+    The result goes into ``out`` when given (same shape as ``v``, and not
+    ``v`` itself), otherwise into a new array. For ``dft`` the last axis is
+    treated as the full layer vector. Raises on non-finite input, and on an
+    empty vector for ``dft``.
     """
     v = np.asarray(v, dtype=float)
     if not all_finite(v):
         raise NonFiniteError(f"non-finite input to {act.kind} activation")
     if act.kind == "identity":
-        return v.copy()
+        return np.positive(v, out=out)
     if act.kind == "sigmoid":
-        return _sigmoid(v)
+        return _sigmoid(v, out)
     if act.kind == "leaky_relu":
-        return _leaky_relu(v, act.alpha)
+        return _leaky_relu(v, act.alpha, out)
     if act.kind == "ricker":
         u = np.pi * v / 1000.0
         u2 = u * u
-        return (1.0 - 2.0 * u2 * np.exp(-u2)) ** 2
+        return _into((1.0 - 2.0 * u2 * np.exp(-u2)) ** 2, out)
     if act.kind == "inverse_multiquadratic":
-        return 1.0 / np.sqrt(1.0 + v * v)
+        return _into(1.0 / np.sqrt(1.0 + v * v), out)
     if act.kind == "dft":
         if v.shape[-1] == 0:
             raise ValueError("dft activation requires a non-empty vector")
-        return v @ _dft_real_matrix(v.shape[-1]).T
+        return _into(v @ _dft_real_matrix(v.shape[-1]).T, out)
     raise AssertionError(act.kind)
 
 
-def backward(act: Activation, pre: np.ndarray, post: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+def backward(
+    act: Activation, pre: np.ndarray, post: np.ndarray, upstream: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Gradient with respect to the pre-activation, given the upstream gradient.
 
     ``pre`` and ``post`` are the values recorded during the forward pass.
+    The result goes into ``out`` when given (same shape as ``upstream``,
+    and none of the inputs), otherwise into a new array.
     """
     if act.kind == "identity":
-        return upstream.copy()
+        return np.positive(upstream, out=out)
     if act.kind == "sigmoid":
-        return upstream * post * (1.0 - post)
+        t = np.multiply(upstream, post, out=out)
+        t *= 1.0 - post
+        return t
     if act.kind == "leaky_relu":
         if act.alpha > 1:
-            return upstream * np.where(pre > 0, 1.0, act.alpha)
+            return np.multiply(upstream, np.where(pre > 0, 1.0, act.alpha), out=out)
         # max(sign(pre), alpha): 1 where pre > 0, alpha elsewhere (pre == 0 too)
-        slope = np.sign(pre)
+        slope = np.sign(pre, out=out)
         np.maximum(slope, act.alpha, out=slope)
         slope *= upstream
         return slope
@@ -158,9 +174,9 @@ def backward(act: Activation, pre: np.ndarray, post: np.ndarray, upstream: np.nd
         e = np.exp(-u2)
         inner = 1.0 - 2.0 * u2 * e
         d_inner = -4.0 * u * (1.0 - u2) * e * (np.pi / 1000.0)
-        return upstream * 2.0 * inner * d_inner
+        return _into(upstream * 2.0 * inner * d_inner, out)
     if act.kind == "inverse_multiquadratic":
-        return upstream * (-pre * post**3)
+        return _into(upstream * (-pre * post**3), out)
     if act.kind == "dft":
-        return upstream @ _dft_real_matrix(pre.shape[-1])
+        return _into(upstream @ _dft_real_matrix(pre.shape[-1]), out)
     raise AssertionError(act.kind)

@@ -6,6 +6,16 @@ as w0, b0, w1, b1, ... (each weight matrix row-major, shape (fan_out, fan_in)).
 gradients come back as one vector in the same layout, so the optimizer and the
 checksum work on a single array. Backpropagation writes into one gradient
 vector per network, with the same views, and hands out a copy of it.
+
+A forward pass records into a ``Tape``, which also holds the buffers its
+backward pass writes into. ``forward(x, tape)`` refills a tape of the same
+network and row count in place, so a training loop allocates no layer
+buffers after its first step; the refilled tape's previous output is no
+longer valid. Without a fitting tape, ``forward`` makes a new one: the same
+code, given fresh buffers. The layer products go through ``np.dot`` into
+those buffers, which gives the same bits as ``@`` (tests pin this for every
+registered architecture). ``gradient`` hands out new arrays: a copy of the
+parameter gradient, and the input gradient.
 """
 
 from __future__ import annotations
@@ -13,7 +23,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +37,35 @@ class FrozenNetworkError(RuntimeError):
     """Raised when a parameter update targets a frozen network."""
 
 
-@dataclass
 class Tape:
-    """Per-layer record of one forward pass, sufficient for exact backprop."""
+    """Per-layer record of one forward pass, sufficient for exact backprop,
+    plus the buffers the backward pass writes into.
 
-    inputs: np.ndarray
-    pre: list[np.ndarray]
-    post: list[np.ndarray]
-    net: "DenseNetwork"
-    version: int
+    A tape belongs to one network and one row count. ``forward`` refills it
+    in place, so what a refilled tape recorded before, its output included,
+    is gone.
+    """
+
+    def __init__(self, net: "DenseNetwork", rows: int) -> None:
+        widths = net.layer_sizes[1:]
+        self.net = net
+        self.rows = rows
+        self.version = -1
+        self.inputs: np.ndarray | None = None
+        self.pre = [np.empty((rows, w)) for w in widths]
+        self.post = [np.empty((rows, w)) for w in widths]
+        # what forward and gradient visit per layer, in the order they do;
+        # below is the layer's input (None: the tape's inputs), grad_pre its
+        # dLoss/d(pre-activation) and grad_in its dLoss/d(input), None on the
+        # first layer, whose input gradient is handed out as a new array
+        self.forward_plan = list(zip(net.weights, net.biases, net.layer_activations, self.pre, self.post))
+        below = [None, *self.post[:-1]]
+        grad_pre = [np.empty((rows, w)) for w in widths]
+        grad_in = [None, *(np.empty((rows, w)) for w in widths[:-1])]
+        self.backward_plan = list(zip(
+            net.weights, net.layer_activations, self.pre, self.post, below, grad_pre, grad_in,
+            net._d_weights, net._d_biases,
+        ))[::-1]
 
 
 def _layout(layer_sizes: list[int]) -> list[tuple[str, slice, tuple[int, ...]]]:
@@ -146,20 +175,25 @@ class DenseNetwork:
 
     # -- evaluation ---------------------------------------------------------
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, Tape]:
-        """Evaluate the network on a batch of rows, shape (n, input width)."""
+    def forward(self, x: np.ndarray, tape: Tape | None = None) -> tuple[np.ndarray, Tape]:
+        """Evaluate the network on a batch of rows, shape (n, input width).
+
+        A ``tape`` of this network for n rows is refilled in place, and the
+        output returned is its buffer; any other tape is left alone and a
+        new one is made.
+        """
         a = x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.input_width:
             raise ValueError(f"expected input width {self.input_width}, got shape {x.shape}")
-        pre: list[np.ndarray] = []
-        post: list[np.ndarray] = []
-        for w, b, act in zip(self.weights, self.biases, self.layer_activations):
-            z = a @ w.T
+        if tape is None or tape.net is not self or tape.rows != x.shape[0]:
+            tape = Tape(self, x.shape[0])
+        tape.inputs, tape.version = x, -1  # no gradient from a pass that raised
+        for w, b, act, z, post in tape.forward_plan:
+            np.dot(a, w.T, out=z)
             z += b
-            a = activations.apply(act, z)
-            pre.append(z)
-            post.append(a)
-        return a, Tape(x, pre, post, self, self._version)
+            a = activations.apply(act, z, out=post)
+        tape.version = self._version
+        return a, tape
 
     def gradient(
         self, tape: Tape, upstream: np.ndarray, *, input_grad: bool = True
@@ -167,10 +201,10 @@ class DenseNetwork:
         """Backpropagate ``upstream`` (= dLoss/dOutput) through a recorded forward pass.
 
         Returns the parameter gradient, a new vector in the parameter layout,
-        and the gradient with respect to the network input, both summed over
-        the batch rows of the tape. With ``input_grad=False`` the input
-        gradient is None and the first layer's input product is skipped; the
-        parameter gradient is the same either way.
+        and the gradient with respect to the network input, a new array, both
+        summed over the batch rows of the tape. With ``input_grad=False`` the
+        input gradient is None and the first layer's input product is
+        skipped; the parameter gradient is the same either way.
         """
         if tape.net is not self or tape.version != self._version:
             raise ValueError("stale tape: parameters changed since this forward pass")
@@ -179,17 +213,12 @@ class DenseNetwork:
             raise ValueError(
                 f"upstream shape {np.shape(upstream)} does not match output shape {tape.post[-1].shape}"
             )
-        first = self.weights[0]
-        layers = zip(
-            self.weights, self.layer_activations, tape.pre, tape.post,
-            [tape.inputs, *tape.post[:-1]], self._d_weights, self._d_biases,
-        )
-        for w, act, pre, post, below, d_w, d_b in reversed(list(layers)):
-            gz = activations.backward(act, pre, post, g)
-            np.matmul(gz.T, below, out=d_w)
+        for w, act, pre, post, below, gz, into, d_w, d_b in tape.backward_plan:
+            gz = activations.backward(act, pre, post, g, out=gz)
+            np.dot(gz.T, tape.inputs if below is None else below, out=d_w)
             np.add.reduce(gz, axis=0, out=d_b)
-            if input_grad or w is not first:
-                g = gz @ w
+            if input_grad or into is not None:
+                g = np.dot(gz, w, out=into)
         return self._grad.copy(), (g if input_grad else None)
 
     # -- mutation -----------------------------------------------------------

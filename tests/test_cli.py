@@ -201,6 +201,29 @@ def test_an_infinite_leaky_relu_slope_is_a_usage_error(tmp_path, capsys, monkeyp
     assert "leaky_relu slope must be positive and finite, got inf" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--activations", "softplus"], "unknown activation kind 'softplus'"),
+        (["--activations", "leaky_relu", "--leaky-alpha", "-1"], "leaky_relu slope must be positive and finite"),
+        (["--seed", "-1"], "seed must be non-negative, got -1"),
+    ],
+    ids=["activation-kind", "leaky-slope", "seed"],
+)
+def test_a_bad_config_value_fails_before_any_data_or_directory(tmp_path, capsys, monkeypatch, flags, message):
+    """Each used to draw the dataset and create the output directory (the
+    activations) or hit numpy's own message (the seed) before exiting 2."""
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("the dataset was drawn before the configuration was checked")
+
+    monkeypatch.setattr(cli, "make_dataset", no_dataset)
+    out = tmp_path / "out"
+    rc = cli.main(["train", "--benchmark", "forrester1d", *flags, "--out", str(out), *FAST_TRAIN])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_on_a_constant_input_column_past_2_52(tmp_path, capsys):
     """x +- 0.5 rounds back to 1e16, so the widened box must step by an ulp."""
     for tag in ("lf", "hf"):

@@ -552,9 +552,9 @@ def test_one_iteration_runs_each_forward_pass_once(monkeypatch, mode, trick):
     calls = {"forward": 0, "adam_step": 0, "input_grad": 0}
     real_forward, real_gradient, real_adam = DenseNetwork.forward, DenseNetwork.gradient, network.adam_step
 
-    def forward(net, x):
+    def forward(net, x, tape=None):
         calls["forward"] += net is not model.lf_block  # not the one LF pass per run
-        return real_forward(net, x)
+        return real_forward(net, x, tape)
 
     def gradient(net, tape, upstream, *, input_grad=True):
         calls["input_grad"] += input_grad

@@ -5,7 +5,8 @@ import pickle
 import numpy as np
 import pytest
 
-from mdfgan.gan import fit_regression
+from mdfgan.benchmarks import registry
+from mdfgan.gan import GanMdfModel, fit_regression
 from mdfgan.nn import (
     DFT,
     IDENTITY,
@@ -13,6 +14,8 @@ from mdfgan.nn import (
     AdamState,
     DenseNetwork,
     FrozenNetworkError,
+    NonFiniteError,
+    activations,
     leaky_relu,
 )
 
@@ -332,3 +335,127 @@ def test_parameter_gradient_does_not_depend_on_the_input_gradient(seed):
         lean, none = net.gradient(tape, upstream, input_grad=False)
         assert np.array_equal(grad, lean)
         assert into.shape == np.shape(x) and none is None
+
+
+# -- the np.dot kernels and reusable tapes -----------------------------------------
+
+
+def _reference_apply(act, z):
+    if act.kind == "identity":
+        return z.copy()
+    if act.kind == "sigmoid":
+        return 0.5 * (1.0 + np.tanh(z * 0.5))
+    if act.kind == "leaky_relu":
+        return np.maximum(z * act.alpha, z)
+    return activations.apply(act, z)
+
+
+def _reference_backward(act, pre, post, upstream):
+    if act.kind == "identity":
+        return upstream.copy()
+    if act.kind == "sigmoid":
+        return upstream * post * (1.0 - post)
+    if act.kind == "leaky_relu":
+        return np.maximum(np.sign(pre), act.alpha) * upstream
+    return activations.backward(act, pre, post, upstream)
+
+
+def _reference_pass(net, x, upstream):
+    """Output, parameter gradient and input gradient written with ``@`` and
+    a fresh array for every intermediate."""
+    pre, post, a = [], [], x
+    for w, b, act in zip(net.weights, net.biases, net.layer_activations):
+        z = a @ w.T
+        z += b
+        a = _reference_apply(act, z)
+        pre.append(z)
+        post.append(a)
+    blocks, g = [], upstream
+    for w, act, z, p, below in reversed(list(zip(net.weights, net.layer_activations, pre, post, [x, *post[:-1]]))):
+        gz = _reference_backward(act, z, p, g)
+        blocks[:0] = [(gz.T @ below).ravel(), np.add.reduce(gz, axis=0)]
+        g = gz @ w
+    return a, np.concatenate(blocks), g
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+REGISTRY_NETS = [
+    pytest.param(pair, part, id=f"{pair.name}-{part}")
+    for pair in registry()
+    for part in ("lf_block", "hf_block", "discriminator")
+]
+
+
+@pytest.mark.parametrize("pair, part", REGISTRY_NETS)
+def test_kernels_give_the_bits_of_the_reference(pair, part):
+    """forward and gradient through np.dot into tape buffers give the bits of
+    ``@`` on fresh arrays, on every registered architecture, for a new tape
+    and for a tape refilled after it held other rows; so a numpy or BLAS
+    change that breaks np.dot == @ fails here rather than moving a summary."""
+    net = getattr(GanMdfModel.build(pair.d1, pair.d2, pair.default_config), part)
+    rng = np.random.default_rng(net.params.size)
+    for rows in (1, 2, 4, 5, 31, 32, 33, 64, 1000):
+        x = rng.uniform(-2.0, 2.0, size=(rows, net.input_width))
+        upstream = rng.normal(size=(rows, net.output_width))
+        want_out, want_grad, want_into = _reference_pass(net, x, upstream)
+        _, used = net.forward(rng.normal(size=(rows, net.input_width)))
+        net.forward(rng.normal(size=(rows + 1, net.input_width)), used)  # another row count: left alone
+        for tape in (None, used):
+            out, got = net.forward(x, tape)
+            assert got is used or tape is None
+            grad, into = net.gradient(got, upstream)
+            assert _same_bits(out, want_out), (rows, tape)
+            assert _same_bits(grad, want_grad), (rows, tape)
+            assert _same_bits(into, want_into), (rows, tape)
+
+
+def test_a_tape_of_another_network_or_row_count_is_never_refilled():
+    net, twin = small_net(seed=1), small_net(seed=1)
+    x = np.array([[0.3, -0.2], [0.1, 0.4]])
+    out, tape = net.forward(x)
+    kept = [a.copy() for a in (*tape.pre, *tape.post)]
+    for other, rows in ((twin, x), (net, x[:1]), (net, np.vstack([x, x]))):
+        _, made = other.forward(rows, tape)
+        assert made is not tape
+        assert all(_same_bits(a, b) for a, b in zip((*tape.pre, *tape.post), kept))
+    grad, _ = net.gradient(tape, np.ones_like(out))  # still valid for its own pass
+    assert _same_bits(grad, net.gradient(net.forward(x)[1], np.ones((2, 1)))[0])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_refilled_tape_matches_a_fresh_one(seed):
+    rng = np.random.default_rng(seed)
+    net = DenseNetwork([3, 4, 4, 2], [SIGMOID, leaky_relu(0.2)], IDENTITY, seed=seed)
+    _, tape = net.forward(rng.normal(size=(5, 3)))
+    x, upstream = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
+    out, refilled = net.forward(x, tape)
+    assert refilled is tape and out is tape.post[-1]
+    grad, into = net.gradient(tape, upstream)
+    fresh_out, fresh = net.forward(x)
+    fresh_grad, fresh_into = net.gradient(fresh, upstream)
+    assert _same_bits(out, fresh_out) and _same_bits(grad, fresh_grad) and _same_bits(into, fresh_into)
+
+
+def test_a_received_input_gradient_is_never_overwritten():
+    net, rng = small_net(seed=9), np.random.default_rng(9)
+    out, tape = net.forward(rng.normal(size=(3, 2)))
+    _, first = net.gradient(tape, np.ones_like(out))
+    kept = first.copy()
+    net.gradient(tape, -np.ones_like(out))
+    net.forward(rng.normal(size=(3, 2)), tape)
+    _, second = net.gradient(tape, np.ones_like(out))
+    assert _same_bits(first, kept)
+    assert not np.shares_memory(first, second)
+    assert not any(np.shares_memory(first, a) for a in (*tape.pre, *tape.post, net._grad))
+
+
+def test_a_refill_that_raises_leaves_the_tape_stale():
+    net = small_net(seed=2)
+    out, tape = net.forward(np.array([[0.1, 0.2]]))
+    with pytest.raises(NonFiniteError):
+        net.forward(np.array([[np.nan, 0.2]]), tape)
+    with pytest.raises(ValueError, match="stale"):
+        net.gradient(tape, np.ones_like(out))
