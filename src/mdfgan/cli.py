@@ -78,16 +78,21 @@ def _config_value_parser(default):
 
 
 def _base_seed(args, fallback: int = 0) -> int:
-    """The base seed: --seed, then $MDFGAN_SEED, then ``fallback``."""
+    """The base seed: --seed, then $MDFGAN_SEED, then ``fallback``; a
+    negative seed is rejected under the name it came from."""
     if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get(ENV_SEED)
-    if not env:
-        return fallback
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"${ENV_SEED} must be an integer, got {env!r}") from None
+        seed, source = args.seed, "--seed"
+    else:
+        env = os.environ.get(ENV_SEED)
+        if not env:
+            return fallback
+        try:
+            seed, source = int(env), f"${ENV_SEED}"
+        except ValueError:
+            raise UsageError(f"${ENV_SEED} must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise UsageError(f"{source} must be non-negative, got {seed}")
+    return seed
 
 
 def resolve_config(args, defaults: TrainingConfig) -> TrainingConfig:

@@ -240,8 +240,9 @@ def run_experiment(
     seeds = range(config.seed, config.seed + n_repeats)
     given = [None if variant == "hf-only" else lf_blocks.get((n_lf, seed)) for seed in seeds]
     run = partial(_execute_run, pair, n_lf, n_hf, config, test_size=test_size, variant=variant, nested=nested)
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    workers = min(n_jobs, n_repeats)  # the pool forks all of them at its first task
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run, seeds, given))
     else:
         outcomes = map(run, seeds, given)

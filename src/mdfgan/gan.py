@@ -41,6 +41,7 @@ from .nn import (
     FrozenNetworkError,
     NonFiniteError,
     Tape,
+    leaky_relu,
     parse_activation,
 )
 
@@ -104,7 +105,8 @@ class TrainingConfig:
                 f"{len(self.hidden_sizes)} hidden layers take 1 or "
                 f"{len(self.hidden_sizes)} activations, got {n_acts}"
             )
-        self.resolved_activations()  # an unknown kind or a bad leaky_relu slope raises here
+        leaky_relu(self.leaky_alpha)  # a bad slope raises here, whether or not a layer uses it
+        self.resolved_activations()  # an unknown kind raises here
         if self.lr_disc <= self.lr_gen:
             warnings.warn(
                 "lr_disc <= lr_gen: the discriminative rate is usually the larger one",
@@ -345,14 +347,14 @@ def _batches(x: np.ndarray, y: np.ndarray, cap: int, rng: np.random.Generator):
 
 def _supervised_step(
     net: DenseNetwork, x: np.ndarray, y: np.ndarray, state: AdamState, lr: float, tape: Tape | None = None
-) -> tuple[float, Tape]:
-    """One Adam step on the squared error, refilling ``tape`` when it fits;
-    returns the loss before the step and the tape used."""
+) -> float:
+    """One Adam step on the squared error, refilling ``tape``; returns the
+    loss before the step."""
     pred, tape = net.forward(x, tape)
     loss, upstream = squared_error(pred, y)
     grad, _ = net.gradient(tape, upstream, input_grad=False)
     net.apply_adam(grad, state, lr)
-    return loss, tape
+    return loss
 
 
 def fit_regression(
@@ -367,14 +369,13 @@ def fit_regression(
 ) -> list[float]:
     """Adam on the mean squared-norm residual; returns per-epoch losses."""
     state = AdamState(net.params)
-    tapes: dict[int, Tape] = {}  # one per batch row count
+    tape = Tape(net)
     trace: list[float] = []
     try:
         for epoch in range(epochs):
             epoch_losses = []
             for x_b, y_b in _batches(x, y, batch_cap, rng):
-                loss, tapes[len(x_b)] = _supervised_step(net, x_b, y_b, state, lr, tapes.get(len(x_b)))
-                epoch_losses.append(loss)
+                epoch_losses.append(_supervised_step(net, x_b, y_b, state, lr, tape))
             trace.append(float(np.add.reduce(epoch_losses) / len(epoch_losses)))
     except NonFiniteError as exc:
         raise TrainingDivergedError(f"{label} diverged at epoch {epoch}: {exc}") from exc
@@ -434,33 +435,31 @@ def train_adversarial(
     coupled = config.mode == MODE_COUPLED
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SEED_HF_SHUFFLE]))
 
-    # per batch row count: the tapes of the high-fidelity block and of the
-    # discriminator on real and on generated responses
-    tapes: dict[int, tuple[Tape | None, Tape | None, Tape | None]] = {}
+    # one tape per role: the HF block, the discriminator on real and on generated responses
+    tape_hf, tape_real, tape_fake = Tape(hf_net), Tape(disc), Tape(disc)
     trace: list[TraceRow] = []
     iteration = 0
     try:
         for _epoch in range(config.epochs_hf):
             for gen_in, y_b in _batches(gen_inputs, y, HF_BATCH_CAP, rng):
                 iteration += 1
-                tape_hf, tape_real, tape_fake = tapes.get(len(y_b), (None, None, None))
 
                 # stage 1: supervised refinement (measured even when disabled)
                 stage = "supervised"
                 if config.supervised_trick:
-                    loss_sup, tape_hf = _supervised_step(hf_net, gen_in, y_b, st_hf_sup, config.lr_sup, tape_hf)
+                    loss_sup = _supervised_step(hf_net, gen_in, y_b, st_hf_sup, config.lr_sup, tape_hf)
                 else:
                     # no update before stage 2, which reuses this pass
-                    fake_pred, tape_hf = hf_net.forward(gen_in, tape_hf)
+                    fake_pred, _ = hf_net.forward(gen_in, tape_hf)
                     loss_sup, _ = squared_error(fake_pred, y_b)
 
                 # stage 2: discriminative loss; both gradients are taken at the
                 # current parameters, then applied together
                 stage = "discriminative"
-                real, tape_real = disc.forward(y_b, tape_real)
+                real, _ = disc.forward(y_b, tape_real)
                 if config.supervised_trick:
-                    fake_pred, tape_hf = hf_net.forward(gen_in, tape_hf)
-                fake, tape_fake = disc.forward(fake_pred, tape_fake)
+                    fake_pred, _ = hf_net.forward(gen_in, tape_hf)
+                fake, _ = disc.forward(fake_pred, tape_fake)
                 loss_disc, up_real, up_fake = discriminative(real, fake)
                 g_real, _ = disc.gradient(tape_real, up_real, input_grad=False)
                 g_fake, into_fake = disc.gradient(tape_fake, up_fake, input_grad=coupled)
@@ -476,8 +475,8 @@ def train_adversarial(
 
                 # stage 4: generative loss
                 stage = "generative"
-                fake_pred, tape_hf = hf_net.forward(gen_in, tape_hf)
-                fake, tape_fake = disc.forward(fake_pred, tape_fake)
+                fake_pred, _ = hf_net.forward(gen_in, tape_hf)
+                fake, _ = disc.forward(fake_pred, tape_fake)
                 loss_gen, up_fake = generative(fake)
                 g_disc, into_fake = disc.gradient(tape_fake, up_fake)
                 g_hf, _ = hf_net.gradient(tape_hf, into_fake, input_grad=False)
@@ -490,7 +489,6 @@ def train_adversarial(
                 if config.supervised_trick:
                     _supervised_step(hf_net, gen_in, y_b, st_hf_sup, config.lr_sup, tape_hf)
 
-                tapes[len(y_b)] = tape_hf, tape_real, tape_fake
                 trace.append(TraceRow(iteration, loss_sup, loss_gen, loss_disc))
     except NonFiniteError as exc:
         raise TrainingDivergedError(

@@ -4,18 +4,19 @@ A network keeps all of its parameters in one contiguous float vector laid out
 as w0, b0, w1, b1, ... (each weight matrix row-major, shape (fan_out, fan_in)).
 ``weights[i]`` and ``biases[i]`` are reshaped views into that vector, and
 gradients come back as one vector in the same layout, so the optimizer and the
-checksum work on a single array. Backpropagation writes into one gradient
-vector per network, with the same views, and hands out a copy of it.
+checksum work on a single array.
 
-A forward pass records into a ``Tape``, which also holds the buffers its
-backward pass writes into. ``forward(x, tape)`` refills a tape of the same
-network and row count in place, so a training loop allocates no layer
-buffers after its first step; the refilled tape's previous output is no
-longer valid. Without a fitting tape, ``forward`` makes a new one: the same
-code, given fresh buffers. The layer products go through ``np.dot`` into
-those buffers, which gives the same bits as ``@`` (tests pin this for every
-registered architecture). ``gradient`` hands out new arrays: a copy of the
-parameter gradient, and the input gradient.
+A ``Tape`` owns all per-pass state of one network: the parameter-gradient
+vector that backpropagation writes into, and, for each batch row count, the
+layer buffers a forward and a backward pass write into, made on first use.
+``forward(x, tape)`` refills the tape's buffers for ``len(x)`` rows in place,
+so a training loop keeps one tape per network role and allocates no buffers
+after its first step at each row count; what the tape recorded before, its
+previous output included, is no longer valid. A tape of another network
+raises. Without a tape, ``forward`` makes a new one. The layer products go
+through ``np.dot`` into those buffers, which gives the same bits as ``@``
+(tests pin this for every registered architecture). ``gradient`` hands out
+new arrays: a copy of the tape's parameter gradient, and the input gradient.
 """
 
 from __future__ import annotations
@@ -38,34 +39,40 @@ class FrozenNetworkError(RuntimeError):
 
 
 class Tape:
-    """Per-layer record of one forward pass, sufficient for exact backprop,
-    plus the buffers the backward pass writes into.
-
-    A tape belongs to one network and one row count. ``forward`` refills it
-    in place, so what a refilled tape recorded before, its output included,
-    is gone.
+    """All per-pass state of one network: for each batch row count, the
+    buffers its forward and backward passes write into, made on first use,
+    and the parameter gradient. ``forward`` refills the buffers of its row
+    count, so what they held before, the output included, is gone; ``pre``,
+    ``post`` and the plans are those of the last pass.
     """
 
-    def __init__(self, net: "DenseNetwork", rows: int) -> None:
-        widths = net.layer_sizes[1:]
+    def __init__(self, net: "DenseNetwork") -> None:
         self.net = net
-        self.rows = rows
         self.version = -1
         self.inputs: np.ndarray | None = None
-        self.pre = [np.empty((rows, w)) for w in widths]
-        self.post = [np.empty((rows, w)) for w in widths]
-        # what forward and gradient visit per layer, in the order they do;
-        # below is the layer's input (None: the tape's inputs), grad_pre its
-        # dLoss/d(pre-activation) and grad_in its dLoss/d(input), None on the
-        # first layer, whose input gradient is handed out as a new array
-        self.forward_plan = list(zip(net.weights, net.biases, net.layer_activations, self.pre, self.post))
-        below = [None, *self.post[:-1]]
-        grad_pre = [np.empty((rows, w)) for w in widths]
-        grad_in = [None, *(np.empty((rows, w)) for w in widths[:-1])]
-        self.backward_plan = list(zip(
-            net.weights, net.layer_activations, self.pre, self.post, below, grad_pre, grad_in,
-            net._d_weights, net._d_biases,
-        ))[::-1]
+        self.grad = np.empty_like(net.params)
+        self._by_rows: dict[int, tuple] = {}
+
+    def _select(self, rows: int) -> None:
+        """Point ``pre``, ``post`` and the plans at the buffers for ``rows`` rows."""
+        if rows not in self._by_rows:
+            net, widths = self.net, self.net.layer_sizes[1:]
+            pre = [np.empty((rows, w)) for w in widths]
+            post = [np.empty((rows, w)) for w in widths]
+            # what forward and gradient visit per layer, in the order they do;
+            # below is the layer's input (None: the tape's inputs), grad_pre its
+            # dLoss/d(pre-activation) and grad_in its dLoss/d(input), None on the
+            # first layer, whose input gradient is handed out as a new array
+            below = [None, *post[:-1]]
+            grad_pre = [np.empty((rows, w)) for w in widths]
+            grad_in = [None, *(np.empty((rows, w)) for w in widths[:-1])]
+            d_weights, d_biases = net._split(self.grad)
+            forward_plan = list(zip(net.weights, net.biases, net.layer_activations, pre, post))
+            backward_plan = list(zip(
+                net.weights, net.layer_activations, pre, post, below, grad_pre, grad_in, d_weights, d_biases,
+            ))[::-1]
+            self._by_rows[rows] = pre, post, forward_plan, backward_plan
+        self.pre, self.post, self.forward_plan, self.backward_plan = self._by_rows[rows]
 
 
 def _layout(layer_sizes: list[int]) -> list[tuple[str, slice, tuple[int, ...]]]:
@@ -126,26 +133,17 @@ class DenseNetwork:
         """Adopt ``params`` as the parameter vector and rebuild the views."""
         self.params = params
         self._version = 0
-        self._build_views()
-
-    def _build_views(self) -> None:
-        """Views into the parameter vector, and a gradient scratch vector of
-        this network's own with its views."""
-        self.weights, self.biases = self._split(self.params)
-        self._grad = np.empty_like(self.params)
-        self._d_weights, self._d_biases = self._split(self._grad)
+        self.weights, self.biases = self._split(params)
 
     def __getstate__(self) -> dict:
-        # pickle the parameter vector alone; views would come back as
-        # separate arrays, and the scratch is rebuilt on load
+        # pickle the parameter vector alone; views would come back as copies
         state = self.__dict__.copy()
-        for key in ("weights", "biases", "_grad", "_d_weights", "_d_biases"):
-            del state[key]
+        del state["weights"], state["biases"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._build_views()
+        self.weights, self.biases = self._split(self.params)
 
     def _split(self, vector: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer weight and bias views of a vector in the parameter layout."""
@@ -178,15 +176,18 @@ class DenseNetwork:
     def forward(self, x: np.ndarray, tape: Tape | None = None) -> tuple[np.ndarray, Tape]:
         """Evaluate the network on a batch of rows, shape (n, input width).
 
-        A ``tape`` of this network for n rows is refilled in place, and the
-        output returned is its buffer; any other tape is left alone and a
-        new one is made.
+        A ``tape`` of this network is refilled in place for n rows, and the
+        output returned is its buffer; without one a new tape is made. A
+        tape of another network raises ValueError.
         """
         a = x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.input_width:
             raise ValueError(f"expected input width {self.input_width}, got shape {x.shape}")
-        if tape is None or tape.net is not self or tape.rows != x.shape[0]:
-            tape = Tape(self, x.shape[0])
+        if tape is None:
+            tape = Tape(self)
+        elif tape.net is not self:
+            raise ValueError("tape belongs to another network")
+        tape._select(x.shape[0])
         tape.inputs, tape.version = x, -1  # no gradient from a pass that raised
         for w, b, act, z, post in tape.forward_plan:
             np.dot(a, w.T, out=z)
@@ -219,7 +220,7 @@ class DenseNetwork:
             np.add.reduce(gz, axis=0, out=d_b)
             if input_grad or into is not None:
                 g = np.dot(gz, w, out=into)
-        return self._grad.copy(), (g if input_grad else None)
+        return tape.grad.copy(), (g if input_grad else None)
 
     # -- mutation -----------------------------------------------------------
 

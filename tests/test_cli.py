@@ -207,12 +207,15 @@ def test_an_infinite_leaky_relu_slope_is_a_usage_error(tmp_path, capsys, monkeyp
         (["--activations", "softplus"], "unknown activation kind 'softplus'"),
         (["--activations", "leaky_relu", "--leaky-alpha", "-1"], "leaky_relu slope must be positive and finite"),
         (["--seed", "-1"], "seed must be non-negative, got -1"),
+        (["--leaky-alpha", "nan"], "leaky_relu slope must be positive and finite, got nan"),
     ],
-    ids=["activation-kind", "leaky-slope", "seed"],
+    ids=["activation-kind", "leaky-slope", "seed", "unused-leaky-slope"],
 )
 def test_a_bad_config_value_fails_before_any_data_or_directory(tmp_path, capsys, monkeypatch, flags, message):
     """Each used to draw the dataset and create the output directory (the
-    activations) or hit numpy's own message (the seed) before exiting 2."""
+    activations), hit numpy's own message (the seed), or train to the end
+    and then fail to write the NaN slope into the checkpoint (a slope no
+    layer uses) before exiting 2."""
     def no_dataset(*args, **kwargs):
         raise AssertionError("the dataset was drawn before the configuration was checked")
 
@@ -459,6 +462,26 @@ def test_scatter_env_seed_matches_seed_flag(tmp_path, capsys, monkeypatch):
     env = (tmp_path / "env" / "scatter.csv").read_bytes()
     assert env == (tmp_path / "flag" / "scatter.csv").read_bytes()
     assert env != (tmp_path / "default" / "scatter.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["scatter", "train"])
+@pytest.mark.parametrize(
+    "flags, env, message",
+    [(["--seed", "-1"], None, "--seed must be non-negative, got -1"),
+     ([], "-3", "$MDFGAN_SEED must be non-negative, got -3")],
+    ids=["flag", "env"],
+)
+def test_a_negative_seed_is_named_by_where_it_came_from(tmp_path, capsys, monkeypatch, command, flags, env, message):
+    """scatter used to exit 2 with numpy's 'expected non-negative integer',
+    which names neither the flag nor the variable."""
+    if env is not None:
+        monkeypatch.setenv(cli.ENV_SEED, env)
+    out = tmp_path / "out"
+    fast = FAST_TRAIN if command == "train" else []
+    rc = cli.main([command, "--benchmark", "forrester1d", *flags, "--out", str(out), *fast])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_no_supervised_flag_lands_in_the_checkpoint(tmp_path, capsys):

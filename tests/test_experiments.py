@@ -259,6 +259,34 @@ def test_parallel_runs_match_serial(tmp_path):
     assert serial.seeds == parallel.seeds
 
 
+def test_the_pool_forks_no_idle_workers(monkeypatch):
+    """A cell asks for at most one worker per repeat, and runs in-process
+    when that is one; the recording pool maps serially and starts no
+    process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    cfg, pair = fast_config(seed=2), get("forrester1d")
+    serial = run_experiment(pair, 15, 3, cfg, n_repeats=2, test_size=10, n_jobs=1)
+    assert run_experiment(pair, 15, 3, cfg, n_repeats=2, test_size=10, n_jobs=64).to_dict() == serial.to_dict()
+    assert sizes == [2]
+    run_experiment(pair, 15, 3, cfg, n_repeats=1, test_size=10, n_jobs=64)
+    assert sizes == [2]
+
+
 def count_pretrainings(monkeypatch) -> list:
     """Record each call of the pretraining that runs use."""
     calls = []

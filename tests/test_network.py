@@ -15,7 +15,9 @@ from mdfgan.nn import (
     DenseNetwork,
     FrozenNetworkError,
     NonFiniteError,
+    Tape,
     activations,
+    network,
     leaky_relu,
 )
 
@@ -295,16 +297,20 @@ def test_gradient_results_never_alias():
     assert not any(np.shares_memory(first, view) for view in (*net.weights, *net.biases))
 
 
-def test_copies_and_pickles_get_their_own_gradient_scratch():
+def test_copies_and_pickles_carry_only_the_parameters():
+    """A copy, a pickle or a deepcopy carries the parameter vector and no
+    other array; its weight and bias views alias its own vector."""
     net, x = small_net(seed=7), np.array([[0.2, 0.9]])
     out, tape = net.forward(x)
     want, _ = net.gradient(tape, np.ones_like(out))
-    assert not {"_grad", "_d_weights", "_d_biases"} & set(net.__getstate__())
+    state = net.__getstate__()
+    assert [k for k, v in state.items() if isinstance(v, np.ndarray)] == ["params"]
+    assert not {"weights", "biases"} & set(state)
     for dup in (net.copy(), pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
-        assert not np.shares_memory(dup._grad, net._grad)
-        assert all(np.shares_memory(view, dup._grad) for view in (*dup._d_weights, *dup._d_biases))
+        assert _same_bits(dup.params, net.params) and not np.shares_memory(dup.params, net.params)
+        assert all(np.shares_memory(view, dup.params) for view in (*dup.weights, *dup.biases))
         out, tape = dup.forward(x)
-        np.testing.assert_array_equal(dup.gradient(tape, np.ones_like(out))[0], want)
+        assert _same_bits(dup.gradient(tape, np.ones_like(out))[0], want)
 
 
 def test_cached_block_is_unchanged_when_its_copy_trains():
@@ -412,17 +418,58 @@ def test_kernels_give_the_bits_of_the_reference(pair, part):
             assert _same_bits(into, want_into), (rows, tape)
 
 
-def test_a_tape_of_another_network_or_row_count_is_never_refilled():
+def test_a_tape_of_another_network_raises_and_is_left_alone():
     net, twin = small_net(seed=1), small_net(seed=1)
     x = np.array([[0.3, -0.2], [0.1, 0.4]])
     out, tape = net.forward(x)
     kept = [a.copy() for a in (*tape.pre, *tape.post)]
-    for other, rows in ((twin, x), (net, x[:1]), (net, np.vstack([x, x]))):
-        _, made = other.forward(rows, tape)
-        assert made is not tape
+    for other, rows in ((twin, x), (twin, x[:1]), (net.copy(), x)):
+        with pytest.raises(ValueError, match="tape belongs to another network"):
+            other.forward(rows, tape)
         assert all(_same_bits(a, b) for a, b in zip((*tape.pre, *tape.post), kept))
     grad, _ = net.gradient(tape, np.ones_like(out))  # still valid for its own pass
     assert _same_bits(grad, net.gradient(net.forward(x)[1], np.ones((2, 1)))[0])
+
+
+def test_one_tape_serves_every_row_count():
+    """A tape alternating between 32-row and 4-row batches, with an Adam
+    step after each, gives the bits of fresh tapes; each row count keeps
+    its own buffers, and a pass at one leaves those of the other alone."""
+    rng = np.random.default_rng(4)
+    net = DenseNetwork([3, 4, 4, 2], [SIGMOID, leaky_relu(0.2)], IDENTITY, seed=4)
+    tape, state, held = Tape(net), AdamState(net.params), {}
+    for rows in (32, 4, 32, 4, 4, 32):
+        x, upstream = rng.normal(size=(rows, 3)), rng.normal(size=(rows, 2))
+        out, used = net.forward(x, tape)
+        grad, into = net.gradient(tape, upstream)
+        fresh_out, fresh = net.forward(x)
+        fresh_grad, fresh_into = net.gradient(fresh, upstream)
+        assert used is tape and out is tape.post[-1]
+        assert _same_bits(out, fresh_out) and _same_bits(grad, fresh_grad) and _same_bits(into, fresh_into)
+        buffers = [*tape.pre, *tape.post]
+        for other, (theirs, kept) in held.items():
+            if other == rows:
+                assert all(a is b for a, b in zip(buffers, theirs))
+            else:
+                assert all(_same_bits(a, b) for a, b in zip(theirs, kept))
+        held[rows] = buffers, [a.copy() for a in buffers]
+        net.apply_adam(grad, state, 0.01)
+
+
+def test_fit_regression_builds_one_tape(monkeypatch):
+    """100 rows at a cap of 32 give batches of 32 and of 4 rows, and both
+    fill the same tape."""
+    built = []
+    init = network.Tape.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(network.Tape, "__init__", counted)
+    rng = np.random.default_rng(0)
+    fit_regression(small_net(), rng.normal(size=(100, 2)), rng.normal(size=(100, 1)), 0.01, 2, 32, rng)
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -440,16 +487,19 @@ def test_a_refilled_tape_matches_a_fresh_one(seed):
 
 
 def test_a_received_input_gradient_is_never_overwritten():
+    """It survives later passes on the same tape, at its row count and at
+    another, and shares no memory with the tape."""
     net, rng = small_net(seed=9), np.random.default_rng(9)
     out, tape = net.forward(rng.normal(size=(3, 2)))
     _, first = net.gradient(tape, np.ones_like(out))
     kept = first.copy()
     net.gradient(tape, -np.ones_like(out))
-    net.forward(rng.normal(size=(3, 2)), tape)
-    _, second = net.gradient(tape, np.ones_like(out))
+    for rows in (3, 1, 3):
+        out, _ = net.forward(rng.normal(size=(rows, 2)), tape)
+        _, later = net.gradient(tape, np.ones_like(out))
+        assert not np.shares_memory(first, later)
     assert _same_bits(first, kept)
-    assert not np.shares_memory(first, second)
-    assert not any(np.shares_memory(first, a) for a in (*tape.pre, *tape.post, net._grad))
+    assert not any(np.shares_memory(first, a) for a in (*tape.pre, *tape.post, tape.grad))
 
 
 def test_a_refill_that_raises_leaves_the_tape_stale():
