@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmarks, experiments
-from .data import NORMALIZER_KINDS, dataset_from_rows, load_csv, make_dataset, save_snapshot, write_csv, write_json
+from .data import dataset_from_rows, load_csv, make_dataset, save_snapshot, write_csv, write_json
 from .gan import (
-    MODES,
+    ENV_SEED,
     TrainingConfig,
     TrainingDivergedError,
     load_checkpoint,
@@ -28,18 +28,8 @@ from .gan import (
     write_loss_trace,
 )
 
-ENV_SEED = "MDFGAN_SEED"
-
-
 class UsageError(Exception):
     """Bad flag combination, unreadable input, or invalid configuration."""
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise UsageError(f"expected a comma-separated integer list, got {text!r}") from None
 
 
 def _parse_config_file(path: Path) -> dict:
@@ -66,15 +56,31 @@ _BOOLEANS = {
 }
 
 
+# the list parsers of config values and their flags, named for argparse's error message
+def name_list(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",")]
+
+
+def int_list(text: str) -> list[int]:
+    return [int(part) for part in text.split(",")]
+
+
 def _config_value_parser(default):
-    """Text-to-value parser for a config field, chosen by its default: tuples
-    take comma-separated items, booleans one of the words in ``_BOOLEANS``."""
-    if isinstance(default, bool):
+    """Text-to-value parser for a config field and its flag, chosen by its default:
+    tuples take comma-separated items, booleans one of the words in ``_BOOLEANS``."""
+    if isinstance(default, bool):  # config file only: a boolean's flag is a switch
         return lambda text: _BOOLEANS[text.lower()]
     if isinstance(default, tuple):
-        item = type(default[0])
-        return lambda text: tuple(item(part.strip()) for part in text.split(","))
+        return int_list if isinstance(default[0], int) else name_list
     return type(default)
+
+
+def _config_flags():
+    """(field, flag, dest) per TrainingConfig field with a flag: ``flag`` metadata, else --name-with-dashes."""
+    for f in fields(TrainingConfig):
+        flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+        if flag:
+            yield f, flag, flag[2:].replace("-", "_")
 
 
 def _base_seed(args, fallback: int = 0) -> int:
@@ -107,16 +113,12 @@ def resolve_config(args, defaults: TrainingConfig) -> TrainingConfig:
                 doc[key] = parsers[key](value)
             except (KeyError, ValueError):
                 raise UsageError(f"bad value for config key {key!r}: {value!r}") from None
-    for f in fields(TrainingConfig):
-        value = getattr(args, f.name, None)
+    for f, _, dest in _config_flags():
+        value = getattr(args, dest, None)
+        if isinstance(f.default, bool):  # a switch: given, it sets the opposite of the default
+            value = not f.default if value else None
         if value is not None:
             doc[f.name] = value
-    if getattr(args, "hidden", None):
-        doc["hidden_sizes"] = tuple(_int_list(args.hidden))
-    if getattr(args, "activations", None):
-        doc["hidden_activations"] = tuple(s.strip() for s in args.activations.split(","))
-    if getattr(args, "no_supervised", False):
-        doc["supervised_trick"] = False
     doc["seed"] = _base_seed(args, doc["seed"])
     try:
         return TrainingConfig.from_dict(doc)
@@ -311,20 +313,12 @@ def cmd_list_benchmarks(args) -> int:
 
 def _add_config_flags(sub) -> None:
     sub.add_argument("--config", help="key=value configuration file; flags take precedence")
-    sub.add_argument("--lr-lf", dest="lr_lf", type=float)
-    sub.add_argument("--lr-disc", dest="lr_disc", type=float)
-    sub.add_argument("--lr-gen", dest="lr_gen", type=float)
-    sub.add_argument("--lr-sup", dest="lr_sup", type=float)
-    sub.add_argument("--epochs-lf", dest="epochs_lf", type=int)
-    sub.add_argument("--epochs-hf", dest="epochs_hf", type=int)
-    sub.add_argument("--hidden", help="hidden layer widths, e.g. 32,32")
-    sub.add_argument("--activations", help="hidden activation kinds, e.g. sigmoid,leaky_relu")
-    sub.add_argument("--leaky-alpha", dest="leaky_alpha", type=float)
-    sub.add_argument("--normalizer", choices=NORMALIZER_KINDS)
-    sub.add_argument("--mode", choices=MODES)
-    sub.add_argument("--no-supervised", dest="no_supervised", action="store_true",
-                     help="drop the supervised refinement steps (pure adversarial)")
-    sub.add_argument("--seed", type=int, help=f"base seed (default: ${ENV_SEED} or 0)")
+    for f, flag, _ in _config_flags():
+        if isinstance(f.default, bool):
+            sub.add_argument(flag, action="store_true", help=f.metadata.get("help"))
+        else:
+            sub.add_argument(flag, type=_config_value_parser(f.default), choices=f.metadata.get("choices"),
+                             help=f.metadata.get("help"))
     sub.add_argument("--out", help="output directory (default: mdfgan-out)")
 
 
@@ -365,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_subcommands = (
         ("sweep-hf", "vary the high-fidelity budget", cmd_sweep_hf,
          {"type": int, "help": "fixed low-fidelity count (default 100*d1)"},
-         {"type": _int_list, "required": True, "help": "comma list, e.g. 5,4,3,2"}),
+         {"type": int_list, "required": True, "help": "comma list, e.g. 5,4,3,2"}),
         ("sweep-lf", "vary the low-fidelity budget", cmd_sweep_lf,
-         {"type": _int_list, "help": "comma list (default 100d..20d)"},
+         {"type": int_list, "help": "comma list (default 100d..20d)"},
          {"type": int, "help": "fixed high-fidelity count (default 5)"}),
         ("baselines", "compare against the two ablation baselines", cmd_baselines,
          {"type": int}, {"type": int}),

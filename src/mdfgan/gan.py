@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +53,8 @@ HF_BATCH_CAP = 32  # high-fidelity mini-batch rule, min(32, n_hf): adversarial p
 
 CHECKPOINT_FORMAT_VERSION = 1
 
+ENV_SEED = "MDFGAN_SEED"  # the variable the command line reads the seed from when --seed is not given
+
 # distinct deterministic seed streams derived from the config seed
 _SEED_LF_NET, _SEED_HF_NET, _SEED_DISC_NET = 0, 1, 2
 _SEED_LF_SHUFFLE, _SEED_HF_SHUFFLE = 3, 4
@@ -64,22 +66,30 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class TrainingConfig:
-    """Learning rates, schedule lengths, architecture and mode flags."""
+    """Learning rates, schedule lengths, architecture and mode flags; metadata describes each field's flag."""
 
-    lr_lf: float = 0.03      # low-fidelity block pretraining
-    lr_disc: float = 0.002   # discriminative-loss updates
-    lr_gen: float = 0.001    # generative-loss updates
-    lr_sup: float = 0.05     # supervised-loss updates
-    epochs_lf: int = 4000
-    epochs_hf: int = 350
-    lf_batch_cap: int = 32
-    hidden_sizes: tuple[int, ...] = (32, 32)
-    hidden_activations: tuple[str, ...] = ("sigmoid",)
-    leaky_alpha: float = 0.01
-    normalizer: str = "none"
-    mode: str = MODE_COUPLED
-    supervised_trick: bool = True
-    seed: int = 0
+    lr_lf: float = field(default=0.03, metadata={"help": "low-fidelity block pretraining rate"})
+    lr_disc: float = field(default=0.002, metadata={"help": "discriminative-loss update rate"})
+    lr_gen: float = field(default=0.001, metadata={"help": "generative-loss update rate"})
+    lr_sup: float = field(default=0.05, metadata={"help": "supervised-loss update rate"})
+    epochs_lf: int = field(default=4000, metadata={"help": "low-fidelity block pretraining epochs"})
+    epochs_hf: int = field(default=350, metadata={"help": "adversarial training epochs"})
+    lf_batch_cap: int = field(default=32, metadata={"flag": None})
+    hidden_sizes: tuple[int, ...] = field(
+        default=(32, 32), metadata={"flag": "--hidden", "help": "hidden layer widths, e.g. 32,32"}
+    )
+    hidden_activations: tuple[str, ...] = field(
+        default=("sigmoid",),
+        metadata={"flag": "--activations", "help": "hidden activation kinds, e.g. sigmoid,leaky_relu"},
+    )
+    leaky_alpha: float = field(default=0.01, metadata={"help": "leaky_relu slope below zero"})
+    normalizer: str = field(default="none", metadata={"choices": NORMALIZER_KINDS})
+    mode: str = field(default=MODE_COUPLED, metadata={"choices": MODES})
+    supervised_trick: bool = field(
+        default=True,
+        metadata={"flag": "--no-supervised", "help": "drop the supervised refinement steps (pure adversarial)"},
+    )
+    seed: int = field(default=0, metadata={"help": f"base seed (default: ${ENV_SEED} or 0)"})
 
     def __post_init__(self) -> None:
         self.hidden_sizes = tuple(int(s) for s in self.hidden_sizes)
@@ -346,7 +356,7 @@ def _batches(x: np.ndarray, y: np.ndarray, cap: int, rng: np.random.Generator):
 
 
 def _supervised_step(
-    net: DenseNetwork, x: np.ndarray, y: np.ndarray, state: AdamState, lr: float, tape: Tape | None = None
+    net: DenseNetwork, x: np.ndarray, y: np.ndarray, state: AdamState, lr: float, tape: Tape
 ) -> float:
     """One Adam step on the squared error, refilling ``tape``; returns the
     loss before the step."""

@@ -31,7 +31,7 @@ from . import activations
 from .activations import IDENTITY, Activation
 from .optim import AdamState, adam_step
 
-NETWORK_FORMAT_VERSION = 1
+NETWORK_FORMAT_VERSION = 2
 
 
 class FrozenNetworkError(RuntimeError):
@@ -251,8 +251,7 @@ class DenseNetwork:
             "layer_sizes": self.layer_sizes,
             "hidden_activations": [a.to_dict() for a in self.hidden_activations],
             "output_activation": self.output_activation.to_dict(),
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
+            "params": self.params.tolist(),
             "frozen": self.frozen,
         }
 
@@ -266,13 +265,9 @@ class DenseNetwork:
             [Activation.from_dict(a) for a in doc["hidden_activations"]],
             Activation.from_dict(doc["output_activation"]),
         )
-        if not len(doc["weights"]) == len(doc["biases"]) == net.n_layers:
-            raise ValueError(f"expected {net.n_layers} weight and bias arrays for layer_sizes")
-        for layer, (w, b) in enumerate(zip(doc["weights"], doc["biases"])):
-            w, b = np.asarray(w, dtype=float), np.asarray(b, dtype=float)
-            if w.shape != net.weights[layer].shape or b.shape != net.biases[layer].shape:
-                raise ValueError(f"layer {layer} arrays do not match layer_sizes")
-            net.weights[layer][...] = w
-            net.biases[layer][...] = b
+        params = np.asarray(doc["params"], dtype=float)
+        if params.shape != net.params.shape:
+            raise ValueError(f"expected {net.params.size} params for layer_sizes {net.layer_sizes}")
+        net._bind(params)
         net.frozen = bool(doc.get("frozen", False))
         return net

@@ -3,6 +3,7 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,24 @@ def test_predict_rejects_malformed_checkpoints(tmp_path, capsys, doc):
     assert cli.main(["predict", "--checkpoint", str(path), "--points", "0.5", "--out", str(tmp_path)]) == 2
     assert "bad checkpoint" in capsys.readouterr().err
 
+
+
+def test_predict_rejects_a_version_1_network(tmp_path, capsys):
+    """Network format 2 stores one params list; a version-1 block, with
+    nested per-layer weights and biases, is a bad checkpoint."""
+    assert cli.main(
+        ["train", "--benchmark", "forrester1d", "--il", "10", "--ih", "2", "--out", str(tmp_path), *FAST_TRAIN]
+    ) == 0
+    doc = json.loads((tmp_path / "checkpoint.json").read_text())
+    net = gan.DenseNetwork.from_dict(doc["model"]["lf_block"])
+    block = {k: v for k, v in doc["model"]["lf_block"].items() if k != "params"}
+    block.update(format_version=1, weights=[w.tolist() for w in net.weights], biases=[b.tolist() for b in net.biases])
+    doc["model"]["lf_block"] = block
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["predict", "--checkpoint", str(path), "--points", "0.5", "--out", str(tmp_path)]) == 2
+    assert "bad checkpoint: unsupported network format version 1" in capsys.readouterr().err
 
 @pytest.mark.parametrize("part, width", [("inputs", 1), ("lf_outputs", 2), ("hf_outputs", 2)])
 def test_predict_rejects_normalizers_of_the_wrong_width(tmp_path, capsys, part, width):
@@ -588,6 +607,98 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert rc == 2
     assert "momentum" in capsys.readouterr().err
 
+
+
+def exit_code(argv):
+    """cli.main's return code, or argparse's exit code for a flag it rejects."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "flag, key, text, flag_error, key_error",
+    [
+        ("--hidden", "hidden_sizes", "", "argument --hidden: invalid int_list value: ''", "bad value"),
+        ("--hidden", "hidden_sizes", "8,,8", "argument --hidden: invalid int_list value: '8,,8'", "bad value"),
+        ("--hidden", "hidden_sizes", "8,", "argument --hidden: invalid int_list value: '8,'", "bad value"),
+        ("--hidden", "hidden_sizes", "8,x", "argument --hidden: invalid int_list value: '8,x'", "bad value"),
+        ("--activations", "hidden_activations", "", "unknown activation kind ''", "unknown activation kind ''"),
+    ],
+    ids=["hidden-empty", "hidden-empty-item", "hidden-trailing-comma", "hidden-not-an-int", "activations-empty"],
+)
+def test_a_list_flag_and_its_config_key_reject_the_same_text(
+    tmp_path, capsys, monkeypatch, flag, key, text, flag_error, key_error
+):
+    """An empty --hidden or --activations was ignored and --hidden dropped an
+    empty item, while the config key rejected each of these. An item that
+    is not an integer is now rejected by argparse, not after it; an empty
+    activation is an unknown kind either way."""
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("the dataset was drawn before the configuration was checked")
+
+    monkeypatch.setattr(cli, "make_dataset", no_dataset)
+    out = tmp_path / "out"
+    assert exit_code(["train", "--benchmark", "forrester1d", flag, text, "--out", str(out)]) == 2
+    assert flag_error in capsys.readouterr().err
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = {text}\n")
+    assert exit_code(["train", "--benchmark", "forrester1d", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert key_error in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["sweep-hf", "--ih", "5,x"], ["sweep-hf", "--ih", "5,,3"], ["sweep-lf", "--il", ""]],
+    ids=["not-an-int", "empty-item", "empty"],
+)
+def test_a_bad_sweep_grid_item_exits_two(tmp_path, capsys, monkeypatch, flags):
+    """A non-integer item escaped argparse as a traceback and exit 1, and an
+    empty item was dropped."""
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started on a bad grid")
+
+    monkeypatch.setattr(experiments, "pretrain_lf", no_training)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*flags, "--benchmark", "forrester1d", "--out", str(tmp_path), *FAST])
+    assert exc.value.code == 2
+    assert f"argument {flags[1]}: invalid int_list value: {flags[2]!r}" in capsys.readouterr().err
+
+
+# a value unlike TrainingConfig()'s for each field, as config-file text; a new
+# field needs one here, and its flag and key then must agree like the others
+NON_DEFAULT_TEXT = {
+    "lr_lf": "0.04", "lr_disc": "0.004", "lr_gen": "0.0015", "lr_sup": "0.06",
+    "epochs_lf": "7", "epochs_hf": "3", "lf_batch_cap": "8",
+    "hidden_sizes": "4, 3", "hidden_activations": "ricker, leaky_relu", "leaky_alpha": "0.2",
+    "normalizer": "standard", "mode": "standard-gan", "supervised_trick": "no", "seed": "5",
+}
+
+
+@pytest.mark.parametrize("field", fields(gan.TrainingConfig), ids=lambda f: f.name)
+def test_a_config_key_and_its_flag_set_a_field_alike(tmp_path, monkeypatch, field):
+    """The schema has one definition: each field's config key and flag take
+    the same text to the same TrainingConfig; only lf_batch_cap has no flag."""
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    parser = cli.build_parser()
+
+    def resolved(*argv):
+        return cli.resolve_config(parser.parse_args(["train", *argv]), gan.TrainingConfig())
+
+    text = NON_DEFAULT_TEXT[field.name]
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{field.name} = {text}\n")
+    from_key = resolved("--config", str(cfg_file))
+    assert getattr(from_key, field.name) != getattr(gan.TrainingConfig(), field.name)
+    flags = {f.name: flag for f, flag, _ in cli._config_flags()}
+    if field.name == "lf_batch_cap":
+        assert field.name not in flags
+        with pytest.raises(SystemExit):
+            parser.parse_args(["train", "--lf-batch-cap", text])
+        return
+    switch = isinstance(field.default, bool)
+    assert resolved(flags[field.name], *([] if switch else [text])) == from_key
 
 def test_env_seed_is_the_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.ENV_SEED, "77")

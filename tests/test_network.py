@@ -196,16 +196,27 @@ def test_from_dict_rejects_bad_version():
 
 
 def test_from_dict_rejects_missing_layers():
+    """A params list without the last layer's weight and bias is too short."""
     doc = small_net().to_dict()
-    del doc["weights"][-1], doc["biases"][-1]
-    with pytest.raises(ValueError, match="weight and bias arrays"):
+    doc["params"] = doc["params"][: -(3 + 1)]
+    with pytest.raises(ValueError, match=r"expected 37 params for layer_sizes \[2, 5, 3, 1\]"):
         DenseNetwork.from_dict(doc)
 
 
 def test_from_dict_rejects_mismatched_arrays():
+    """A params list of another network's layer sizes is too long."""
     doc = small_net().to_dict()
-    doc["weights"][0] = [[0.0, 0.0]]  # wrong row count for layer 0
-    with pytest.raises(ValueError, match="layer 0"):
+    doc["params"] = DenseNetwork([2, 6, 3, 1], [SIGMOID, SIGMOID], seed=0).to_dict()["params"]
+    with pytest.raises(ValueError, match="expected 37 params"):
+        DenseNetwork.from_dict(doc)
+
+
+def test_from_dict_rejects_a_version_1_document():
+    """Version 1 stored nested per-layer weights and biases; it is not read."""
+    net = small_net()
+    doc = {k: v for k, v in net.to_dict().items() if k != "params"}
+    doc.update(format_version=1, weights=[w.tolist() for w in net.weights], biases=[b.tolist() for b in net.biases])
+    with pytest.raises(ValueError, match="unsupported network format version 1"):
         DenseNetwork.from_dict(doc)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mdfgan import gan
-from mdfgan.nn import SIGMOID, AdamState, DenseNetwork, activations, network
+from mdfgan.nn import SIGMOID, AdamState, DenseNetwork, Tape, activations, network
 from mdfgan.data import MultiFidelityDataset
 from mdfgan.experiments import RunRecord
 from mdfgan.gan import GanMdfModel, TrainingConfig
@@ -91,5 +91,5 @@ def test_a_training_step_calls_the_wrapped_kernels_by_name(monkeypatch):
     counting(network, "adam_step")
     net = DenseNetwork([2, 4, 4, 1], [SIGMOID, SIGMOID], seed=0)
     x = np.random.default_rng(0).normal(size=(5, 2))
-    gan._supervised_step(net, x, np.zeros((5, 1)), AdamState(net.params), 0.01)
+    gan._supervised_step(net, x, np.zeros((5, 1)), AdamState(net.params), 0.01, Tape(net))
     assert calls == {"apply": 3, "backward": 3, "adam_step": 1}
