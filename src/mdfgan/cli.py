@@ -213,14 +213,10 @@ def cmd_predict(args) -> int:
         raise UsageError("give exactly one of --points or --csv-in")
     if args.points:
         try:
-            rows = [
-                [float(v) for v in chunk.split(",")]
-                for chunk in args.points.split(";")
-                if chunk.strip()
-            ]
+            rows = [[float(v) for v in chunk.split(",")] for chunk in args.points.split(";")]
         except ValueError:
             raise UsageError(f"cannot parse --points {args.points!r}") from None
-        if not rows or any(len(row) != model.d1 for row in rows):
+        if any(len(row) != model.d1 for row in rows):
             raise UsageError(f"inputs must be rows of width {model.d1}")
         inputs = np.asarray(rows, dtype=float)
         if not np.isfinite(inputs).all():

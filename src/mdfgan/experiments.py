@@ -83,10 +83,6 @@ class ExperimentResult:
     records: tuple[RunRecord, ...]
 
     @property
-    def seeds(self) -> list[int]:
-        return [r.seed for r in self.records]
-
-    @property
     def nrmses(self) -> list[float]:
         return [r.nrmse for r in self.records if not r.failed]
 

@@ -49,9 +49,11 @@ MODE_COUPLED = "coupled"
 MODE_STANDARD_GAN = "standard-gan"
 MODES = (MODE_COUPLED, MODE_STANDARD_GAN)
 
+ROLES = ("lf_block", "hf_block", "discriminator")  # the networks' names in a checkpoint
+
 HF_BATCH_CAP = 32  # high-fidelity mini-batch rule, min(32, n_hf): adversarial phase and hf-only baseline
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 ENV_SEED = "MDFGAN_SEED"  # the variable the command line reads the seed from when --seed is not given
 
@@ -186,6 +188,10 @@ class GanMdfModel:
 
     @classmethod
     def build(cls, d1: int, d2: int, config: TrainingConfig) -> "GanMdfModel":
+        """The one definition of the three networks' architecture, in
+        training and on load: a checkpoint stores the config and each
+        network's parameters, not its layers, so a change to what this
+        derives from (d1, d2, config) must bump CHECKPOINT_FORMAT_VERSION."""
         hidden = list(config.hidden_sizes)
         acts = config.resolved_activations()
 
@@ -212,16 +218,17 @@ class GanMdfModel:
         self.lf_output_norm = Normalizer.fit(kind, dataset.lf_y)
         self.hf_output_norm = Normalizer.fit(kind, dataset.hf_y)
 
-    def generator_forward(self, x: np.ndarray) -> np.ndarray:
-        """Compose the two generator blocks: x -> q -> response estimate.
-
-        The high-fidelity block sees the input stacked before the feature
-        vector: (x_1..x_d1, q_1..q_d2). Takes a batch of rows, shape (n, d1).
-        """
+    def hf_inputs(self, x: np.ndarray) -> np.ndarray:
+        """The high-fidelity block's input rows for a batch of rows x, shape
+        (n, d1): each input stacked before its feature vector q from the
+        low-fidelity block, (x_1..x_d1, q_1..q_d2)."""
         x = np.asarray(x, dtype=float)
         q, _ = self.lf_block.forward(x)
-        stacked = np.concatenate([x, q], axis=1)
-        out, _ = self.hf_block.forward(stacked)
+        return np.concatenate([x, q], axis=1)
+
+    def generator_forward(self, x: np.ndarray) -> np.ndarray:
+        """Compose the two generator blocks on a batch of rows: x -> q -> response estimate."""
+        out, _ = self.hf_block.forward(self.hf_inputs(x))
         return out
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
@@ -233,10 +240,15 @@ class GanMdfModel:
         return self.lf_block.checksum()
 
     def to_dict(self) -> dict:
+        """What ``build`` cannot derive from the config: the widths, each
+        network's parameters and frozen flag, and the normalizers."""
         return {
-            "lf_block": self.lf_block.to_dict(),
-            "hf_block": self.hf_block.to_dict(),
-            "discriminator": self.discriminator.to_dict(),
+            "d1": self.d1,
+            "d2": self.d2,
+            **{
+                role: {"params": net.params.tolist(), "frozen": net.frozen}
+                for role, net in zip(ROLES, (self.lf_block, self.hf_block, self.discriminator))
+            },
             "normalizers": {
                 "inputs": self.input_norm.to_dict(),
                 "lf_outputs": self.lf_output_norm.to_dict(),
@@ -245,12 +257,19 @@ class GanMdfModel:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "GanMdfModel":
+    def from_dict(cls, doc: dict, config: TrainingConfig) -> "GanMdfModel":
+        """The model ``to_dict`` wrote, its networks built from ``config``."""
+        built = cls.build(doc["d1"], doc["d2"], config)
+        nets = (built.lf_block, built.hf_block, built.discriminator)
+        for role, net in zip(ROLES, nets):
+            try:
+                net.load_params(doc[role]["params"])
+            except ValueError as exc:
+                raise ValueError(f"{role}: {exc}") from None
+            net.frozen = bool(doc[role]["frozen"])
         norms = doc["normalizers"]
         return cls(
-            DenseNetwork.from_dict(doc["lf_block"]),
-            DenseNetwork.from_dict(doc["hf_block"]),
-            DenseNetwork.from_dict(doc["discriminator"]),
+            *nets,
             Normalizer.from_dict(norms["inputs"]),
             Normalizer.from_dict(norms["lf_outputs"]),
             Normalizer.from_dict(norms["hf_outputs"]),
@@ -430,11 +449,9 @@ def train_adversarial(
         raise FrozenNetworkError("low-fidelity block must be pretrained and frozen first")
 
     lf_sum_before = model.lf_checksum()
-    x = model.input_norm.transform(hf_x)
+    # the low-fidelity block is frozen, so the high-fidelity block's inputs are constant all run
+    gen_inputs = model.hf_inputs(model.input_norm.transform(hf_x))
     y = model.hf_output_norm.transform(hf_y)
-    # the low-fidelity block is frozen, so its features are constant all run
-    q, _ = model.lf_block.forward(x)
-    gen_inputs = np.concatenate([x, q], axis=1)
 
     hf_net, disc = model.hf_block, model.discriminator
     st_hf_sup = AdamState(hf_net.params)
@@ -525,12 +542,7 @@ def train(dataset: MultiFidelityDataset, config: TrainingConfig) -> tuple[GanMdf
 
 
 def save_checkpoint(model: GanMdfModel, config: TrainingConfig, path) -> Path:
-    doc = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "seed": config.seed,
-        "config": config.to_dict(),
-        "model": model.to_dict(),
-    }
+    doc = {"format_version": CHECKPOINT_FORMAT_VERSION, "config": config.to_dict(), "model": model.to_dict()}
     return write_json(path, doc, indent=None)
 
 
@@ -539,10 +551,11 @@ def load_checkpoint(path) -> tuple[GanMdfModel, TrainingConfig]:
     version = doc.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version {version!r}")
+    config = TrainingConfig.from_dict(_json_object(doc.get("config"), "checkpoint config"))
     model = _json_object(doc.get("model"), "checkpoint model")
-    for part in ("lf_block", "hf_block", "discriminator", "normalizers"):
+    for part in (*ROLES, "normalizers"):
         _json_object(model.get(part), f"checkpoint {part}")
-    return GanMdfModel.from_dict(model), TrainingConfig.from_dict(doc["config"])
+    return GanMdfModel.from_dict(model, config), config
 
 
 def _json_object(doc, what: str) -> dict:

@@ -55,15 +55,6 @@ class Activation:
         if self.kind == "leaky_relu" and not 0 < self.alpha < np.inf:  # also false for nan
             raise ValueError(f"leaky_relu slope must be positive and finite, got {self.alpha}")
 
-    def to_dict(self) -> dict:
-        if self.kind == "leaky_relu":
-            return {"kind": self.kind, "alpha": self.alpha}
-        return {"kind": self.kind}
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "Activation":
-        return cls(spec["kind"], spec.get("alpha", 0.01))
-
 
 IDENTITY = Activation("identity")
 SIGMOID = Activation("sigmoid")

@@ -17,6 +17,9 @@ raises. Without a tape, ``forward`` makes a new one. The layer products go
 through ``np.dot`` into those buffers, which gives the same bits as ``@``
 (tests pin this for every registered architecture). ``gradient`` hands out
 new arrays: a copy of the tape's parameter gradient, and the input gradient.
+
+``nn`` keeps no file format: a network is saved as its parameter vector by
+whoever built it, and ``load_params`` reads such a vector back.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ import numpy as np
 from . import activations
 from .activations import IDENTITY, Activation
 from .optim import AdamState, adam_step
-
-NETWORK_FORMAT_VERSION = 2
 
 
 class FrozenNetworkError(RuntimeError):
@@ -153,10 +154,6 @@ class DenseNetwork:
     # -- structure ----------------------------------------------------------
 
     @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
-    @property
     def input_width(self) -> int:
         return self.layer_sizes[0]
 
@@ -234,6 +231,15 @@ class DenseNetwork:
         adam_step(self.params, grad, state, lr, name_of=self.block_name)
         self._version += 1
 
+    def load_params(self, values) -> None:
+        """Overwrite the parameter vector with ``values``, a flat sequence in
+        the parameter layout of exactly ``params.size`` numbers."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != self.params.shape:
+            raise ValueError(f"expected {self.params.size} params for layer_sizes {self.layer_sizes}")
+        self.params[...] = values
+        self._version += 1
+
     def checksum(self) -> str:
         """SHA-256 over the raw parameter bytes; stable iff parameters are."""
         return hashlib.sha256(self.params.tobytes()).hexdigest()
@@ -242,32 +248,3 @@ class DenseNetwork:
         dup = copy.copy(self)
         dup._bind(self.params.copy())
         return dup
-
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": NETWORK_FORMAT_VERSION,
-            "layer_sizes": self.layer_sizes,
-            "hidden_activations": [a.to_dict() for a in self.hidden_activations],
-            "output_activation": self.output_activation.to_dict(),
-            "params": self.params.tolist(),
-            "frozen": self.frozen,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DenseNetwork":
-        version = doc.get("format_version")
-        if version != NETWORK_FORMAT_VERSION:
-            raise ValueError(f"unsupported network format version {version!r}")
-        net = cls(
-            doc["layer_sizes"],
-            [Activation.from_dict(a) for a in doc["hidden_activations"]],
-            Activation.from_dict(doc["output_activation"]),
-        )
-        params = np.asarray(doc["params"], dtype=float)
-        if params.shape != net.params.shape:
-            raise ValueError(f"expected {net.params.size} params for layer_sizes {net.layer_sizes}")
-        net._bind(params)
-        net.frozen = bool(doc.get("frozen", False))
-        return net

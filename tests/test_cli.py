@@ -260,22 +260,36 @@ def test_predict_rejects_malformed_checkpoints(tmp_path, capsys, doc):
 
 
 
-def test_predict_rejects_a_version_1_network(tmp_path, capsys):
-    """Network format 2 stores one params list; a version-1 block, with
-    nested per-layer weights and biases, is a bad checkpoint."""
+def test_predict_rejects_a_format_1_checkpoint(tmp_path, capsys):
+    """Format 1 repeated each network's architecture beside the config and
+    the seed beside it; there is no reader for it, so it must be re-trained."""
     assert cli.main(
         ["train", "--benchmark", "forrester1d", "--il", "10", "--ih", "2", "--out", str(tmp_path), *FAST_TRAIN]
     ) == 0
     doc = json.loads((tmp_path / "checkpoint.json").read_text())
-    net = gan.DenseNetwork.from_dict(doc["model"]["lf_block"])
-    block = {k: v for k, v in doc["model"]["lf_block"].items() if k != "params"}
-    block.update(format_version=1, weights=[w.tolist() for w in net.weights], biases=[b.tolist() for b in net.biases])
-    doc["model"]["lf_block"] = block
+    doc.update(format_version=1, seed=doc["config"]["seed"])
     path = tmp_path / "v1.json"
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert cli.main(["predict", "--checkpoint", str(path), "--points", "0.5", "--out", str(tmp_path)]) == 2
-    assert "bad checkpoint: unsupported network format version 1" in capsys.readouterr().err
+    assert "bad checkpoint: unsupported checkpoint format version 1" in capsys.readouterr().err
+
+
+def test_predict_rejects_a_checkpoint_whose_config_changed_the_architecture(tmp_path, capsys):
+    """The config is the one definition of the networks' layers: edited
+    hidden sizes no longer fit the saved parameter vectors."""
+    assert cli.main(
+        ["train", "--benchmark", "forrester1d", "--il", "10", "--ih", "2", "--out", str(tmp_path), *FAST_TRAIN]
+    ) == 0
+    path = tmp_path / "checkpoint.json"
+    doc = json.loads(path.read_text())
+    doc["config"]["hidden_sizes"] = [8]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["predict", "--checkpoint", str(path), "--points", "0.5", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad checkpoint: lf_block: expected 25 params for layer_sizes [1, 8, 1]\n"
+    )
 
 @pytest.mark.parametrize("part, width", [("inputs", 1), ("lf_outputs", 2), ("hf_outputs", 2)])
 def test_predict_rejects_normalizers_of_the_wrong_width(tmp_path, capsys, part, width):
@@ -404,6 +418,23 @@ def test_predict_rejects_ragged_points(tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(["predict", "--checkpoint", ckpt, "--points", ragged, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == "error: inputs must be rows of width 1\n"
+
+
+def test_predict_rejects_empty_points_rows(tmp_path, capsys):
+    """An empty row is bad input, as an empty list-flag item is, not a row
+    dropped in silence."""
+    assert cli.main(
+        ["train", "--benchmark", "forrester1d", "--il", "10", "--ih", "2",
+         "--out", str(tmp_path), *FAST_TRAIN]
+    ) == 0
+    ckpt = str(tmp_path / "checkpoint.json")
+    for points in ("0.25;;0.5;", "0.25;0.5;", ";0.5", "0.25; ;0.5"):
+        capsys.readouterr()
+        assert cli.main(["predict", "--checkpoint", ckpt, "--points", points, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: cannot parse --points {points!r}\n"
+    assert not (tmp_path / "predictions.csv").exists()
+    assert cli.main(["predict", "--checkpoint", ckpt, "--points", "0.25;0.5;0.75", "--out", str(tmp_path)]) == 0
+    assert len((tmp_path / "predictions.csv").read_text().splitlines()) == 4
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

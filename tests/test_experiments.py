@@ -59,7 +59,7 @@ def test_single_repeat_mean_equals_the_run():
 
 def test_seeds_count_up_from_the_base():
     res = run_experiment(get("forrester1d"), 20, 3, fast_config(seed=7), n_repeats=3, test_size=20)
-    assert res.seeds == [7, 8, 9]
+    assert [r.seed for r in res.records] == [7, 8, 9]
 
 
 def test_repeated_invocations_are_identical():
@@ -143,7 +143,7 @@ def test_empty_grids_rejected():
 def test_baselines_share_seeds_across_variants():
     comp = run_baselines(get("forrester1d"), 20, 3, fast_config(seed=2), n_repeats=2, test_size=20)
     assert isinstance(comp, BaselineComparison)
-    assert comp.gan.seeds == comp.pgan.seeds == comp.hf_only.seeds == [2, 3]
+    assert [[r.seed for r in res.records] for res in (comp.gan, comp.pgan, comp.hf_only)] == [[2, 3]] * 3
     doc = comp.to_dict()
     assert set(doc) == {"gan", "pgan", "hf_only"}
 
@@ -256,7 +256,7 @@ def test_parallel_runs_match_serial(tmp_path):
     serial = run_experiment(pair, 15, 3, cfg, n_repeats=4, test_size=20, n_jobs=1)
     parallel = run_experiment(pair, 15, 3, cfg, n_repeats=4, test_size=20, n_jobs=2)
     assert [r.nrmse for r in serial.records] == [r.nrmse for r in parallel.records]
-    assert serial.seeds == parallel.seeds
+    assert [r.seed for r in serial.records] == [r.seed for r in parallel.records]
 
 
 def test_the_pool_forks_no_idle_workers(monkeypatch):

@@ -735,15 +735,33 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_schema_is_the_config_and_each_network_as_its_parameters(tmp_path):
+    """Format 2 stores the config once; each network is its parameter
+    vector and frozen flag, its layers being what build derives from d1, d2
+    and the config."""
+    model, _, _, cfg = toy_problem()  # LF block frozen
+    doc = json.loads(save_checkpoint(model, cfg, tmp_path / "ckpt.json").read_text())
+    assert sorted(doc) == ["config", "format_version", "model"]
+    assert doc["format_version"] == 2
+    assert doc["config"] == json.loads(json.dumps(cfg.to_dict()))
+    assert sorted(doc["model"]) == ["d1", "d2", "discriminator", "hf_block", "lf_block", "normalizers"]
+    assert (doc["model"]["d1"], doc["model"]["d2"]) == (1, 1)
+    nets = {"lf_block": model.lf_block, "hf_block": model.hf_block, "discriminator": model.discriminator}
+    for role, net in nets.items():
+        assert doc["model"][role] == {"params": net.params.tolist(), "frozen": role == "lf_block"}
+
+
 @pytest.mark.parametrize(
     "doc",
     [
         [1, 2],
-        {"format_version": 1, "model": [1]},
-        {"format_version": 1, "model": {"lf_block": {}, "hf_block": {}, "discriminator": {}, "normalizers": []}},
+        {"format_version": 2, "config": {}, "model": [1]},
+        {"format_version": 2, "config": {}, "model": {"lf_block": {}, "hf_block": {}, "discriminator": {}, "normalizers": []}},
+        {"format_version": 2, "config": [1], "model": {}},
     ],
 )
 def test_checkpoint_rejects_non_object_documents(tmp_path, doc):
+    """The config is parsed first; "config": {} is the default config."""
     path = tmp_path / "ckpt.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="must be a JSON object"):

@@ -31,7 +31,7 @@ def test_shapes_follow_layer_sizes():
     assert [w.shape for w in net.weights] == [(5, 2), (3, 5), (1, 3)]
     assert [b.shape for b in net.biases] == [(5,), (3,), (1,)]
     assert net.input_width == 2 and net.output_width == 1
-    assert net.n_layers == 3
+    assert len(net.weights) == 3
 
 
 def test_biases_start_at_zero():
@@ -180,44 +180,47 @@ def test_copy_preserves_frozen_flag():
 
 
 def test_serialization_round_trip_is_exact():
+    """A parameter vector saved as a JSON list and loaded into a network of
+    the same layer sizes gives the same bits."""
     net = small_net(seed=13)
-    doc = json.loads(json.dumps(net.to_dict()))
-    again = DenseNetwork.from_dict(doc)
+    again = small_net(seed=14)
+    again.load_params(json.loads(json.dumps(net.params.tolist())))
     assert again.checksum() == net.checksum()
     x = np.array([[0.2, 0.9]])
     np.testing.assert_array_equal(again.forward(x)[0], net.forward(x)[0])
 
 
-def test_from_dict_rejects_bad_version():
-    doc = small_net().to_dict()
-    doc["format_version"] = 99
-    with pytest.raises(ValueError, match="version"):
-        DenseNetwork.from_dict(doc)
-
-
-def test_from_dict_rejects_missing_layers():
+def test_load_params_rejects_missing_layers():
     """A params list without the last layer's weight and bias is too short."""
-    doc = small_net().to_dict()
-    doc["params"] = doc["params"][: -(3 + 1)]
-    with pytest.raises(ValueError, match=r"expected 37 params for layer_sizes \[2, 5, 3, 1\]"):
-        DenseNetwork.from_dict(doc)
-
-
-def test_from_dict_rejects_mismatched_arrays():
-    """A params list of another network's layer sizes is too long."""
-    doc = small_net().to_dict()
-    doc["params"] = DenseNetwork([2, 6, 3, 1], [SIGMOID, SIGMOID], seed=0).to_dict()["params"]
-    with pytest.raises(ValueError, match="expected 37 params"):
-        DenseNetwork.from_dict(doc)
-
-
-def test_from_dict_rejects_a_version_1_document():
-    """Version 1 stored nested per-layer weights and biases; it is not read."""
     net = small_net()
-    doc = {k: v for k, v in net.to_dict().items() if k != "params"}
-    doc.update(format_version=1, weights=[w.tolist() for w in net.weights], biases=[b.tolist() for b in net.biases])
-    with pytest.raises(ValueError, match="unsupported network format version 1"):
-        DenseNetwork.from_dict(doc)
+    with pytest.raises(ValueError, match=r"^expected 37 params for layer_sizes \[2, 5, 3, 1\]$"):
+        net.load_params(net.params.tolist()[: -(3 + 1)])
+
+
+def test_load_params_rejects_mismatched_arrays():
+    """A params list of another network's layer sizes is too long."""
+    other = DenseNetwork([2, 6, 3, 1], [SIGMOID, SIGMOID], seed=0)
+    with pytest.raises(ValueError, match="expected 37 params"):
+        small_net().load_params(other.params.tolist())
+
+
+def test_load_params_rejects_nested_per_layer_lists():
+    """Only the flat vector is read: the right numbers in any other shape,
+    such as per-layer weights and biases, are rejected, and the network
+    keeps its parameters."""
+    net = small_net()
+    before = net.checksum()
+    with pytest.raises(ValueError, match="expected 37 params"):
+        net.load_params(net.params.reshape(1, -1))
+    assert net.checksum() == before
+
+
+def test_load_params_stales_the_networks_tapes():
+    net = small_net(seed=4)
+    out, tape = net.forward(np.array([[0.1, 0.2]]))
+    net.load_params(small_net(seed=5).params)
+    with pytest.raises(ValueError, match="stale tape"):
+        net.gradient(tape, np.ones_like(out))
 
 
 def test_apply_adam_bumps_version():
@@ -265,9 +268,11 @@ def test_gradient_is_one_vector_in_the_parameter_layout():
     assert grad[-1] == 2.0
 
 
-def test_copy_and_from_dict_get_their_own_vector():
+def test_copy_and_load_params_get_their_own_vector():
     net = small_net(seed=7)
-    for dup in (net.copy(), DenseNetwork.from_dict(net.to_dict())):
+    loaded = small_net(seed=8)
+    loaded.load_params(net.params)
+    for dup in (net.copy(), loaded):
         np.testing.assert_array_equal(dup.params, net.params)
         assert not np.shares_memory(dup.params, net.params)
         assert all(np.shares_memory(w, dup.params) for w in dup.weights)

@@ -3,16 +3,19 @@ arguments and attributes by name; a rename in the package should fail here,
 not later in a traced benchmark run. Reads perfbench/tracer.py, changes
 nothing in it."""
 
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
+import json
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mdfgan import gan
+from mdfgan import cli, gan
 from mdfgan.nn import SIGMOID, AdamState, DenseNetwork, Tape, activations, network
 from mdfgan.data import MultiFidelityDataset
 from mdfgan.experiments import RunRecord
@@ -67,6 +70,19 @@ def test_hooks_read_existing_attributes(tracer):
     # the constants the hooks count Adam steps and iterations with
     assert tracer.HF_BATCH_CAP == gan.HF_BATCH_CAP
     assert gan.MODE_COUPLED == "coupled"
+
+
+def test_the_checkpoint_holds_the_frozen_flag_the_benchmark_reads(tmp_path):
+    """The CLI workload checks a trained checkpoint's LF block by reading
+    doc["model"]["lf_block"]["frozen"]; a schema change must keep that key."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(
+            ["train", "--benchmark", "forrester1d", "--il", "10", "--ih", "2", "--epochs-lf", "5",
+             "--epochs-hf", "2", "--hidden", "4", "--out", str(tmp_path)]
+        )
+    assert code == 0
+    doc = json.loads((tmp_path / "checkpoint.json").read_text(encoding="utf-8"))
+    assert doc["model"]["lf_block"]["frozen"] is True
 
 
 def test_a_training_step_calls_the_wrapped_kernels_by_name(monkeypatch):
