@@ -36,7 +36,7 @@ def _parse_config_file(path: Path) -> dict:
     """Key=value lines; blank lines and #-comments are ignored."""
     doc = {}
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # -sig: drop a leading BOM
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):

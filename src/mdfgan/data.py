@@ -128,7 +128,7 @@ def load_csv(path, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
     path = Path(path)
     rows: list[list[float]] = []
     header: tuple[int, list[str]] | None = None
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:  # -sig: drop a leading BOM
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not any(cell.strip() for cell in row):
                 continue

@@ -10,8 +10,8 @@ per-seed data.
 
 from __future__ import annotations
 
+import concurrent.futures
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -237,8 +237,8 @@ def run_experiment(
     given = [None if variant == "hf-only" else lf_blocks.get((n_lf, seed)) for seed in seeds]
     run = partial(_execute_run, pair, n_lf, n_hf, config, test_size=test_size, variant=variant, nested=nested)
     workers = min(n_jobs, n_repeats)  # the pool forks all of them at its first task
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if workers > 1:  # reading the attribute imports multiprocessing, so one-process runs never load it
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run, seeds, given))
     else:
         outcomes = map(run, seeds, given)

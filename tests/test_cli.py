@@ -601,6 +601,22 @@ def test_config_file_parses_every_field_kind(tmp_path, capsys):
     assert (cfg.leaky_alpha, cfg.mode, cfg.supervised_trick, cfg.seed) == (0.2, "standard-gan", False, 9)
 
 
+def test_config_file_and_csv_in_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_bytes(b"\xef\xbb\xbfseed = 9\nepochs_lf = 20\nepochs_hf = 3\nhidden_sizes = 4\n")
+    rc = cli.main(
+        ["train", "--benchmark", "forrester1d", "--il", "10", "--ih", "2",
+         "--config", str(cfg_file), "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    assert load_checkpoint(tmp_path / "checkpoint.json")[1].seed == 9
+    ckpt = str(tmp_path / "checkpoint.json")
+    (tmp_path / "in.csv").write_bytes(b"\xef\xbb\xbf0.25\n0.5\n0.75\n")
+    assert cli.main(["predict", "--checkpoint", ckpt, "--csv-in", str(tmp_path / "in.csv"), "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["predict", "--checkpoint", ckpt, "--points", "0.25;0.5;0.75", "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "predictions.csv").read_bytes() == (tmp_path / "b" / "predictions.csv").read_bytes()
+
+
 def test_config_file_rejects_bad_values(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     for line in ("epochs_lf = many", "hidden_sizes = 4,x", "lr_sup = fast"):

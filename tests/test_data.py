@@ -157,6 +157,18 @@ def test_load_csv_skips_single_header(tmp_path):
     assert x.shape == (1, 2) and y.shape == (1, 1)
 
 
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    """Spreadsheet "CSV UTF-8" exports start with a BOM; it must not turn
+    the first data row into a header that is skipped."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"\xef\xbb\xbf0.25\n0.5\n0.75\n")
+    x, _ = load_csv(path, 1, 0)
+    np.testing.assert_array_equal(x, [[0.25], [0.5], [0.75]])
+    path.write_bytes(b"\xef\xbb\xbfx1,y\n0.5,1.0\n")
+    x, y = load_csv(path, 1, 1)
+    assert x.tolist() == [[0.5]] and y.tolist() == [[1.0]]
+
+
 def test_load_csv_header_only_file_is_a_parse_error(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("a,b\n")

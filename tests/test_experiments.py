@@ -1,5 +1,9 @@
+import concurrent.futures
 import hashlib
 import json
+import subprocess
+import sys
+import textwrap
 import warnings
 from dataclasses import replace
 
@@ -278,13 +282,51 @@ def test_the_pool_forks_no_idle_workers(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cfg, pair = fast_config(seed=2), get("forrester1d")
     serial = run_experiment(pair, 15, 3, cfg, n_repeats=2, test_size=10, n_jobs=1)
     assert run_experiment(pair, 15, 3, cfg, n_repeats=2, test_size=10, n_jobs=64).to_dict() == serial.to_dict()
     assert sizes == [2]
     run_experiment(pair, 15, 3, cfg, n_repeats=1, test_size=10, n_jobs=64)
     assert sizes == [2]
+
+
+_POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
+
+
+def test_only_a_pool_loads_the_process_pool_modules(tmp_path):
+    """train, predict and a --jobs 1 table leave multiprocessing unloaded;
+    a --jobs 2 cell loads it. A fresh interpreter, so that what this test
+    process has imported cannot mask the result."""
+    script = textwrap.dedent(
+        f"""
+        import json, sys
+        import mdfgan
+        from mdfgan import cli
+
+        def loaded():
+            return [name for name in {_POOL_MODULES!r} if name in sys.modules]
+
+        out, fast = sys.argv[1], ["--epochs-lf", "20", "--epochs-hf", "3", "--hidden", "4"]
+        table = ["sweep-hf", "--benchmark", "forrester1d", "--il", "10", "--ih", "2", *fast,
+                 "--repeats", "2", "--test-points", "10"]
+        assert cli.main(["train", "--benchmark", "forrester1d", "--il", "10", "--ih", "2", *fast,
+                         "--out", out + "/train"]) == 0
+        assert cli.main(["predict", "--checkpoint", out + "/train/checkpoint.json", "--points", "0.5",
+                         "--out", out + "/predict"]) == 0
+        assert cli.main([*table, "--jobs", "1", "--out", out + "/serial"]) == 0
+        before = loaded()
+        assert cli.main([*table, "--jobs", "2", "--out", out + "/pool"]) == 0
+        print(json.dumps([before, loaded()]))
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, check=True)
+    before, after = json.loads(proc.stdout.splitlines()[-1])
+    assert before == []
+    assert after == list(_POOL_MODULES)
+    assert (tmp_path / "serial" / "sweep_hf_summary.json").read_bytes() == (
+        tmp_path / "pool" / "sweep_hf_summary.json"
+    ).read_bytes()
 
 
 def count_pretrainings(monkeypatch) -> list:
