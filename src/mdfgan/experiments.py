@@ -6,6 +6,10 @@ Sweeps repeat runs over seeds and over grid values of the sample budgets;
 baselines train three variants (full model, no-supervised-trick ablation,
 and a plain network fitted to the high-fidelity samples alone) on identical
 per-seed data.
+
+The seed is the unit of work. A table (a sweep or a baseline comparison)
+runs one task per seed, which runs every cell of that seed in cell order in
+one process; ``--jobs N`` spreads those tasks over one pool per table.
 """
 
 from __future__ import annotations
@@ -201,12 +205,40 @@ def _execute_run(
     return RunRecord(run_seed, value, wall_ms, lf_frozen_ok, error), pretrained
 
 
-def _check_cell(n_lf: int, n_hf: int, variant: str) -> None:
-    """Reject a grid cell that no run could train, before any run starts."""
-    if n_lf < n_hf or n_hf < 1:
-        raise ValueError(f"need n_lf >= n_hf >= 1, got I_L={n_lf} I_H={n_hf}")
-    if variant != "hf-only" and n_hf < 2:
-        raise ValueError(f"adversarial training needs at least two high-fidelity samples, got I_H={n_hf}")
+def _check_table(cells, n_repeats: int, test_size: int, n_jobs: int) -> None:
+    """Reject counts and ``(n_lf, n_hf, variant)`` grid cells that no run
+    could train, before any run starts or any pool is made."""
+    if n_repeats < 1 or test_size < 1 or n_jobs < 1:
+        raise ValueError("need n_repeats >= 1, test_size >= 1 and n_jobs >= 1")
+    for n_lf, n_hf, variant in cells:
+        if variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        if n_lf < n_hf or n_hf < 1:
+            raise ValueError(f"need n_lf >= n_hf >= 1, got I_L={n_lf} I_H={n_hf}")
+        if variant != "hf-only" and n_hf < 2:
+            raise ValueError(f"adversarial training needs at least two high-fidelity samples, got I_H={n_hf}")
+
+
+def _map_seeds(fn, n_jobs: int, seeds) -> list:
+    """``fn(seed)`` for each seed, in seed order: in this process, or on one
+    pool of at most one worker per seed. The one place that makes a process
+    pool."""
+    workers = min(n_jobs, len(seeds))  # the pool forks all of them at its first task
+    if workers > 1:  # reading the attribute imports multiprocessing, so one-process runs never load it
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, seeds))
+    return list(map(fn, seeds))
+
+
+def _run_seed(pair, n_lf, n_hf, config, lf_blocks: dict, seed: int, **kwargs) -> RunRecord:
+    """One run of a cell, handed the block ``lf_blocks`` holds for its
+    (I_L, seed); a block it pretrains joins ``lf_blocks`` in the process
+    that ran it."""
+    given = None if kwargs["variant"] == "hf-only" else lf_blocks.get((n_lf, seed))
+    record, pretrained = _execute_run(pair, n_lf, n_hf, config, seed, given, **kwargs)
+    if pretrained is not None:
+        lf_blocks[n_lf, seed] = pretrained
+    return record
 
 
 def run_experiment(
@@ -225,45 +257,45 @@ def run_experiment(
     """Repeat a run ``n_repeats`` times with seeds base, base+1, ...
 
     The base seed is ``config.seed``. Failed repeats are kept in the record
-    list with their error text and excluded from the mean.
+    list with their error text and excluded from the mean. A worker returns
+    only its run's record, so at ``n_jobs > 1`` a block a run pretrains
+    stays in that worker and never reaches ``_lf_blocks``.
     """
-    if n_repeats < 1 or test_size < 1 or n_jobs < 1:
-        raise ValueError("need n_repeats >= 1, test_size >= 1 and n_jobs >= 1")
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    _check_cell(n_lf, n_hf, variant)
+    _check_table([(n_lf, n_hf, variant)], n_repeats, test_size, n_jobs)
     lf_blocks = {} if _lf_blocks is None else _lf_blocks
-    seeds = range(config.seed, config.seed + n_repeats)
-    given = [None if variant == "hf-only" else lf_blocks.get((n_lf, seed)) for seed in seeds]
-    run = partial(_execute_run, pair, n_lf, n_hf, config, test_size=test_size, variant=variant, nested=nested)
-    workers = min(n_jobs, n_repeats)  # the pool forks all of them at its first task
-    if workers > 1:  # reading the attribute imports multiprocessing, so one-process runs never load it
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, seeds, given))
-    else:
-        outcomes = map(run, seeds, given)
-    records = []
-    for seed, (record, pretrained) in zip(seeds, outcomes):
-        if pretrained is not None:
-            lf_blocks[n_lf, seed] = pretrained
-        records.append(record)
+    run = partial(_run_seed, pair, n_lf, n_hf, config, lf_blocks, test_size=test_size, variant=variant, nested=nested)
+    records = _map_seeds(run, n_jobs, range(config.seed, config.seed + n_repeats))
     return ExperimentResult(pair.name, n_lf, n_hf, tuple(records))
 
 
-def _run_cells(pair, cells, config, n_repeats, **kwargs) -> list[ExperimentResult]:
-    """``run_experiment`` on each ``(n_lf, n_hf, variant)`` cell in order,
-    after checking every cell. The cells share the frozen LF blocks they
-    pretrain, keyed by (I_L, seed): within one table the pair and the config
-    are fixed, pretraining ignores ``supervised_trick``, and ``make_dataset``
-    draws the LF samples from the seed and I_L alone, so a block pretrained
-    for one cell is the block any other cell would pretrain."""
-    for n_lf, n_hf, variant in cells:
-        _check_cell(n_lf, n_hf, variant)
+def _run_table_seed(pair, cells, config, seed: int, **kwargs) -> list[RunRecord]:
+    """Every cell of a table for one seed, in cell order and in one process.
+
+    The cells share this seed's frozen LF blocks, keyed by (I_L, seed):
+    within one table the pair and the config are fixed, pretraining ignores
+    ``supervised_trick``, and ``make_dataset`` draws the LF samples from the
+    seed and I_L alone, so a block pretrained for one cell is the block any
+    other cell would pretrain. The blocks are dropped when the seed is done.
+    """
     lf_blocks: dict = {}
+    cfg = replace(config, seed=seed)
     return [
-        run_experiment(pair, n_lf, n_hf, config, n_repeats, variant=variant, _lf_blocks=lf_blocks, **kwargs)
+        run_experiment(pair, n_lf, n_hf, cfg, 1, variant=variant, _lf_blocks=lf_blocks, **kwargs).records[0]
         for n_lf, n_hf, variant in cells
     ]
+
+
+def _run_cells(
+    pair, cells, config, n_repeats, test_size=DEFAULT_TEST_SIZE, nested=False, n_jobs=1
+) -> list[ExperimentResult]:
+    """One ``ExperimentResult`` per ``(n_lf, n_hf, variant)`` cell, in order,
+    after checking every cell. The seed is the unit of work: one task per
+    seed runs all the cells, so a table makes at most one pool and no LF
+    block leaves the process that pretrained it."""
+    _check_table(cells, n_repeats, test_size, n_jobs)
+    task = partial(_run_table_seed, pair, cells, config, test_size=test_size, nested=nested)
+    per_seed = _map_seeds(task, n_jobs, range(config.seed, config.seed + n_repeats))
+    return [ExperimentResult(pair.name, n_lf, n_hf, records) for (n_lf, n_hf, _), records in zip(cells, zip(*per_seed))]
 
 
 def run_hf_sweep(

@@ -493,6 +493,26 @@ def test_baselines_writes_three_variants(tmp_path, capsys):
     assert "no-supervised" in out
 
 
+
+@pytest.mark.parametrize(
+    "command, name", [(["sweep-lf", "--il", "20,12"], "sweep_lf"), (["baselines", "--il", "20"], "baselines")]
+)
+def test_tables_write_the_same_artifacts_at_every_job_count(tmp_path, capsys, command, name):
+    """The process pool changes no byte of a summary and no result but the
+    wall_ms column."""
+    for jobs in ("1", "2"):
+        rc = cli.main(
+            [*command, "--benchmark", "forrester1d", "--ih", "3", "--jobs", jobs, "--out", str(tmp_path / jobs), *FAST]
+        )
+        assert rc == 0
+    summary = f"{name}_summary.json"
+    assert (tmp_path / "1" / summary).read_bytes() == (tmp_path / "2" / summary).read_bytes()
+    tables = sorted(p.name for p in (tmp_path / "1").glob("*.csv"))
+    assert tables and tables == sorted(p.name for p in (tmp_path / "2").glob("*.csv"))
+    for table in tables:
+        assert strip_wall_column(tmp_path / "1" / table) == strip_wall_column(tmp_path / "2" / table)
+
+
 def test_scatter_subcommand(tmp_path, capsys):
     rc = cli.main(
         ["scatter", "--benchmark", "currin2d", "--points", "7", "--out", str(tmp_path)]

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import json
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -291,6 +292,68 @@ def test_the_pool_forks_no_idle_workers(monkeypatch):
     assert sizes == [2]
 
 
+
+def record_pools(monkeypatch) -> list:
+    """Swap the process pool for one that maps in this process and records
+    each pool's size. Each task goes through pickle, as it would to a
+    worker, and each result must be made of ``RunRecord``s only: no LF
+    block may leave the process that pretrained it."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            for args in zip(*iterables):
+                result = pickle.loads(pickle.dumps(fn))(*args)
+                parts = [result] if isinstance(result, RunRecord) else result
+                assert all(type(part) is RunRecord for part in parts), result
+                yield result
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_a_table_makes_one_pool(monkeypatch):
+    """One pool per table, of at most one worker per seed, whatever the
+    number of cells; a --jobs 1 table and a rejected one make none."""
+    sizes = record_pools(monkeypatch)
+    pair, cfg = get("forrester1d"), fast_config(seed=3)
+    comp = run_baselines(pair, 20, 3, cfg, n_repeats=2, test_size=10, n_jobs=64)
+    assert sizes == [2]
+    sweep = run_hf_sweep(pair, 20, [5, 3, 2], cfg, n_repeats=2, test_size=10, n_jobs=64)
+    assert sizes == [2, 2]
+    assert comp.to_dict() == run_baselines(pair, 20, 3, cfg, n_repeats=2, test_size=10).to_dict()
+    assert [r.to_dict() for r in sweep] == [
+        r.to_dict() for r in run_hf_sweep(pair, 20, [5, 3, 2], cfg, n_repeats=2, test_size=10, n_jobs=1)
+    ]
+    assert sizes == [2, 2]
+    for bad in ({"test_size": 0}, {"n_repeats": 0}):
+        with pytest.raises(ValueError, match="need n_repeats >= 1, test_size >= 1"):
+            run_baselines(pair, 20, 3, cfg, **{"n_repeats": 2, "test_size": 10, "n_jobs": 2, **bad})
+    with pytest.raises(ValueError, match="two high-fidelity samples"):
+        run_hf_sweep(pair, 20, [5, 1], cfg, n_repeats=2, test_size=10, n_jobs=2)
+    assert sizes == [2, 2]
+
+
+def test_no_lf_block_leaves_the_process_that_pretrained_it(monkeypatch):
+    """Workers send back run records alone, for a cell and for a table,
+    and the numbers match the in-process run."""
+    record_pools(monkeypatch)
+    pair, cfg = get("forrester1d"), fast_config(seed=5)
+    serial = run_experiment(pair, 20, 3, cfg, n_repeats=2, test_size=10)
+    assert run_experiment(pair, 20, 3, cfg, n_repeats=2, test_size=10, n_jobs=2).to_dict() == serial.to_dict()
+    comp = run_baselines(pair, 20, 3, cfg, n_repeats=2, test_size=10, n_jobs=2)
+    assert comp.gan.to_dict() == serial.to_dict()
+
+
 _POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
 
 
@@ -429,10 +492,8 @@ def test_each_run_is_handed_only_its_own_lf_block(monkeypatch):
     experiments._run_cells(get("forrester1d"), cells, fast_config(), 2, test_size=10)
     assert sorted(made) == [(12, 0), (12, 1), (20, 0), (20, 1)]
     assert handed == [
-        (20, 0, "gan", None), (20, 1, "gan", None),
-        (20, 0, "hf-only", None), (20, 1, "hf-only", None),
-        (20, 0, "pgan", made[20, 0]), (20, 1, "pgan", made[20, 1]),
-        (12, 0, "gan", None), (12, 1, "gan", None),
+        (20, 0, "gan", None), (20, 0, "hf-only", None), (20, 0, "pgan", made[20, 0]), (12, 0, "gan", None),
+        (20, 1, "gan", None), (20, 1, "hf-only", None), (20, 1, "pgan", made[20, 1]), (12, 1, "gan", None),
     ]
 
 
