@@ -94,6 +94,10 @@ class TrainingConfig:
     seed: int = field(default=0, metadata={"help": f"base seed (default: ${ENV_SEED} or 0)"})
 
     def __post_init__(self) -> None:
+        for name in ("hidden_sizes", "hidden_activations"):
+            value = getattr(self, name)
+            if isinstance(value, str):  # a str is a sequence of characters, not of items
+                raise ValueError(f"{name} must be a sequence of items, not the string {value!r}")
         self.hidden_sizes = tuple(int(s) for s in self.hidden_sizes)
         self.hidden_activations = tuple(self.hidden_activations)
         for name in ("lr_lf", "lr_disc", "lr_gen", "lr_sup"):
@@ -449,8 +453,6 @@ def train_adversarial(
         raise FrozenNetworkError("low-fidelity block must be pretrained and frozen first")
 
     lf_sum_before = model.lf_checksum()
-    # the low-fidelity block is frozen, so the high-fidelity block's inputs are constant all run
-    gen_inputs = model.hf_inputs(model.input_norm.transform(hf_x))
     y = model.hf_output_norm.transform(hf_y)
 
     hf_net, disc = model.hf_block, model.discriminator
@@ -467,6 +469,9 @@ def train_adversarial(
     trace: list[TraceRow] = []
     iteration = 0
     try:
+        # the low-fidelity block is frozen, so the high-fidelity block's inputs are constant all run
+        stage = "low-fidelity feature"
+        gen_inputs = model.hf_inputs(model.input_norm.transform(hf_x))
         for _epoch in range(config.epochs_hf):
             for gen_in, y_b in _batches(gen_inputs, y, HF_BATCH_CAP, rng):
                 iteration += 1

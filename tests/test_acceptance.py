@@ -1,13 +1,13 @@
 """Acceptance suite: one test per release criterion, one verdict line each.
 
 Runs everything at the documented budgets, so this module is the slow part
-of the suite (about a minute: 54-58 s on a 2-core x86_64 host, nearly all
-of it criteria 5-7).  The three training-heavy criteria share
-module-scoped runs instead of retraining from scratch.  Verdict lines are
-printed as they happen (visible with ``pytest -s``) and repeated in the
-terminal summary.
+of the suite (21-26 s on a 2-core x86_64 host, nearly all of it the
+criterion 5-7 table).  Criteria 5-7 and 9 read one module-scoped table
+instead of retraining from scratch.  Verdict lines are printed as they
+happen (visible with ``pytest -s``) and repeated in the terminal summary.
 """
 
+import os
 import time
 import zlib
 
@@ -18,11 +18,13 @@ import conftest
 from mdfgan import cli
 from mdfgan.benchmarks import get
 from mdfgan.data import Normalizer, lhs_sample
-from mdfgan.experiments import VARIANTS, BaselineComparison, _run_cells, nrmse, run_experiment
+from mdfgan.experiments import VARIANTS, _run_cells, nrmse
 from mdfgan.gan import train_adversarial
 from mdfgan.nn import activations
 from test_gan import scripted_five_stages, toy_problem
 from test_gradient import check_net, random_net
+
+JOBS = os.cpu_count() or 1
 
 
 def _report(num, ok, detail):
@@ -32,38 +34,25 @@ def _report(num, ok, detail):
     assert ok, line
 
 
-# -- shared heavy runs --------------------------------------------------------
+# -- the shared table ----------------------------------------------------------
 #
-# Criteria 5 and 6 run as one table, as ``run_baselines`` runs its cells: all
-# three variants at I_L=100, I_H=5, then the GAN at I_H=2, which reuses the
-# LF blocks pretrained at I_L=100 (they depend only on I_L and the seed).
-# Criterion 7 reuses the GAN arm as its I_L=100 cell.  Criterion 9 audits
-# the freeze flag over all of them.
+# Criteria 5-7 read one table, run as ``baselines`` and the sweeps run theirs:
+# one task per seed, on a pool of one worker per core.  A seed's cells share
+# its LF blocks, so the I_H=2 cell reuses the blocks pretrained at I_L=100.
+# Criterion 9 audits the freeze flag over the 50 runs that have an LF block.
 
 
 @pytest.fixture(scope="module")
-def table_runs():
+def table():
     pair = get("forrester1d")
-    cells = [(100, 5, v) for v in VARIANTS] + [(100, 2, "gan")]
+    cells = [(100, 5, v) for v in VARIANTS] + [(100, 2, "gan"), (60, 5, "gan"), (20, 5, "gan")]
     start = time.perf_counter()
-    *arms, low = _run_cells(pair, cells, pair.default_config, 10)
-    return BaselineComparison(*arms), low, time.perf_counter() - start
+    results = _run_cells(pair, cells, pair.default_config, 10, n_jobs=JOBS)
+    return dict(zip(cells, results)), time.perf_counter() - start
 
 
-@pytest.fixture(scope="module")
-def lf_sweep_runs(table_runs):
-    pair = get("forrester1d")
-    comparison = table_runs[0]
-    start = time.perf_counter()
-    cells = {
-        n: run_experiment(pair, n, 5, pair.default_config, n_repeats=10)
-        for n in (60, 20)
-    }
-    elapsed = time.perf_counter() - start
-    means = {100: comparison.gan.mean_nrmse}
-    means.update({n: cells[n].mean_nrmse for n in cells})
-    fresh_records = [r for res in cells.values() for r in res.records]
-    return means, fresh_records, elapsed
+def _table_time(elapsed, budget):
+    return f"whole table {elapsed:.0f} s at --jobs {JOBS} (budget {budget} s)"
 
 
 # -- criteria -----------------------------------------------------------------
@@ -148,45 +137,37 @@ def test_criterion_4_five_stage_trace():
     )
 
 
-def test_criterion_5_ablation_direction(table_runs):
-    comparison, _, elapsed = table_runs
-    g = comparison.gan.mean_nrmse
-    p = comparison.pgan.mean_nrmse
-    h = comparison.hf_only.mean_nrmse
+def test_criterion_5_ablation_direction(table):
+    cells, elapsed = table
+    g, p, h = (cells[100, 5, v].mean_nrmse for v in ("gan", "pgan", "hf-only"))
     ok = g < p and g < h and elapsed < 300.0
     _report(
         5,
         ok,
         f"forrester1d I_L=100 I_H=5, 10 repeats: mean NRMSE gan {g:.4f} "
-        f"< no-supervised {p:.4f} and < hf-only {h:.4f} in {elapsed:.0f} s "
-        f"(budget 300 s)",
+        f"< no-supervised {p:.4f} and < hf-only {h:.4f}; {_table_time(elapsed, 300)}",
     )
 
 
-def test_criterion_6_low_hf_robustness(table_runs):
-    comparison, low, elapsed = table_runs
-    base = comparison.gan.mean_nrmse
-    ok = low.mean_nrmse < 2.5 * base and elapsed < 600.0
+def test_criterion_6_low_hf_robustness(table):
+    cells, elapsed = table
+    base, low = cells[100, 5, "gan"].mean_nrmse, cells[100, 2, "gan"].mean_nrmse
+    ok = low < 2.5 * base and elapsed < 600.0
     _report(
         6,
         ok,
-        f"mean NRMSE {low.mean_nrmse:.4f} at I_H=2 vs {base:.4f} at I_H=5 "
-        f"(ratio {low.mean_nrmse / base:.2f}, bound 2.5) in {elapsed:.0f} s "
-        f"(budget 600 s)",
+        f"mean NRMSE {low:.4f} at I_H=2 vs {base:.4f} at I_H=5 "
+        f"(ratio {low / base:.2f}, bound 2.5); {_table_time(elapsed, 600)}",
     )
 
 
-def test_criterion_7_lf_sweep_stability(lf_sweep_runs):
-    means, _, elapsed = lf_sweep_runs
+def test_criterion_7_lf_sweep_stability(table):
+    cells, elapsed = table
+    means = {n: cells[n, 5, "gan"].mean_nrmse for n in (100, 60, 20)}
     spread = max(means.values()) / min(means.values())
     ok = spread < 2.0 and elapsed < 600.0
-    listing = ", ".join(f"I_L={n}: {means[n]:.4f}" for n in sorted(means, reverse=True))
-    _report(
-        7,
-        ok,
-        f"{listing}; max/min {spread:.2f} (bound 2.0), fresh cells in "
-        f"{elapsed:.0f} s (budget 600 s, I_L=100 arm shared with criterion 5)",
-    )
+    listing = ", ".join(f"I_L={n}: {m:.4f}" for n, m in means.items())
+    _report(7, ok, f"{listing}; max/min {spread:.2f} (bound 2.0); {_table_time(elapsed, 600)}")
 
 
 def test_criterion_8_sweep_determinism(tmp_path):
@@ -215,18 +196,13 @@ def test_criterion_8_sweep_determinism(tmp_path):
     )
 
 
-def test_criterion_9_freezing_contract(table_runs, lf_sweep_runs):
-    comparison, low, _ = table_runs
-    records = [
-        r
-        for result in (comparison.gan, comparison.pgan, low)
-        for r in result.records
-    ]
-    records += lf_sweep_runs[1]
+def test_criterion_9_freezing_contract(table):
+    cells, _ = table
+    records = [r for (_, _, variant), res in cells.items() if variant != "hf-only" for r in res.records]
     n_ok = sum(1 for r in records if r.lf_frozen_ok)
     _report(
         9,
         n_ok == len(records),
         f"LF-block checksum unchanged through adversarial training in "
-        f"{n_ok}/{len(records)} runs from criteria 5-7",
+        f"{n_ok}/{len(records)} runs of the criterion 5-7 table",
     )

@@ -11,6 +11,7 @@ import pytest
 
 from mdfgan import cli, experiments, gan
 from mdfgan.gan import load_checkpoint
+from test_experiments import overflowing_pretrain_lf
 
 FAST = [
     "--epochs-lf", "30", "--epochs-hf", "5", "--hidden", "6",
@@ -123,6 +124,21 @@ def test_non_finite_preactivation_exits_one(tmp_path, capsys):
     )
     assert rc == 1
     assert "non-finite input" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_a_non_finite_lf_feature_exits_one(monkeypatch, tmp_path, capsys):
+    """The frozen LF block's forward pass on the HF inputs is part of the
+    adversarial phase: a non-finite value there is a divergence, not bad input."""
+    monkeypatch.setattr(gan, "pretrain_lf", overflowing_pretrain_lf(gan.pretrain_lf))
+    rc = cli.main(
+        ["train", "--benchmark", "forrester1d", "--il", "10", "--ih", "2",
+         "--out", str(tmp_path), *FAST_TRAIN]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "training diverged: adversarial training diverged in the low-fidelity feature stage"
+    )
 
 
 def test_train_rejects_non_finite_csv_responses(tmp_path, capsys):

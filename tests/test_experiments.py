@@ -101,6 +101,27 @@ def test_non_finite_preactivation_is_a_failed_repeat():
     assert all("pretraining diverged at epoch 1: non-finite input" in r.error for r in res.records)
 
 
+def overflowing_pretrain_lf(real):
+    """``pretrain_lf`` that leaves the frozen block with parameters of
+    1e308, so its first forward pass on the high-fidelity inputs overflows."""
+
+    def pretrain(model, *args):
+        trace = real(model, *args)
+        model.lf_block.params[:] = 1e308
+        return trace
+
+    return pretrain
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_a_non_finite_lf_feature_is_a_failed_repeat(monkeypatch):
+    monkeypatch.setattr(experiments, "pretrain_lf", overflowing_pretrain_lf(experiments.pretrain_lf))
+    res = run_experiment(get("forrester1d"), 20, 3, fast_config(), n_repeats=2, test_size=10)
+    assert [r.failed for r in res.records] == [True, True]
+    prefix = "adversarial training diverged in the low-fidelity feature stage at iteration 0: non-finite input"
+    assert all(r.error.startswith(prefix) for r in res.records)
+
+
 def test_run_record_failed_flag():
     ok = RunRecord(0, 0.5, 1.0, True)
     bad = RunRecord(1, float("nan"), 1.0, True, error="boom")
@@ -513,6 +534,11 @@ def test_cached_runs_match_across_job_counts():
     assert serial.to_dict() == parallel.to_dict()
     serial = run_hf_sweep(pair, 20, [5, 2], cfg, n_repeats=3, test_size=15, n_jobs=1)
     parallel = run_hf_sweep(pair, 20, [5, 2], cfg, n_repeats=3, test_size=15, n_jobs=2)
+    assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
+    # the shape of the acceptance table: three variants, a second I_H, two more I_L
+    cells = [(20, 5, v) for v in VARIANTS] + [(20, 2, "gan"), (12, 5, "gan"), (8, 5, "gan")]
+    serial = experiments._run_cells(pair, cells, cfg, 3, test_size=15, n_jobs=1)
+    parallel = experiments._run_cells(pair, cells, cfg, 3, test_size=15, n_jobs=2)
     assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
 
 

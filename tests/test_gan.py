@@ -79,6 +79,14 @@ def test_config_rejects_mismatched_activation_count():
         TrainingConfig(hidden_sizes=(8, 8, 8), hidden_activations=("sigmoid", "ricker"))
 
 
+@pytest.mark.parametrize("name, value", [("hidden_sizes", "32"), ("hidden_activations", "sigmoid")])
+def test_config_rejects_a_string_for_a_tuple_field(name, value):
+    """A bare string is a sequence of characters: "32" must not become
+    two layers (3, 2), nor "sigmoid" seven activation kinds."""
+    with pytest.raises(ValueError, match=f"{name} must be a sequence of items, not the string '{value}'"):
+        TrainingConfig(**{name: value})
+
+
 def test_config_broadcasts_single_activation():
     cfg = TrainingConfig(hidden_sizes=(4, 4, 4), hidden_activations=("sigmoid",))
     assert len(cfg.resolved_activations()) == 3
