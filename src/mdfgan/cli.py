@@ -1,9 +1,10 @@
 """Command-line front end: training, prediction, sweeps, baselines, export.
 
 Every subcommand prints one summary line per run plus a ``wrote <path>``
-line for each artifact it leaves under the output directory. Exit codes:
-0 on success, 1 when training diverges, 2 for usage or configuration
-errors.
+line for each artifact it leaves under the output directory, which it makes
+once its work is done. Exit codes: 0 on success, 1 when training diverges,
+2 for usage or configuration errors, an ``--out`` that cannot be made a
+directory among them.
 """
 
 from __future__ import annotations
@@ -128,7 +129,10 @@ def resolve_config(args, defaults: TrainingConfig) -> TrainingConfig:
 
 def _out_dir(args) -> Path:
     out = Path(getattr(args, "out", None) or "mdfgan-out")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # such as a file in the way
+        raise UsageError(f"cannot make output directory {str(out)!r}: {exc.strerror}") from exc
     return out
 
 
@@ -187,8 +191,8 @@ def cmd_train(args) -> int:
     defaults = pair.default_config if pair else TrainingConfig()
     config = resolve_config(args, defaults)
     dataset, source = _build_dataset(args, pair, config)
-    out = _out_dir(args)
     model, trace = train(dataset, config)
+    out = _out_dir(args)
     final = trace[-1].supervised if trace else float("nan")
     print(
         f"trained on {source}: I_L={dataset.n_lf} I_H={dataset.n_hf} "

@@ -44,6 +44,8 @@ from .nn import (
     leaky_relu,
     parse_activation,
 )
+from .nn.activations import ONE, operand
+from .nn.network import _layout
 
 MODE_COUPLED = "coupled"
 MODE_STANDARD_GAN = "standard-gan"
@@ -196,15 +198,15 @@ class GanMdfModel:
         training and on load: a checkpoint stores the config and each
         network's parameters, not its layers, so a change to what this
         derives from (d1, d2, config) must bump CHECKPOINT_FORMAT_VERSION."""
-        hidden = list(config.hidden_sizes)
         acts = config.resolved_activations()
 
         def rng(tag: int) -> np.random.Generator:
             return np.random.default_rng(np.random.SeedSequence([config.seed, tag]))
 
-        lf = DenseNetwork([d1, *hidden, d2], acts, IDENTITY, seed=rng(_SEED_LF_NET))
-        hf = DenseNetwork([d1 + d2, *hidden, d2], acts, IDENTITY, seed=rng(_SEED_HF_NET))
-        disc = DenseNetwork([d2, *hidden, 1], acts, SIGMOID, seed=rng(_SEED_DISC_NET))
+        lf_sizes, hf_sizes, disc_sizes = _layer_sizes(d1, d2, config)
+        lf = DenseNetwork(lf_sizes, acts, IDENTITY, seed=rng(_SEED_LF_NET))
+        hf = DenseNetwork(hf_sizes, acts, IDENTITY, seed=rng(_SEED_HF_NET))
+        disc = DenseNetwork(disc_sizes, acts, SIGMOID, seed=rng(_SEED_DISC_NET))
         return cls(lf, hf, disc)
 
     @property
@@ -262,14 +264,27 @@ class GanMdfModel:
 
     @classmethod
     def from_dict(cls, doc: dict, config: TrainingConfig) -> "GanMdfModel":
-        """The model ``to_dict`` wrote, its networks built from ``config``."""
-        built = cls.build(doc["d1"], doc["d2"], config)
-        nets = (built.lf_block, built.hf_block, built.discriminator)
-        for role, net in zip(ROLES, nets):
+        """The model ``to_dict`` wrote, its networks built from ``config``.
+        Each role's params are checked against the layers ``build`` would
+        make before anything is allocated: their count, and that each is a
+        finite number."""
+        params = []
+        for role, sizes in zip(ROLES, _layer_sizes(doc["d1"], doc["d2"], config)):
             try:
-                net.load_params(doc[role]["params"])
+                values = np.asarray(doc[role]["params"], dtype=float)
+                count = _layout(sizes)[-1][1].stop
+                if values.shape != (count,):
+                    raise ValueError(f"expected {count} params for layer_sizes {sizes}")
+                if not np.isfinite(values).all():
+                    index = int(np.flatnonzero(~np.isfinite(values))[0])
+                    raise ValueError(f"params must be finite, got {values[index]} at index {index}")
             except ValueError as exc:
                 raise ValueError(f"{role}: {exc}") from None
+            params.append(values)
+        built = cls.build(doc["d1"], doc["d2"], config)
+        nets = (built.lf_block, built.hf_block, built.discriminator)
+        for role, net, values in zip(ROLES, nets, params):
+            net.load_params(values)
             net.frozen = bool(doc[role]["frozen"])
         norms = doc["normalizers"]
         return cls(
@@ -278,6 +293,12 @@ class GanMdfModel:
             Normalizer.from_dict(norms["lf_outputs"]),
             Normalizer.from_dict(norms["hf_outputs"]),
         )
+
+
+def _layer_sizes(d1: int, d2: int, config: TrainingConfig) -> tuple[list[int], list[int], list[int]]:
+    """The layer sizes of the LF block, the HF block and the discriminator."""
+    hidden = list(config.hidden_sizes)
+    return [d1, *hidden, d2], [d1 + d2, *hidden, d2], [d2, *hidden, 1]
 
 
 def normalized_predict(
@@ -329,6 +350,9 @@ def _finite(loss: float, name: str) -> float:
     return loss
 
 
+_TWO = operand(2.0)
+
+
 def _mean(a: np.ndarray) -> np.floating:
     """``a.mean()`` with the same bits, without numpy's Python-level wrapper."""
     return np.add.reduce(a, axis=None) / a.size
@@ -340,7 +364,7 @@ def squared_error(pred: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     n = resid.shape[0]
     loss = np.add.reduce(np.add.reduce(resid * resid, axis=1)) / n
     # the upstream 2.0 * resid / n, rounded the same way, in resid's buffer
-    resid *= 2.0
+    resid *= _TWO
     resid /= n
     return _finite(float(loss), "squared-error"), resid
 
@@ -348,13 +372,13 @@ def squared_error(pred: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
 def discriminative(real: np.ndarray, fake: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean of (1 - D[real response]) plus mean of D[generated response];
     returns the loss and the upstreams of the real and the fake scores."""
-    loss = _finite(float(_mean(1.0 - real) + _mean(fake)), "discriminative")
+    loss = _finite(float(_mean(ONE - real) + _mean(fake)), "discriminative")
     return loss, np.full_like(real, -1.0 / real.shape[0]), np.full_like(fake, 1.0 / fake.shape[0])
 
 
 def generative(fake: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean over the batch of (1 - D[G[x]])."""
-    return _finite(float(_mean(1.0 - fake)), "generative"), np.full_like(fake, -1.0 / fake.shape[0])
+    return _finite(float(_mean(ONE - fake)), "generative"), np.full_like(fake, -1.0 / fake.shape[0])
 
 
 # -- training ----------------------------------------------------------------

@@ -18,6 +18,12 @@ alpha > 1), two ufunc calls in one buffer, and its derivative is
 monotone, so alpha*v never passes v, and where the two are equal they are
 the same float; at v = +-0 both sides give alpha*v, which keeps the sign of
 the zero. The derivative for alpha > 1 keeps the masked form.
+
+The constant operands of the hot loops, here and in the optimizer and the
+losses, are read-only 0-d float64 arrays made by ``operand``, not Python
+floats. Under NumPy 2 a Python float is a "weak" scalar whose type each ufunc
+call resolves again; a 0-d float64 array holds the same double, so every
+result keeps its bits and each call is cheaper.
 """
 
 from __future__ import annotations
@@ -31,6 +37,16 @@ import numpy as np
 class NonFiniteError(ValueError):
     """Raised when a value stops being finite: a pre-activation, a gradient
     or a training loss."""
+
+
+def operand(value: float) -> np.ndarray:
+    """``value`` as a read-only 0-d float64 array, a ufunc operand."""
+    a = np.array(value, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+HALF, ONE = operand(0.5), operand(1.0)
 
 
 def all_finite(a: np.ndarray) -> bool:
@@ -83,10 +99,10 @@ def _dft_real_matrix(width: int) -> np.ndarray:
 
 def _sigmoid(v: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     # 0.5 * (1 + tanh(0.5 * v)), the same bits, computed in one buffer
-    t = np.multiply(v, 0.5, out=out)
+    t = np.multiply(v, HALF, out=out)
     np.tanh(t, out=t)
-    t += 1.0
-    t *= 0.5
+    t += ONE
+    t *= HALF
     return t
 
 
@@ -149,7 +165,7 @@ def backward(
         return np.positive(upstream, out=out)
     if act.kind == "sigmoid":
         t = np.multiply(upstream, post, out=out)
-        t *= 1.0 - post
+        t *= ONE - post
         return t
     if act.kind == "leaky_relu":
         if act.alpha > 1:

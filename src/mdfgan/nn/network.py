@@ -60,7 +60,8 @@ class Tape:
             net, widths = self.net, self.net.layer_sizes[1:]
             pre = [np.empty((rows, w)) for w in widths]
             post = [np.empty((rows, w)) for w in widths]
-            # what forward and gradient visit per layer, in the order they do;
+            # what forward and gradient visit per layer, in the order they do,
+            # with the transposed views their products take made once here;
             # below is the layer's input (None: the tape's inputs), grad_pre its
             # dLoss/d(pre-activation) and grad_in its dLoss/d(input), None on the
             # first layer, whose input gradient is handed out as a new array
@@ -68,9 +69,10 @@ class Tape:
             grad_pre = [np.empty((rows, w)) for w in widths]
             grad_in = [None, *(np.empty((rows, w)) for w in widths[:-1])]
             d_weights, d_biases = net._split(self.grad)
-            forward_plan = list(zip(net.weights, net.biases, net.layer_activations, pre, post))
+            forward_plan = list(zip([w.T for w in net.weights], net.biases, net.layer_activations, pre, post))
             backward_plan = list(zip(
-                net.weights, net.layer_activations, pre, post, below, grad_pre, grad_in, d_weights, d_biases,
+                net.weights, net.layer_activations, pre, post, below,
+                grad_pre, [gz.T for gz in grad_pre], grad_in, d_weights, d_biases,
             ))[::-1]
             self._by_rows[rows] = pre, post, forward_plan, backward_plan
         self.pre, self.post, self.forward_plan, self.backward_plan = self._by_rows[rows]
@@ -186,8 +188,8 @@ class DenseNetwork:
             raise ValueError("tape belongs to another network")
         tape._select(x.shape[0])
         tape.inputs, tape.version = x, -1  # no gradient from a pass that raised
-        for w, b, act, z, post in tape.forward_plan:
-            np.dot(a, w.T, out=z)
+        for w_t, b, act, z, post in tape.forward_plan:
+            np.dot(a, w_t, out=z)
             z += b
             a = activations.apply(act, z, out=post)
         tape.version = self._version
@@ -211,9 +213,9 @@ class DenseNetwork:
             raise ValueError(
                 f"upstream shape {np.shape(upstream)} does not match output shape {tape.post[-1].shape}"
             )
-        for w, act, pre, post, below, gz, into, d_w, d_b in tape.backward_plan:
-            gz = activations.backward(act, pre, post, g, out=gz)
-            np.dot(gz.T, tape.inputs if below is None else below, out=d_w)
+        for w, act, pre, post, below, gz, gz_t, into, d_w, d_b in tape.backward_plan:
+            activations.backward(act, pre, post, g, out=gz)  # gz_t is its transposed view
+            np.dot(gz_t, tape.inputs if below is None else below, out=d_w)
             np.add.reduce(gz, axis=0, out=d_b)
             if input_grad or into is not None:
                 g = np.dot(gz, w, out=into)

@@ -6,23 +6,27 @@ from typing import Callable
 
 import numpy as np
 
-from .activations import NonFiniteError, all_finite
+from .activations import NonFiniteError, all_finite, operand
 
 # moment decay rates and denominator guard of every Adam step
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+# the same, and the gradient weights 1 - beta, as the step's ufunc operands
+_BETA1, _BETA2, _EPS = operand(BETA1), operand(BETA2), operand(EPS)
+_GRAD1, _GRAD2 = operand(1.0 - BETA1), operand(1.0 - BETA2)
 
 
 class AdamState:
     """First/second moment accumulators and step counter for one parameter
-    vector, plus two scratch vectors that each step overwrites."""
+    vector, plus the scratch that each step overwrites: two vectors, then
+    three 0-d arrays for the bias corrections and the learning rate."""
 
     def __init__(self, params: np.ndarray) -> None:
         self.m = np.zeros_like(params, dtype=float)
         self.v = np.zeros_like(params, dtype=float)
         self.t = 0
-        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m), np.empty(()), np.empty(()), np.empty(()))
 
 
 def adam_step(
@@ -53,24 +57,25 @@ def adam_step(
         where = name_of(index) if name_of else f"index {index}"
         raise NonFiniteError(f"non-finite gradient in {where}")
     state.t += 1
-    bc1 = 1.0 - BETA1**state.t
-    bc2 = 1.0 - BETA2**state.t
+    m, v = state.m, state.v
+    a, b, bc1, bc2, rate = state.scratch
+    bc1[()] = 1.0 - BETA1**state.t
+    bc2[()] = 1.0 - BETA2**state.t
+    rate[()] = lr
     # in place, rounding exactly as m = beta1*m + (1-beta1)*g,
     # v = beta2*v + (1-beta2)*g*g and lr*m_hat / (sqrt(v_hat) + eps)
-    m, v = state.m, state.v
-    a, b = state.scratch
-    np.multiply(grad, 1.0 - BETA1, out=a)
-    m *= BETA1
+    np.multiply(grad, _GRAD1, out=a)
+    m *= _BETA1
     m += a
-    np.multiply(grad, 1.0 - BETA2, out=a)
+    np.multiply(grad, _GRAD2, out=a)
     a *= grad
-    v *= BETA2
+    v *= _BETA2
     v += a
     np.divide(m, bc1, out=a)
-    a *= lr
+    a *= rate
     np.divide(v, bc2, out=b)
     np.sqrt(b, out=b)
-    b += EPS
+    b += _EPS
     a /= b
     params -= a
     return params

@@ -220,6 +220,35 @@ def test_identity_backward_passes_upstream_through():
     assert out is not up
 
 
+def test_operand_constants_are_pinned():
+    """Every 0-d operand the hot loops pass in place of a Python float is a
+    read-only float64 holding exactly its float definition; a new one must
+    be listed here."""
+    from mdfgan import gan
+    from mdfgan.nn import optim
+
+    pinned = [
+        (activations.HALF, 0.5),
+        (activations.ONE, 1.0),
+        (optim._BETA1, optim.BETA1),
+        (optim._BETA2, optim.BETA2),
+        (optim._EPS, optim.EPS),
+        (optim._GRAD1, 1.0 - optim.BETA1),
+        (optim._GRAD2, 1.0 - optim.BETA2),
+        (gan._TWO, 2.0),
+    ]
+    found = {
+        id(value)
+        for module in (activations, optim, gan)
+        for value in vars(module).values()
+        if isinstance(value, np.ndarray) and value.ndim == 0
+    }
+    assert found == {id(a) for a, _ in pinned}
+    for a, value in pinned:
+        assert a.dtype == np.float64 and a.shape == () and not a.flags.writeable, value
+        assert a.tobytes() == np.float64(value).tobytes(), value
+
+
 def test_dft_matrix_is_cached_and_readonly():
     m1 = activations._dft_real_matrix(5)
     m2 = activations._dft_real_matrix(5)

@@ -139,8 +139,9 @@ def test_state_updates_in_place_across_blocks():
 
 
 def test_scratch_is_never_shared():
-    """Each state owns two scratch vectors; a pickled or deep-copied state
-    gets its own, so two optimizers never write into one buffer."""
+    """Each state owns its scratch, two vectors and three 0-d operands; a
+    pickled or deep-copied state gets its own, so two optimizers never
+    write into one buffer."""
     net = DenseNetwork([2, 3, 1], [SIGMOID], seed=0)
     state = AdamState(net.params)
     net.apply_adam(np.ones_like(net.params), state, lr=0.1)

@@ -117,6 +117,45 @@ def test_divergence_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
+def test_a_diverged_train_leaves_no_output_directory(tmp_path, capsys):
+    """The output directory used to be made before training, and a run that
+    diverged left it behind empty."""
+    out = tmp_path / "o1"
+    rc = cli.main(
+        ["train", "--benchmark", "forrester1d", "--il", "10", "--ih", "2", "--lr-lf", "1e300",
+         "--epochs-lf", "5", "--epochs-hf", "2", "--out", str(out)]
+    )
+    assert rc == 1
+    assert "diverged" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "sweep-hf", "scatter"])
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-a-file"])
+def test_an_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, capsys, command, below):
+    """An --out naming a file, or a path under one, used to escape as a
+    FileExistsError or NotADirectoryError traceback with exit 1, the
+    divergence code."""
+    if command == "predict":
+        assert cli.main(
+            ["train", "--benchmark", "forrester1d", "--il", "10", "--ih", "2", "--out", str(tmp_path), *FAST_TRAIN]
+        ) == 0
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    out = afile / below if below else afile
+    args = {
+        "train": ["--benchmark", "forrester1d", "--il", "10", "--ih", "2", *FAST_TRAIN],
+        "predict": ["--checkpoint", str(tmp_path / "checkpoint.json"), "--points", "0.5"],
+        "sweep-hf": ["--benchmark", "forrester1d", "--il", "10", "--ih", "2", *FAST],
+        "scatter": ["--benchmark", "forrester1d", "--points", "5"],
+    }[command]
+    capsys.readouterr()
+    assert cli.main([command, *args, "--out", str(out)]) == 2
+    assert f"error: cannot make output directory {str(out)!r}: " in capsys.readouterr().err
+    assert afile.read_text() == "keep\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
 def test_non_finite_preactivation_exits_one(tmp_path, capsys):
     rc = cli.main(
         ["train", "--benchmark", "forrester1d", "--il", "10", "--ih", "2",
@@ -306,6 +345,35 @@ def test_predict_rejects_a_checkpoint_whose_config_changed_the_architecture(tmp_
     assert capsys.readouterr().err == (
         "error: bad checkpoint: lf_block: expected 25 params for layer_sizes [1, 8, 1]\n"
     )
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"params": None}, "lf_block: params must be finite, got nan at index 0"),
+        ({"d2": 10**12}, "lf_block: expected 7000000000012 params for layer_sizes [1, 6, 1000000000000]"),
+    ],
+    ids=["null-params", "huge-d2"],
+)
+def test_predict_rejects_checkpoint_params_before_building(tmp_path, capsys, edit, message):
+    """Null params used to load as NaN, and predict then blamed the input
+    row; a huge d2 escaped as a MemoryError traceback. Both are bad
+    checkpoints, found before any network is allocated (numpy refuses the
+    56 TB of this d2 at once, so the old path allocated nothing either)."""
+    assert cli.main(
+        ["train", "--benchmark", "forrester1d", "--il", "10", "--ih", "2", "--out", str(tmp_path), *FAST_TRAIN]
+    ) == 0
+    path = tmp_path / "checkpoint.json"
+    doc = json.loads(path.read_text())
+    if "params" in edit:
+        lf = doc["model"]["lf_block"]
+        lf["params"] = [edit["params"]] * len(lf["params"])
+    else:
+        doc["model"].update(edit)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["predict", "--checkpoint", str(path), "--points", "0.5", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: bad checkpoint: {message}\n"
+
 
 @pytest.mark.parametrize("part, width", [("inputs", 1), ("lf_outputs", 2), ("hf_outputs", 2)])
 def test_predict_rejects_normalizers_of_the_wrong_width(tmp_path, capsys, part, width):
