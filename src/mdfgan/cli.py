@@ -108,10 +108,8 @@ def resolve_config(args, defaults: TrainingConfig) -> TrainingConfig:
     if getattr(args, "config", None):
         parsers = {f.name: _config_value_parser(f.default) for f in fields(TrainingConfig)}
         for key, value in _parse_config_file(Path(args.config)).items():
-            if key not in parsers:
-                raise UsageError(f"unknown config key {key!r}")
             try:
-                doc[key] = parsers[key](value)
+                doc[key] = parsers[key](value) if key in parsers else value  # from_dict rejects the key
             except (KeyError, ValueError):
                 raise UsageError(f"bad value for config key {key!r}: {value!r}") from None
     for f, _, dest in _config_flags():
@@ -123,12 +121,26 @@ def resolve_config(args, defaults: TrainingConfig) -> TrainingConfig:
     doc["seed"] = _base_seed(args, doc["seed"])
     try:
         return TrainingConfig.from_dict(doc)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise UsageError(f"invalid configuration: {exc}") from exc
 
 
+def _out_path(args) -> Path:
+    return Path(args.out or "mdfgan-out")
+
+
+def _check_out(args) -> None:
+    """Reject an --out that is, or lies under, something other than a
+    directory before any work, without making it."""
+    if "out" in vars(args):
+        out = _out_path(args)
+        first = next((path for path in (out, *out.parents) if os.path.exists(path)), None)  # no OSError
+        if first is not None and not os.path.isdir(first):
+            raise UsageError(f"cannot make output directory {str(out)!r}: {str(first)!r} is not a directory")
+
+
 def _out_dir(args) -> Path:
-    out = Path(getattr(args, "out", None) or "mdfgan-out")
+    out = _out_path(args)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # such as a file in the way
@@ -395,6 +407,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_counts(args)
+        _check_out(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

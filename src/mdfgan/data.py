@@ -112,9 +112,10 @@ class Normalizer:
         return {"kind": self.kind, "shift": self.shift.tolist(), "scale": self.scale.tolist()}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "Normalizer":
-        if doc["kind"] == "none":
+    def from_dict(cls, doc: dict, what: str = "normalizer") -> "Normalizer":
+        if json_object(doc, what, ("kind",))["kind"] == "none":
             return cls("none")
+        json_object(doc, what, ("shift", "scale"))
         return cls(doc["kind"], np.asarray(doc["shift"], float), np.asarray(doc["scale"], float))
 
 
@@ -183,6 +184,17 @@ def write_json(path, doc, indent: int | None = 2) -> Path:
     """Write ``doc`` as standard JSON plus a newline; a NaN or infinity
     raises ``ValueError`` instead of reaching the file."""
     return _write_text(path, json.dumps(doc, indent=indent, allow_nan=False) + "\n")
+
+
+def json_object(doc, what: str, keys=()) -> dict:
+    """``doc`` if it is a JSON object that holds each of ``keys``; else a
+    ValueError that names ``what`` and the first missing key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"missing {what} key {key!r}")
+    return doc
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,12 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .data import NORMALIZER_KINDS, MultiFidelityDataset, Normalizer, write_csv, write_json
+from .data import NORMALIZER_KINDS, MultiFidelityDataset, Normalizer, json_object, write_csv, write_json
 from .nn import (
     IDENTITY,
     SIGMOID,
@@ -52,6 +52,7 @@ MODE_STANDARD_GAN = "standard-gan"
 MODES = (MODE_COUPLED, MODE_STANDARD_GAN)
 
 ROLES = ("lf_block", "hf_block", "discriminator")  # the networks' names in a checkpoint
+NORMALIZED = ("inputs", "lf_outputs", "hf_outputs")  # the normalizers' names in a checkpoint
 
 HF_BATCH_CAP = 32  # high-fidelity mini-batch rule, min(32, n_hf): adversarial phase and hf-only baseline
 
@@ -70,17 +71,17 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class TrainingConfig:
-    """Learning rates, schedule lengths, architecture and mode flags; metadata describes each field's flag."""
+    """Learning rates, schedule lengths, architecture and mode flags; metadata gives each field's flag and rule."""
 
-    lr_lf: float = field(default=0.03, metadata={"help": "low-fidelity block pretraining rate"})
-    lr_disc: float = field(default=0.002, metadata={"help": "discriminative-loss update rate"})
-    lr_gen: float = field(default=0.001, metadata={"help": "generative-loss update rate"})
-    lr_sup: float = field(default=0.05, metadata={"help": "supervised-loss update rate"})
-    epochs_lf: int = field(default=4000, metadata={"help": "low-fidelity block pretraining epochs"})
-    epochs_hf: int = field(default=350, metadata={"help": "adversarial training epochs"})
-    lf_batch_cap: int = field(default=32, metadata={"flag": None})
+    lr_lf: float = field(default=0.03, metadata={"min": 0, "help": "low-fidelity block pretraining rate"})
+    lr_disc: float = field(default=0.002, metadata={"min": 0, "help": "discriminative-loss update rate"})
+    lr_gen: float = field(default=0.001, metadata={"min": 0, "help": "generative-loss update rate"})
+    lr_sup: float = field(default=0.05, metadata={"min": 0, "help": "supervised-loss update rate"})
+    epochs_lf: int = field(default=4000, metadata={"min": 0, "help": "low-fidelity block pretraining epochs"})
+    epochs_hf: int = field(default=350, metadata={"min": 0, "help": "adversarial training epochs"})
+    lf_batch_cap: int = field(default=32, metadata={"min": 1, "flag": None})
     hidden_sizes: tuple[int, ...] = field(
-        default=(32, 32), metadata={"flag": "--hidden", "help": "hidden layer widths, e.g. 32,32"}
+        default=(32, 32), metadata={"min": 1, "flag": "--hidden", "help": "hidden layer widths, e.g. 32,32"}
     )
     hidden_activations: tuple[str, ...] = field(
         default=("sigmoid",),
@@ -93,30 +94,11 @@ class TrainingConfig:
         default=True,
         metadata={"flag": "--no-supervised", "help": "drop the supervised refinement steps (pure adversarial)"},
     )
-    seed: int = field(default=0, metadata={"help": f"base seed (default: ${ENV_SEED} or 0)"})
+    seed: int = field(default=0, metadata={"min": 0, "help": f"base seed (default: ${ENV_SEED} or 0)"})
 
     def __post_init__(self) -> None:
-        for name in ("hidden_sizes", "hidden_activations"):
-            value = getattr(self, name)
-            if isinstance(value, str):  # a str is a sequence of characters, not of items
-                raise ValueError(f"{name} must be a sequence of items, not the string {value!r}")
-        self.hidden_sizes = tuple(int(s) for s in self.hidden_sizes)
-        self.hidden_activations = tuple(self.hidden_activations)
-        for name in ("lr_lf", "lr_disc", "lr_gen", "lr_sup"):
-            if not 0 <= getattr(self, name) < math.inf:  # also false for nan
-                raise ValueError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
-        if self.epochs_lf < 0 or self.epochs_hf < 0:
-            raise ValueError("epoch counts must be non-negative")
-        if self.lf_batch_cap < 1:
-            raise ValueError("lf_batch_cap must be at least 1")
-        if not self.hidden_sizes or any(s < 1 for s in self.hidden_sizes):
-            raise ValueError("hidden_sizes must be positive")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.normalizer not in NORMALIZER_KINDS:
-            raise ValueError(f"normalizer must be one of {NORMALIZER_KINDS}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        for f in fields(self):
+            setattr(self, f.name, _field_value(f.name, getattr(self, f.name), f.default, f.metadata))
         n_acts = len(self.hidden_activations)
         if n_acts not in (1, len(self.hidden_sizes)):
             raise ValueError(
@@ -143,7 +125,37 @@ class TrainingConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainingConfig":
+        """The config ``to_dict`` wrote: every field's key, and no other."""
+        names = [f.name for f in fields(cls)]
+        for key in json_object(doc, "config", names):
+            if key not in names:
+                raise ValueError(f"unknown config key {key!r}")
         return cls(**doc)
+
+
+def _field_value(name: str, value, default, meta):
+    """``value`` under the rule of a config field: the type of its default (a bool is no int, an int is
+    taken as a float, a tuple takes a non-empty list or tuple of such items), a number in
+    [meta["min"], inf) and a text in meta["choices"]."""
+    if isinstance(default, tuple):
+        if isinstance(value, str):  # a str is a sequence of characters, not of items
+            raise ValueError(f"{name} must be a sequence of items, not the string {value!r}")
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ValueError(f"{name} must be a non-empty list or tuple, got {value!r}")
+        return tuple(_field_value(f"{name} item", item, default[0], meta) for item in value)
+    kind = type(default)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:  # an int past the float range
+            raise ValueError(f"{name} must be finite, got an int of {value.bit_length()} bits") from None
+    if "min" in meta and not meta["min"] <= value < math.inf:  # also false for nan
+        raise ValueError(f"{name} must be finite and at least {meta['min']}, got {value!r}")
+    if "choices" in meta and value not in meta["choices"]:
+        raise ValueError(f"{name} must be one of {meta['choices']}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -256,22 +268,26 @@ class GanMdfModel:
                 for role, net in zip(ROLES, (self.lf_block, self.hf_block, self.discriminator))
             },
             "normalizers": {
-                "inputs": self.input_norm.to_dict(),
-                "lf_outputs": self.lf_output_norm.to_dict(),
-                "hf_outputs": self.hf_output_norm.to_dict(),
+                part: norm.to_dict()
+                for part, norm in zip(NORMALIZED, (self.input_norm, self.lf_output_norm, self.hf_output_norm))
             },
         }
 
     @classmethod
     def from_dict(cls, doc: dict, config: TrainingConfig) -> "GanMdfModel":
         """The model ``to_dict`` wrote, its networks built from ``config``.
-        Each role's params are checked against the layers ``build`` would
-        make before anything is allocated: their count, and that each is a
-        finite number."""
+        Every key is checked, with ``d1`` and ``d2`` counts and ``frozen`` a
+        bool, and each role's params against the layers ``build`` would make
+        before anything is allocated: their count, and that each is a finite
+        number."""
+        json_object(doc, "model", ("d1", "d2"))
+        d1, d2 = (_field_value(key, doc[key], 1, {"min": 1}) for key in ("d1", "d2"))
         params = []
-        for role, sizes in zip(ROLES, _layer_sizes(doc["d1"], doc["d2"], config)):
+        for role, sizes in zip(ROLES, _layer_sizes(d1, d2, config)):
+            net = json_object(doc[role], role, ("params", "frozen"))
             try:
-                values = np.asarray(doc[role]["params"], dtype=float)
+                _field_value("frozen", net["frozen"], False, {})
+                values = np.asarray(net["params"], dtype=float)
                 count = _layout(sizes)[-1][1].stop
                 if values.shape != (count,):
                     raise ValueError(f"expected {count} params for layer_sizes {sizes}")
@@ -281,18 +297,13 @@ class GanMdfModel:
             except ValueError as exc:
                 raise ValueError(f"{role}: {exc}") from None
             params.append(values)
-        built = cls.build(doc["d1"], doc["d2"], config)
+        built = cls.build(d1, d2, config)
         nets = (built.lf_block, built.hf_block, built.discriminator)
         for role, net, values in zip(ROLES, nets, params):
             net.load_params(values)
-            net.frozen = bool(doc[role]["frozen"])
-        norms = doc["normalizers"]
-        return cls(
-            *nets,
-            Normalizer.from_dict(norms["inputs"]),
-            Normalizer.from_dict(norms["lf_outputs"]),
-            Normalizer.from_dict(norms["hf_outputs"]),
-        )
+            net.frozen = doc[role]["frozen"]
+        norms = json_object(doc["normalizers"], "normalizers", NORMALIZED)
+        return cls(*nets, *(Normalizer.from_dict(norms[part], f"{part} normalizer") for part in NORMALIZED))
 
 
 def _layer_sizes(d1: int, d2: int, config: TrainingConfig) -> tuple[list[int], list[int], list[int]]:
@@ -576,21 +587,18 @@ def save_checkpoint(model: GanMdfModel, config: TrainingConfig, path) -> Path:
 
 
 def load_checkpoint(path) -> tuple[GanMdfModel, TrainingConfig]:
-    doc = _json_object(json.loads(Path(path).read_text(encoding="utf-8")), "checkpoint")
+    try:
+        doc = json_object(json.loads(Path(path).read_text(encoding="utf-8")), "checkpoint")
+    except RecursionError:  # json recurses once per nesting level
+        raise ValueError("checkpoint nests too deeply to be read") from None
     version = doc.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version {version!r}")
-    config = TrainingConfig.from_dict(_json_object(doc.get("config"), "checkpoint config"))
-    model = _json_object(doc.get("model"), "checkpoint model")
+    config = TrainingConfig.from_dict(doc.get("config"))
+    model = json_object(doc.get("model"), "checkpoint model")
     for part in (*ROLES, "normalizers"):
-        _json_object(model.get(part), f"checkpoint {part}")
+        json_object(model.get(part), f"checkpoint {part}")
     return GanMdfModel.from_dict(model, config), config
-
-
-def _json_object(doc, what: str) -> dict:
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
-    return doc
 
 
 def write_loss_trace(trace: list[TraceRow], path) -> Path:

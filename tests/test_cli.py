@@ -155,6 +155,23 @@ def test_an_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, capsys, co
     assert afile.read_text() == "keep\n"
 
 
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-a-file"])
+def test_train_rejects_an_out_under_a_file_before_training(tmp_path, capsys, monkeypatch, below):
+    """train made --out only after training, so an --out naming a file, or
+    a path under one, cost the whole training before exit 2."""
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started before --out was checked")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    out = afile / below if below else afile
+    assert cli.main(["train", "--benchmark", "forrester1d", "--il", "100", "--ih", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot make output directory {str(out)!r}: {str(afile)!r} is not a directory\n"
+    )
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_non_finite_preactivation_exits_one(tmp_path, capsys):
     rc = cli.main(
@@ -373,6 +390,123 @@ def test_predict_rejects_checkpoint_params_before_building(tmp_path, capsys, edi
     capsys.readouterr()
     assert cli.main(["predict", "--checkpoint", str(path), "--points", "0.5", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: bad checkpoint: {message}\n"
+
+
+@pytest.fixture(scope="module")
+def leaky_checkpoint(tmp_path_factory):
+    """The document of a trained forrester1d checkpoint with leaky_relu layers."""
+    out = tmp_path_factory.mktemp("leaky")
+    assert cli.main(
+        ["train", "--benchmark", "forrester1d", "--il", "10", "--ih", "2", "--activations", "leaky_relu",
+         "--out", str(out), *FAST_TRAIN]
+    ) == 0
+    return json.loads((out / "checkpoint.json").read_text())
+
+
+DROP = object()  # an edit that deletes the key
+
+
+def predict_edited(tmp_path, doc, where, key, value):
+    """predict's exit code on ``doc`` with ``doc[*where][key]`` set to ``value``, or dropped."""
+    doc = json.loads(json.dumps(doc))
+    part = doc
+    for name in where:
+        part = part[name]
+    if value is DROP:
+        del part[key]
+    else:
+        part[key] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return cli.main(["predict", "--checkpoint", str(path), "--points", "0.1", "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("hidden_activations", DROP, "missing config key 'hidden_activations'"),
+        ("leaky_alpha", DROP, "missing config key 'leaky_alpha'"),
+        ("extra", 1, "unknown config key 'extra'"),
+        ("epochs_lf", 1.5, "epochs_lf must be of type int, got 1.5"),
+        ("hidden_sizes", [6.7], "hidden_sizes item must be of type int, got 6.7"),
+        ("supervised_trick", "no", "supervised_trick must be of type bool, got 'no'"),
+        ("seed", "a", "seed must be of type int, got 'a'"),
+        ("leaky_alpha", 10**400, "leaky_alpha must be finite, got an int of 1329 bits"),
+    ],
+    ids=["no-activations", "no-slope", "extra-key", "float-epochs", "float-width", "str-bool", "str-seed", "huge-slope"],
+)
+def test_predict_reads_a_checkpoint_config_under_the_field_rule(tmp_path, capsys, leaky_checkpoint, key, value, message):
+    """A dropped hidden_activations rebuilt sigmoid layers in place of the
+    trained leaky_relu ones and predicted with exit 0, as did a float or
+    str value of the wrong type; a str seed and an extra key gave Python's
+    error text, and a huge int slope escaped as an OverflowError."""
+    capsys.readouterr()
+    assert predict_edited(tmp_path, leaky_checkpoint, ["config"], key, value) == 2
+    assert capsys.readouterr().err == f"error: bad checkpoint: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "where, key, value, message",
+    [
+        (["model"], "d1", DROP, "missing model key 'd1'"),
+        (["model"], "d1", True, "d1 must be of type int, got True"),
+        (["model"], "d1", "1", "d1 must be of type int, got '1'"),
+        (["model"], "d2", 0, "d2 must be finite and at least 1, got 0"),
+        (["model", "lf_block"], "frozen", DROP, "missing lf_block key 'frozen'"),
+        (["model", "hf_block"], "frozen", "no", "hf_block: frozen must be of type bool, got 'no'"),
+        (["model", "normalizers"], "inputs", DROP, "missing normalizers key 'inputs'"),
+        (["model", "normalizers"], "inputs", {"kind": "standard", "scale": [1.0]},
+         "missing inputs normalizer key 'shift'"),
+    ],
+    ids=["no-d1", "bool-d1", "str-d1", "zero-d2", "no-frozen", "str-frozen", "no-normalizer", "no-shift"],
+)
+def test_predict_reads_the_checkpoint_model_under_its_key_and_type_rule(
+    tmp_path, capsys, leaky_checkpoint, where, key, value, message
+):
+    """A missing key read as its bare name, such as 'frozen'; a bool d1
+    loaded and predicted, a str d1 gave Python's error text, and the
+    string "no" loaded as frozen."""
+    capsys.readouterr()
+    assert predict_edited(tmp_path, leaky_checkpoint, where, key, value) == 2
+    assert capsys.readouterr().err == f"error: bad checkpoint: {message}\n"
+
+
+def test_predict_rejects_a_deeply_nested_checkpoint(tmp_path, capsys):
+    """100,000 nested lists escaped the JSON reader as a RecursionError
+    traceback with exit 1, the divergence code."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert cli.main(["predict", "--checkpoint", str(path), "--points", "0.5", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: bad checkpoint: checkpoint nests too deeply to be read\n"
+
+
+@pytest.mark.parametrize(
+    "key, value, text",
+    [("epochs_lf", -1, "-1"), ("epochs_lf", 1.5, "1.5"), ("hidden_sizes", [0], "0"),
+     ("hidden_sizes", [4.7], "4.7"), ("lr_sup", float("inf"), "inf"), ("lf_batch_cap", 0, "0")],
+)
+def test_every_config_reader_rejects_a_value_under_its_key(
+    tmp_path, capsys, monkeypatch, leaky_checkpoint, key, value, text
+):
+    """The Python API, a checkpoint, a config file and a flag reject the
+    same value, and each message names the key or its flag."""
+    monkeypatch.setattr(cli, "make_dataset", lambda *args, **kwargs: pytest.fail("the dataset was drawn"))
+    with pytest.raises(ValueError, match=f"^{key}"):
+        gan.TrainingConfig(**{key: value})
+    capsys.readouterr()
+    assert predict_edited(tmp_path, leaky_checkpoint, ["config"], key, value) == 2
+    assert f"error: bad checkpoint: {key}" in capsys.readouterr().err
+    out = tmp_path / "out"
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = {text}\n")
+    assert cli.main(["train", "--benchmark", "forrester1d", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    flags = {f.name: flag for f, flag, _ in cli._config_flags()}
+    if key in flags:
+        assert exit_code(["train", "--benchmark", "forrester1d", f"{flags[key]}={text}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert key in err or flags[key] in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("part, width", [("inputs", 1), ("lf_outputs", 2), ("hf_outputs", 2)])

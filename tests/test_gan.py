@@ -87,6 +87,71 @@ def test_config_rejects_a_string_for_a_tuple_field(name, value):
         TrainingConfig(**{name: value})
 
 
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("epochs_lf", 1.5, "epochs_lf must be of type int, got 1.5"),
+        ("epochs_hf", np.int64(3), "epochs_hf must be of type int, got np.int64(3)"),
+        ("seed", "a", "seed must be of type int, got 'a'"),
+        ("seed", True, "seed must be of type int, got True"),
+        ("supervised_trick", "no", "supervised_trick must be of type bool, got 'no'"),
+        ("supervised_trick", 1, "supervised_trick must be of type bool, got 1"),
+        ("lr_sup", "0.1", "lr_sup must be of type float, got '0.1'"),
+        ("normalizer", None, "normalizer must be of type str, got None"),
+        ("hidden_sizes", [4.7], "hidden_sizes item must be of type int, got 4.7"),
+        ("hidden_sizes", (8, True), "hidden_sizes item must be of type int, got True"),
+        ("hidden_sizes", [], "hidden_sizes must be a non-empty list or tuple, got []"),
+        ("hidden_sizes", 32, "hidden_sizes must be a non-empty list or tuple, got 32"),
+        ("hidden_activations", ["sigmoid", 1], "hidden_activations item must be of type str, got 1"),
+        ("epochs_lf", -1, "epochs_lf must be finite and at least 0, got -1"),
+        ("lf_batch_cap", 0, "lf_batch_cap must be finite and at least 1, got 0"),
+        ("hidden_sizes", (8, 0), "hidden_sizes item must be finite and at least 1, got 0"),
+        ("seed", -1, "seed must be finite and at least 0, got -1"),
+        ("mode", "alternating", "mode must be one of ('coupled', 'standard-gan'), got 'alternating'"),
+        pytest.param("leaky_alpha", 10**400, "leaky_alpha must be finite, got an int of 1329 bits", id="huge-int"),
+    ],
+)
+def test_config_applies_its_field_rule(name, value, message):
+    """Each field's type is its default's, its bound its metadata's "min"
+    and its text one of its "choices". A float epoch count, a float layer
+    width (read as an int) and the string "no" for a bool used to pass,
+    a str seed failed in a comparison, and a huge int slope overflowed in
+    the first leaky_relu layer."""
+    with pytest.raises(ValueError) as exc:
+        TrainingConfig(**{name: value})
+    assert str(exc.value) == message
+
+
+def test_config_takes_an_int_for_a_float_and_a_list_for_a_tuple():
+    cfg = TrainingConfig(lr_lf=1, lr_disc=np.float64(0.5), hidden_sizes=[4, 4], hidden_activations=["ricker"])
+    assert (cfg.lr_lf, cfg.hidden_sizes, cfg.hidden_activations) == (1.0, (4, 4), ("ricker",))
+    assert type(cfg.lr_lf) is float and type(cfg.lr_disc) is float
+
+
+def test_config_metadata_uses_only_the_schema_keys():
+    """A misspelt key such as "minimum" would drop its bound silently.
+    Every number field has a "min" but leaky_alpha, which leaky_relu checks."""
+    for f in fields(TrainingConfig):
+        assert set(f.metadata) <= {"help", "flag", "choices", "min"}, f.name
+        item = f.default[0] if isinstance(f.default, tuple) else f.default
+        assert ("min" in f.metadata) == (type(item) in (int, float) and f.name != "leaky_alpha"), f.name
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.pop("hidden_activations"), "missing config key 'hidden_activations'"),
+        (lambda doc: doc.update(extra=1), "unknown config key 'extra'"),
+    ],
+    ids=["missing", "unknown"],
+)
+def test_config_from_dict_takes_every_key_and_no_other(edit, message):
+    doc = TrainingConfig().to_dict()
+    edit(doc)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TrainingConfig.from_dict(doc)
+
+
 def test_config_broadcasts_single_activation():
     cfg = TrainingConfig(hidden_sizes=(4, 4, 4), hidden_activations=("sigmoid",))
     assert len(cfg.resolved_activations()) == 3
@@ -759,17 +824,21 @@ def test_checkpoint_schema_is_the_config_and_each_network_as_its_parameters(tmp_
         assert doc["model"][role] == {"params": net.params.tolist(), "frozen": role == "lf_block"}
 
 
+DEFAULT_CONFIG = TrainingConfig().to_dict()
+
+
 @pytest.mark.parametrize(
     "doc",
     [
         [1, 2],
-        {"format_version": 2, "config": {}, "model": [1]},
-        {"format_version": 2, "config": {}, "model": {"lf_block": {}, "hf_block": {}, "discriminator": {}, "normalizers": []}},
+        {"format_version": 2, "config": DEFAULT_CONFIG, "model": [1]},
+        {"format_version": 2, "config": DEFAULT_CONFIG,
+         "model": {"lf_block": {}, "hf_block": {}, "discriminator": {}, "normalizers": []}},
         {"format_version": 2, "config": [1], "model": {}},
     ],
 )
 def test_checkpoint_rejects_non_object_documents(tmp_path, doc):
-    """The config is parsed first; "config": {} is the default config."""
+    """The config is parsed first, so the cases past it hold every key."""
     path = tmp_path / "ckpt.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="must be a JSON object"):

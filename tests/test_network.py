@@ -279,8 +279,9 @@ def test_copy_and_load_params_get_their_own_vector():
 
 
 def test_pickle_round_trip_keeps_one_parameter_vector():
-    """Process pools ship networks by pickle; the weight and bias views must
-    come back as views into the one vector, not as separate arrays."""
+    """``DenseNetwork.copy`` (through ``copy.copy``), ``copy.deepcopy`` and a
+    user's pickle all go through ``__getstate__``; the weight and bias views
+    must come back as views into the one vector, not as separate arrays."""
     net = pickle.loads(pickle.dumps(small_net(seed=3)))
     assert all(np.shares_memory(view, net.params) for view in (*net.weights, *net.biases))
     x = np.array([[0.3, -0.2]])

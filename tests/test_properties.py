@@ -1,12 +1,15 @@
 """Property tests: the sigmoid, the leaky_relu, LHS stratification, the
-normalizer inverse, and the CSV, snapshot and checkpoint round trips."""
+normalizer inverse, the CSV, snapshot and checkpoint round trips, and
+mutated checkpoints."""
 
 import json
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -22,8 +25,9 @@ from mdfgan.data import (
     save_snapshot,
     write_csv,
 )
-from mdfgan.gan import TrainingConfig, load_checkpoint, save_checkpoint, train
-from mdfgan.nn.activations import SIGMOID, apply, backward, leaky_relu
+from mdfgan import cli
+from mdfgan.gan import MODES, GanMdfModel, TrainingConfig, load_checkpoint, save_checkpoint, train
+from mdfgan.nn.activations import KINDS, SIGMOID, apply, backward, leaky_relu
 from oracles import masked_leaky_relu, masked_sigmoid
 
 finite = st.floats(-1e6, 1e6, allow_subnormal=False)
@@ -164,3 +168,95 @@ def test_checkpoint_round_trip_predicts_bit_identically(name, kind, hidden, acti
     assert again.to_dict() == model.to_dict()
     points = data.draw(arrays(float, (data.draw(st.integers(1, 6)), pair.d1), elements=st.floats(-2.0, 3.0)))
     assert np.array_equal(again.predict(points), model.predict(points))
+
+
+# a value of each JSON type, and of any type with numpy scalars, which JSON cannot hold
+json_value = st.one_of(
+    st.integers(-2, 40), st.floats(), st.booleans(), st.text(max_size=6), st.none(),
+    st.lists(st.integers(-1, 40), max_size=3),
+)
+any_value = st.one_of(json_value, st.integers(0, 40).map(np.int64), st.booleans().map(np.bool_))
+
+
+@pytest.fixture(scope="module")
+def checkpoint_doc(tmp_path_factory):
+    """The document of one tiny trained currin2d checkpoint (d1=2, d2=1)."""
+    cfg = TrainingConfig(epochs_lf=2, epochs_hf=1, hidden_sizes=(3,), hidden_activations=("leaky_relu",),
+                         normalizer="standard")
+    model, _ = train(make_dataset(get("currin2d"), 8, 3, seed=0), cfg)
+    return json.loads(save_checkpoint(model, cfg, tmp_path_factory.mktemp("ckpt") / "ckpt.json").read_text())
+
+
+# where a mutation lands: every config key, and the model's scalars and parts
+SPOTS = [
+    *(("config", f.name) for f in fields(TrainingConfig)),
+    ("model", "d1"), ("model", "d2"), ("model", "lf_block", "frozen"), ("model", "hf_block", "params"),
+    ("model", "normalizers", "inputs"), ("model", "normalizers", "hf_outputs", "scale"),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(spot=st.sampled_from(SPOTS), action=st.sampled_from(["drop", "add", "swap", "scale"]), data=st.data())
+def test_a_mutated_checkpoint_predicts_or_exits_two(checkpoint_doc, spot, action, data):
+    """Dropping a key, adding one, swapping a value's type or scaling a
+    number never lets an exception escape predict, and predict exits 0
+    only on a config that TrainingConfig.from_dict accepts."""
+    doc = json.loads(json.dumps(checkpoint_doc))
+    *where, key = spot
+    part = doc
+    for name in where:
+        part = part[name]
+    if action == "drop":
+        del part[key]
+    elif action == "add":
+        part[data.draw(st.text(min_size=1, max_size=6), label="new key")] = data.draw(json_value, label="value")
+    elif action == "swap":
+        part[key] = data.draw(json_value, label="value")
+    elif isinstance(part[key], (int, float)) and not isinstance(part[key], bool):
+        part[key] *= data.draw(st.sampled_from([-1, 0.5, 1e300]), label="factor")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # lr_disc <= lr_gen
+        try:
+            accepted = bool(TrainingConfig.from_dict(doc["config"]))
+        except ValueError:
+            accepted = False
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ckpt.json"
+            path.write_text(json.dumps(doc))
+            code = cli.main(["predict", "--checkpoint", str(path), "--points", "0.5,0.5", "--out", tmp])
+    assert code in (0, 2)
+    assert accepted or code == 2
+
+
+# a valid value of each field, any of which a draw may replace by any_value
+VALID = {
+    **{name: st.one_of(st.floats(0, 1e300), st.integers(0, 10**20), st.floats(0, 1).map(np.float64))
+       for name in ("lr_lf", "lr_disc", "lr_gen", "lr_sup")},
+    **{name: st.integers(1, 10**20) for name in ("epochs_lf", "epochs_hf", "lf_batch_cap", "seed")},
+    "hidden_sizes": st.lists(st.integers(1, 4), min_size=1, max_size=2),
+    "hidden_activations": st.lists(st.sampled_from(KINDS), min_size=1, max_size=1).map(tuple),
+    "leaky_alpha": st.floats(1e-3, 10.0),
+    "normalizer": st.sampled_from(NORMALIZER_KINDS),
+    "mode": st.sampled_from(MODES),
+    "supervised_trick": st.booleans(),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_config_the_rule_accepts_survives_a_checkpoint(data):
+    """A config the rule accepts is saved and loaded back equal, as the same
+    JSON. A numpy int used to be accepted, then failed in save_checkpoint."""
+    doc = {name: data.draw(strategy, label=name) for name, strategy in VALID.items()}
+    for name in data.draw(st.lists(st.sampled_from(sorted(VALID)), max_size=2, unique=True), label="replaced"):
+        doc[name] = data.draw(any_value, label=name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # lr_disc <= lr_gen
+        try:
+            cfg = TrainingConfig(**doc)
+        except ValueError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            _, again = load_checkpoint(save_checkpoint(GanMdfModel.build(1, 1, cfg), cfg, Path(tmp) / "ckpt.json"))
+    assert again == cfg
+    assert json.dumps(again.to_dict()) == json.dumps(cfg.to_dict())
