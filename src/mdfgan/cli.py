@@ -2,9 +2,9 @@
 
 Every subcommand prints one summary line per run plus a ``wrote <path>``
 line for each artifact it leaves under the output directory, which it makes
-once its work is done. Exit codes: 0 on success, 1 when training diverges,
-2 for usage or configuration errors, an ``--out`` that cannot be made a
-directory among them.
+once its work is done. ``main`` alone maps a failure to an exit code, by its
+class: 1 for a divergence; 2 for a ValueError or OSError, that is bad input or
+a file that cannot be read or written; 3, with a traceback, for any other (a bug).
 """
 
 from __future__ import annotations
@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import benchmarks, experiments
-from .data import dataset_from_rows, load_csv, make_dataset, save_snapshot, write_csv, write_json
+from .data import dataset_from_rows, load_csv, make_dataset, read_text, save_snapshot, write_csv, write_json
 from .gan import (
     ENV_SEED,
     TrainingConfig,
@@ -29,23 +30,16 @@ from .gan import (
     write_loss_trace,
 )
 
-class UsageError(Exception):
-    """Bad flag combination, unreadable input, or invalid configuration."""
-
 
 def _parse_config_file(path: Path) -> dict:
     """Key=value lines; blank lines and #-comments are ignored."""
     doc = {}
-    try:
-        text = path.read_text(encoding="utf-8-sig")  # -sig: drop a leading BOM
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path, "config file").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         doc[key] = value
     return doc
@@ -96,9 +90,9 @@ def _base_seed(args, fallback: int = 0) -> int:
         try:
             seed, source = int(env), f"${ENV_SEED}"
         except ValueError:
-            raise UsageError(f"${ENV_SEED} must be an integer, got {env!r}") from None
+            raise ValueError(f"${ENV_SEED} must be an integer, got {env!r}") from None
     if seed < 0:
-        raise UsageError(f"{source} must be non-negative, got {seed}")
+        raise ValueError(f"{source} must be non-negative, got {seed}")
     return seed
 
 
@@ -111,7 +105,7 @@ def resolve_config(args, defaults: TrainingConfig) -> TrainingConfig:
             try:
                 doc[key] = parsers[key](value) if key in parsers else value  # from_dict rejects the key
             except (KeyError, ValueError):
-                raise UsageError(f"bad value for config key {key!r}: {value!r}") from None
+                raise ValueError(f"bad value for config key {key!r}: {value!r}") from None
     for f, _, dest in _config_flags():
         value = getattr(args, dest, None)
         if isinstance(f.default, bool):  # a switch: given, it sets the opposite of the default
@@ -122,7 +116,7 @@ def resolve_config(args, defaults: TrainingConfig) -> TrainingConfig:
     try:
         return TrainingConfig.from_dict(doc)
     except ValueError as exc:
-        raise UsageError(f"invalid configuration: {exc}") from exc
+        raise ValueError(f"invalid configuration: {exc}") from exc
 
 
 def _out_path(args) -> Path:
@@ -136,7 +130,7 @@ def _check_out(args) -> None:
         out = _out_path(args)
         first = next((path for path in (out, *out.parents) if os.path.exists(path)), None)  # no OSError
         if first is not None and not os.path.isdir(first):
-            raise UsageError(f"cannot make output directory {str(out)!r}: {str(first)!r} is not a directory")
+            raise ValueError(f"cannot make output directory {str(out)!r}: {str(first)!r} is not a directory")
 
 
 def _out_dir(args) -> Path:
@@ -144,7 +138,7 @@ def _out_dir(args) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # such as a file in the way
-        raise UsageError(f"cannot make output directory {str(out)!r}: {exc.strerror}") from exc
+        raise ValueError(f"cannot make output directory {str(out)!r}: {exc.strerror}") from exc
     return out
 
 
@@ -154,11 +148,8 @@ def _announce(path: Path) -> None:
 
 def _require_benchmark(args) -> benchmarks.BenchmarkPair:
     if not getattr(args, "benchmark", None):
-        raise UsageError("this subcommand needs --benchmark")
-    try:
-        return benchmarks.get(args.benchmark)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise ValueError("this subcommand needs --benchmark")
+    return benchmarks.get(args.benchmark)
 
 
 def _check_counts(args) -> None:
@@ -167,24 +158,20 @@ def _check_counts(args) -> None:
         value = getattr(args, flag[2:].replace("-", "_"), None)
         for item in value if isinstance(value, list) else [value]:
             if isinstance(item, int) and item < 1:  # predict's --points is text, not a count
-                raise UsageError(f"{flag} must be at least 1, got {item}")
+                raise ValueError(f"{flag} must be at least 1, got {item}")
 
 
 def _build_dataset(args, pair, config):
     """Benchmark XOR csv pair; returns (dataset, description)."""
     use_csv = bool(getattr(args, "csv_lf", None) or getattr(args, "csv_hf", None))
     if use_csv and getattr(args, "benchmark", None):
-        raise UsageError("give either --benchmark or a --csv-lf/--csv-hf pair, not both")
+        raise ValueError("give either --benchmark or a --csv-lf/--csv-hf pair, not both")
     if use_csv:
         if not (args.csv_lf and args.csv_hf):
-            raise UsageError("csv input needs both --csv-lf and --csv-hf")
+            raise ValueError("csv input needs both --csv-lf and --csv-hf")
         if args.d1 is None:
-            raise UsageError("csv input needs --d1 (and --d2 when responses are not scalar)")
-        try:
-            lf = load_csv(args.csv_lf, args.d1, args.d2)
-            hf = load_csv(args.csv_hf, args.d1, args.d2)
-        except OSError as exc:
-            raise UsageError(str(exc)) from exc
+            raise ValueError("csv input needs --d1 (and --d2 when responses are not scalar)")
+        lf, hf = (load_csv(path, args.d1, args.d2) for path in (args.csv_lf, args.csv_hf))
         dataset = dataset_from_rows(lf, hf, args.il, args.ih, seed=config.seed)
         return dataset, f"csv {args.csv_lf}+{args.csv_hf}"
     n_lf = args.il if args.il is not None else 100 * pair.d1
@@ -199,7 +186,7 @@ def _build_dataset(args, pair, config):
 def cmd_train(args) -> int:
     pair = _require_benchmark(args) if args.benchmark else None
     if pair is None and not (args.csv_lf or args.csv_hf):
-        raise UsageError("no data source: give --benchmark or --csv-lf/--csv-hf")
+        raise ValueError("no data source: give --benchmark or --csv-lf/--csv-hf")
     defaults = pair.default_config if pair else TrainingConfig()
     config = resolve_config(args, defaults)
     dataset, source = _build_dataset(args, pair, config)
@@ -221,29 +208,24 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     try:
         model, _config = load_checkpoint(args.checkpoint)
-    except OSError as exc:
-        raise UsageError(f"cannot read checkpoint: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad checkpoint: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"bad checkpoint: {exc}") from exc
     if bool(args.points) == bool(args.csv_in):
-        raise UsageError("give exactly one of --points or --csv-in")
+        raise ValueError("give exactly one of --points or --csv-in")
     if args.points:
         try:
             rows = [[float(v) for v in chunk.split(",")] for chunk in args.points.split(";")]
         except ValueError:
-            raise UsageError(f"cannot parse --points {args.points!r}") from None
+            raise ValueError(f"cannot parse --points {args.points!r}") from None
         if any(len(row) != model.d1 for row in rows):
-            raise UsageError(f"inputs must be rows of width {model.d1}")
+            raise ValueError(f"inputs must be rows of width {model.d1}")
         inputs = np.asarray(rows, dtype=float)
         if not np.isfinite(inputs).all():
-            raise UsageError("inputs must be finite numbers")
+            raise ValueError("inputs must be finite numbers")
     else:
-        try:
-            inputs, _ = load_csv(args.csv_in, model.d1, 0)
-        except OSError as exc:
-            raise UsageError(str(exc)) from exc
+        inputs, _ = load_csv(args.csv_in, model.d1, 0)
         if len(inputs) == 0:
-            raise UsageError(f"{args.csv_in} holds no input rows")
+            raise ValueError(f"{args.csv_in} holds no input rows")
     outputs = model.predict(inputs)
     header = [f"x{i + 1}" for i in range(model.d1)] + [f"y{i + 1}" for i in range(model.d2)]
     path = write_csv(_out_dir(args) / "predictions.csv", header, np.hstack([inputs, outputs]).tolist())
@@ -403,21 +385,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_counts(args)
         _check_out(args)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TrainingDivergedError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        print("internal error: this is a bug in mdfgan, not in its input", file=sys.stderr)
+        return 3
 
 
 def app() -> None:

@@ -18,6 +18,8 @@ log = logging.getLogger(__name__)
 
 NORMALIZER_KINDS = ("none", "minmax", "standard")
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
 
 def _as_bounds(bounds, d: int) -> np.ndarray:
     arr = np.asarray(bounds, dtype=float)
@@ -75,14 +77,19 @@ class Normalizer:
         data = np.asarray(data, dtype=float)
         if data.ndim != 2:
             raise ValueError(f"normalizer needs a batch of rows, got shape {data.shape}")
-        if kind == "minmax":
-            shift = data.min(axis=0)
-            scale = data.max(axis=0) - shift
-        elif kind == "standard":
-            shift = data.mean(axis=0)
-            scale = data.std(axis=0)  # population form: fitted mean 0, variance 1
-        else:
-            raise ValueError(f"unknown normalizer kind {kind!r}")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+            if kind == "minmax":
+                shift = data.min(axis=0)
+                scale = data.max(axis=0) - shift
+            elif kind == "standard":
+                shift = data.mean(axis=0)
+                scale = data.std(axis=0)  # population form: fitted mean 0, variance 1
+            else:
+                raise ValueError(f"unknown normalizer kind {kind!r}")
+        overflow = ~(np.isfinite(shift) & np.isfinite(scale))
+        if overflow.any():
+            cols = np.flatnonzero(overflow).tolist()
+            raise ValueError(f"{kind} normalizer: column(s) {cols} spread past the float range")
         constant = scale == 0.0
         if constant.any():
             cols = np.flatnonzero(constant).tolist()
@@ -116,7 +123,10 @@ class Normalizer:
         if json_object(doc, what, ("kind",))["kind"] == "none":
             return cls("none")
         json_object(doc, what, ("shift", "scale"))
-        return cls(doc["kind"], np.asarray(doc["shift"], float), np.asarray(doc["scale"], float))
+        shift, scale = (finite_vector(doc[key], f"{what} {key}") for key in ("shift", "scale"))
+        if not scale.all():  # fit never writes a zero scale; a constant column gets 1.0
+            raise ValueError(f"{what} scale must be nonzero, got 0 at index {int(np.flatnonzero(scale == 0)[0])}")
+        return cls(doc["kind"], shift, scale)
 
 
 def load_csv(path, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
@@ -129,22 +139,22 @@ def load_csv(path, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
     path = Path(path)
     rows: list[list[float]] = []
     header: tuple[int, list[str]] | None = None
-    with path.open(newline="", encoding="utf-8-sig") as fh:  # -sig: drop a leading BOM
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not any(cell.strip() for cell in row):
+    lines = io.StringIO(read_text(path, "CSV file"), newline="")  # split as csv needs, CRs kept
+    for lineno, row in enumerate(csv.reader(lines), start=1):
+        if not any(cell.strip() for cell in row):
+            continue
+        if len(row) != d1 + d2:
+            raise ValueError(f"{path}:{lineno}: expected {d1 + d2} fields, got {len(row)}")
+        try:
+            values = [float(cell) for cell in row]
+        except ValueError:
+            if header is None and not rows:
+                header = (lineno, row)  # candidate header; only accepted if data rows follow
                 continue
-            if len(row) != d1 + d2:
-                raise ValueError(f"{path}:{lineno}: expected {d1 + d2} fields, got {len(row)}")
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError:
-                if header is None and not rows:
-                    header = (lineno, row)  # candidate header; only accepted if data rows follow
-                    continue
-                raise ValueError(f"{path}:{lineno}: non-numeric field in {row!r}") from None
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{path}:{lineno}: non-finite field in {row!r}")
-            rows.append(values)
+            raise ValueError(f"{path}:{lineno}: non-numeric field in {row!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}:{lineno}: non-finite field in {row!r}")
+        rows.append(values)
     if header is not None and not rows:
         lineno, row = header
         raise ValueError(f"{path}:{lineno}: non-numeric field in {row!r}")
@@ -153,6 +163,18 @@ def load_csv(path, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
     log.debug("loaded %d rows from %s", len(rows), path)
     table = np.array(rows, dtype=float).reshape(len(rows), d1 + d2)
     return np.ascontiguousarray(table[:, :d1]), np.ascontiguousarray(table[:, d1:])
+
+
+def read_text(path, what: str) -> str:
+    """The text of the file at ``path``, read as UTF-8 with a leading BOM
+    dropped and line ends kept; a file that cannot be read or decoded is a
+    ValueError that names ``what`` and the file."""
+    try:
+        return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+    except OSError as exc:
+        raise ValueError(f"cannot read {what}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{what} {str(path)!r} is not UTF-8 text: byte {exc.start} is {exc.reason}") from None
 
 
 def _write_text(path, text: str) -> Path:
@@ -195,6 +217,24 @@ def json_object(doc, what: str, keys=()) -> dict:
         if key not in doc:
             raise ValueError(f"missing {what} key {key!r}")
     return doc
+
+
+def finite_vector(values, what: str) -> np.ndarray:
+    """``values`` as a float vector if it is a JSON list of finite numbers
+    (null reads as nan, a bool is no number); else a ValueError that names
+    ``what`` and the first bad item."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list of numbers, got {type(values).__name__}")
+    for index, value in enumerate(values):
+        if type(value) not in (int, float, type(None)):
+            raise ValueError(f"{what} must be numbers, got {value!r} at index {index}")
+        if type(value) is int and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            raise ValueError(f"{what} must be finite, got an int of {value.bit_length()} bits at index {index}")
+    vector = np.array(values, dtype=float)
+    if not np.isfinite(vector).all():
+        index = int(np.flatnonzero(~np.isfinite(vector))[0])
+        raise ValueError(f"{what} must be finite, got {vector[index]} at index {index}")
+    return vector
 
 
 @dataclass(frozen=True)

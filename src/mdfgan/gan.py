@@ -32,7 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import NORMALIZER_KINDS, MultiFidelityDataset, Normalizer, json_object, write_csv, write_json
+from .data import (NORMALIZER_KINDS, MultiFidelityDataset, Normalizer, finite_vector, json_object, read_text,
+                   write_csv, write_json)
 from .nn import (
     IDENTITY,
     SIGMOID,
@@ -287,13 +288,10 @@ class GanMdfModel:
             net = json_object(doc[role], role, ("params", "frozen"))
             try:
                 _field_value("frozen", net["frozen"], False, {})
-                values = np.asarray(net["params"], dtype=float)
+                values = finite_vector(net["params"], "params")
                 count = _layout(sizes)[-1][1].stop
                 if values.shape != (count,):
                     raise ValueError(f"expected {count} params for layer_sizes {sizes}")
-                if not np.isfinite(values).all():
-                    index = int(np.flatnonzero(~np.isfinite(values))[0])
-                    raise ValueError(f"params must be finite, got {values[index]} at index {index}")
             except ValueError as exc:
                 raise ValueError(f"{role}: {exc}") from None
             params.append(values)
@@ -425,6 +423,12 @@ def _supervised_step(
     return loss
 
 
+# the training loops check every value they make for finiteness and raise NonFiniteError,
+# so numpy's overflow and invalid-value warnings would only print ahead of that error
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+@_quiet
 def fit_regression(
     net: DenseNetwork,
     x: np.ndarray,
@@ -470,6 +474,7 @@ def pretrain_lf(model: GanMdfModel, lf_x: np.ndarray, lf_y: np.ndarray, config: 
     return trace
 
 
+@_quiet
 def train_adversarial(
     model: GanMdfModel, hf_x: np.ndarray, hf_y: np.ndarray, config: TrainingConfig
 ) -> list[TraceRow]:
@@ -588,7 +593,7 @@ def save_checkpoint(model: GanMdfModel, config: TrainingConfig, path) -> Path:
 
 def load_checkpoint(path) -> tuple[GanMdfModel, TrainingConfig]:
     try:
-        doc = json_object(json.loads(Path(path).read_text(encoding="utf-8")), "checkpoint")
+        doc = json_object(json.loads(read_text(path, "checkpoint")), "checkpoint")
     except RecursionError:  # json recurses once per nesting level
         raise ValueError("checkpoint nests too deeply to be read") from None
     version = doc.get("format_version")

@@ -3,6 +3,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -524,6 +525,133 @@ def test_predict_rejects_normalizers_of_the_wrong_width(tmp_path, capsys, part, 
     capsys.readouterr()
     assert cli.main(["predict", "--checkpoint", str(path), "--points", "0.5,0.5", "--out", str(tmp_path)]) == 2
     assert f"{part} normalizer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "part, value, message",
+    [
+        ("hf_outputs", {"scale": [None]}, "hf_outputs normalizer scale must be finite, got nan at index 0"),
+        ("hf_outputs", {"scale": [0.0]}, "hf_outputs normalizer scale must be nonzero, got 0 at index 0"),
+        ("inputs", {"scale": [0.0]}, "inputs normalizer scale must be nonzero, got 0 at index 0"),
+        ("inputs", {"shift": [True]}, "inputs normalizer shift must be numbers, got True at index 0"),
+        ("inputs", {"shift": [10**400]}, "inputs normalizer shift must be finite, got an int of 1329 bits at index 0"),
+        ("lf_outputs", {"scale": [0.0]}, "lf_outputs normalizer scale must be nonzero, got 0 at index 0"),
+        ("lf_outputs", {"shift": "0.5"}, "lf_outputs normalizer shift must be a list of numbers, got str"),
+    ],
+    ids=["null-hf-scale", "zero-hf-scale", "zero-input-scale", "bool-shift", "huge-shift", "zero-lf-scale",
+         "str-shift"],
+)
+def test_predict_reads_checkpoint_normalizers_under_their_rule(
+    tmp_path, capsys, leaky_checkpoint, part, value, message
+):
+    """A null output scale predicted nan for every point and a zero one the
+    shift, both with exit 0; a zero input scale printed numpy's divide-by-zero
+    warning and blamed the input; true read as 1.0, and a 400-digit int
+    escaped as an OverflowError. The LF-output normalizer, unused by
+    predict, loaded whatever it held."""
+    norm = {"kind": "minmax", "shift": [0.0], "scale": [1.0], **value}
+    capsys.readouterr()
+    assert predict_edited(tmp_path, leaky_checkpoint, ["model", "normalizers"], part, norm) == 2
+    assert capsys.readouterr().err == f"error: bad checkpoint: {message}\n"
+
+
+def test_predict_names_the_role_of_params_that_are_not_a_list(tmp_path, capsys, leaky_checkpoint):
+    """A params object reached the user as numpy's TypeError text, caught
+    with no role named."""
+    capsys.readouterr()
+    assert predict_edited(tmp_path, leaky_checkpoint, ["model", "lf_block"], "params", {"a": 1}) == 2
+    assert capsys.readouterr().err == "error: bad checkpoint: lf_block: params must be a list of numbers, got dict\n"
+
+
+def test_predict_reads_a_checkpoint_with_a_byte_order_mark(tmp_path, capsys, leaky_checkpoint):
+    """Config and CSV files dropped a leading BOM; a checkpoint failed on it."""
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(leaky_checkpoint).encode())
+    assert cli.main(["predict", "--checkpoint", str(path), "--points", "0.1", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("error", [gan.FrozenNetworkError("frozen twice"), TypeError("a bug")], ids=type)
+def test_a_bug_exits_three_with_its_traceback(tmp_path, capsys, monkeypatch, error):
+    """An exception of no input or divergence class escaped main, and the
+    process exited 1, the divergence code."""
+    def broken_train(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "train", broken_train)
+    assert cli.main(["train", "--benchmark", "forrester1d", "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith(f"{type(error).__name__}: {error}\ninternal error: this is a bug in mdfgan, not in its input\n")
+
+
+def test_an_artifact_that_cannot_be_written_exits_two(tmp_path, capsys):
+    """A checkpoint path that is a directory escaped as an IsADirectoryError
+    traceback with exit 1, the divergence code, after training."""
+    (tmp_path / "checkpoint.json").mkdir()
+    rc = cli.main(
+        ["train", "--benchmark", "forrester1d", "--il", "10", "--ih", "2", "--out", str(tmp_path), *FAST_TRAIN]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 21] Is a directory: ")
+    assert err.endswith(f" -> {str(tmp_path / 'checkpoint.json')!r}\n")
+
+
+@pytest.mark.parametrize(
+    "flag, named",
+    [("--config", "config file"), ("--csv-lf", "CSV file"), ("--csv-in", "CSV file"),
+     ("--checkpoint", "bad checkpoint: checkpoint")],
+)
+def test_a_file_that_is_not_utf8_exits_two_and_names_it(tmp_path, capsys, leaky_checkpoint, flag, named):
+    """Each reader printed the codec's text, which names no file."""
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"0.25,1.0\n\xff\n")
+    good_csv = tmp_path / "good.csv"
+    good_csv.write_text("0.25,1.0\n0.75,2.0\n")
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(leaky_checkpoint))
+    out = ["--out", str(tmp_path / "out")]
+    argv = {
+        "--config": ["train", "--benchmark", "forrester1d", "--config", str(bad), *out],
+        "--csv-lf": ["train", "--csv-lf", str(bad), "--csv-hf", str(good_csv), "--d1", "1", *out],
+        "--csv-in": ["predict", "--checkpoint", str(checkpoint), "--csv-in", str(bad), *out],
+        "--checkpoint": ["predict", "--checkpoint", str(bad), "--points", "0.1", *out],
+    }[flag]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {named} {str(bad)!r} is not UTF-8 text: byte 9 is invalid start byte\n"
+
+
+@pytest.mark.parametrize(
+    "kind, rows", [("standard", ["0.5,1.0", "9e303,9e304"]), ("minmax", ["-1e308,1.0", "1e308,2.0"])]
+)
+def test_a_normalizer_that_overflows_is_bad_input(tmp_path, capsys, kind, rows):
+    """A standard normalizer of inputs near 1e304 printed numpy's overflow
+    warning, trained with an infinite scale, then failed to write it into
+    the checkpoint; a minmax one over [-1e308, 1e308] printed three warnings
+    and reported a divergence (exit 1)."""
+    csv_file = tmp_path / "big.csv"
+    csv_file.write_text("".join(f"{row}\n" for row in [*rows, "0.25,1.5"]))
+    out = tmp_path / "out"
+    rc = cli.main(["train", "--csv-lf", str(csv_file), "--csv-hf", str(csv_file), "--d1", "1",
+                   "--normalizer", kind, "--out", str(out), *FAST_TRAIN])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {kind} normalizer: column(s) [0] spread past the float range\n"
+    assert not out.exists()
+
+
+def test_a_diverging_run_prints_only_its_divergence_line(tmp_path, capsys):
+    """numpy's overflow warning printed ahead of the divergence line, and
+    under an error filter for warnings it escaped main instead."""
+    csv_file = tmp_path / "big.csv"
+    csv_file.write_text("".join(f"0.{i},{i}\n" for i in range(1, 9)) + "9e303,9e304\n")
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        rc = cli.main(["train", "--csv-lf", str(csv_file), "--csv-hf", str(csv_file), "--d1", "1",
+                       "--out", str(tmp_path / "out"), *FAST_TRAIN])
+    assert rc == 1
+    assert [str(w.message) for w in seen] == []
+    err = capsys.readouterr().err
+    assert err.startswith("training diverged: ") and err.count("\n") == 1
 
 
 def test_sweeps_validate_every_cell_before_training(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import ast
 import re
 import warnings
 from pathlib import Path
@@ -241,6 +242,51 @@ def test_json_dumps_and_os_replace_are_called_by_data_alone():
         if re.search(r"\b(json\.dumps|os\.replace)\(", path.read_text(encoding="utf-8"))
     )
     assert callers == ["data.py"]
+
+
+def package_nodes():
+    """(module, innermost enclosing function or None, node) for each AST node of the package."""
+    package = Path(mdfgan.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for func in ast.walk(tree):  # outer functions first, so the innermost is written last
+            if isinstance(func, ast.FunctionDef):
+                owner.update((node, func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            yield path.relative_to(package).as_posix(), owner.get(node), node
+
+
+READ_METHODS = ("open", "read_text", "read_bytes")
+
+
+def test_data_read_text_is_the_one_file_reader():
+    """The config file, the CSV files and the checkpoint are read and decoded
+    in one place, so each reader names the file it cannot read or decode."""
+    readers = {
+        (module, func)
+        for module, func, node in package_nodes()
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "open" or getattr(node.func, "attr", None) in READ_METHODS)
+    }
+    assert readers == {("data.py", "read_text")}
+
+
+def test_cli_main_alone_maps_a_failure_to_an_exit_code():
+    """main returns 1, 2 and 3, one per exception class; no other function
+    returns a nonzero code or exits, and no module has a class of its own
+    for usage errors."""
+    nodes = list(package_nodes())
+    codes = [
+        (module, func, node.value.value)
+        for module, func, node in nodes
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+        and type(node.value.value) is int and node.value.value != 0
+    ]
+    assert codes == [("cli.py", "main", 1), ("cli.py", "main", 2), ("cli.py", "main", 3)]
+    exits = [(module, func) for module, func, node in nodes if getattr(node, "attr", None) == "exit"]
+    assert exits == [("cli.py", "app")]
+    assert not [node for _, _, node in nodes if getattr(node, "name", None) == "UsageError"]
 
 
 @pytest.mark.parametrize(

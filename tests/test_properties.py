@@ -1,8 +1,11 @@
 """Property tests: the sigmoid, the leaky_relu, LHS stratification, the
 normalizer inverse, the CSV, snapshot and checkpoint round trips, and
-mutated checkpoints."""
+mutated checkpoints and text inputs."""
 
+import contextlib
+import io
 import json
+import re
 import tempfile
 import warnings
 from dataclasses import fields
@@ -226,6 +229,89 @@ def test_a_mutated_checkpoint_predicts_or_exits_two(checkpoint_doc, spot, action
             code = cli.main(["predict", "--checkpoint", str(path), "--points", "0.5,0.5", "--out", tmp])
     assert code in (0, 2)
     assert accepted or code == 2
+
+
+# the text inputs of the command line, as rows of fields, and their row and field separators
+TEXT_INPUTS = {
+    "--config": ([["normalizer", "standard"], ["lr_lf", "0.03"], ["lr_sup", "0.05"], ["seed", "4"],
+                  ["hidden_activations", "leaky_relu"], ["leaky_alpha", "0.01"], ["supervised_trick", "yes"],
+                  ["lf_batch_cap", "4"], ["epochs_lf", "2"], ["hidden_sizes", "3"]], "\n", " = "),
+    "--csv-lf": ([["x", "y"], *([f"0.{i}", f"{i / 3!r}"] for i in range(1, 9))], "\r\n", ","),
+    "--csv-hf": ([["0.15", "0.2"], ["0.5", "1.25"], ["0.85", "2.5"]], "\r\n", ","),
+    "--csv-in": ([["0.1"], ["0.5"], ["0.9"]], "\n", ","),
+    "--points": ([["0.1"], ["0.5"], ["0.9"]], ";", ","),
+}
+# "\udcff" is written as the byte 0xff, which no UTF-8 text holds; as an argument, it is how Python reads it
+INJECTED = ["\udcff", "\x00", '"', "\r"]
+MUTATIONS = ["drop row", "duplicate row", "swap row", "drop field", "duplicate field", "swap field",
+             "inject", "scale", "huge"]
+
+
+@st.composite
+def mutated_text(draw, rows, row_sep, field_sep):
+    """The text of ``rows`` after one mutation: a row or a field dropped,
+    duplicated or swapped with another, a character injected into a field,
+    or a number in a field scaled by 1e300 or replaced by a 400-digit int."""
+    rows = [list(row) for row in rows]
+    i = draw(st.integers(0, len(rows) - 1), label="row")
+    row = rows[i]
+    j = draw(st.integers(0, len(row) - 1), label="field")
+    verb, _, level = draw(st.sampled_from(MUTATIONS), label="mutation").partition(" ")
+    items, k = (rows, i) if level == "row" else (row, j)
+    if verb == "drop":
+        del items[k]
+    elif verb == "duplicate":
+        items.insert(k, items[k])
+    elif verb == "swap":
+        other = draw(st.integers(0, len(items) - 1), label="with")
+        items[k], items[other] = items[other], items[k]
+    elif verb == "inject":
+        at = draw(st.integers(0, len(row[j])), label="at")
+        row[j] = row[j][:at] + draw(st.sampled_from(INJECTED), label="char") + row[j][at:]
+    elif verb == "scale" and re.fullmatch(r"[-+.\d]+", row[j]):
+        row[j] = repr(float(row[j]) * 1e300)
+    elif verb == "huge":
+        row[j] = "9" * 400
+    return joined(rows, row_sep, field_sep)
+
+
+def joined(rows, row_sep, field_sep):
+    return row_sep.join(field_sep.join(row) for row in rows)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """A tiny trained forrester1d checkpoint (d1 = d2 = 1) with standard normalizers."""
+    cfg = TrainingConfig(epochs_lf=2, epochs_hf=1, hidden_sizes=(3,), normalizer="standard")
+    model, _ = train(make_dataset(get("forrester1d"), 8, 3, seed=0), cfg)
+    return save_checkpoint(model, cfg, tmp_path_factory.mktemp("ckpt") / "ckpt.json")
+
+
+@settings(max_examples=100, deadline=None)
+@given(flag=st.sampled_from(sorted(TEXT_INPUTS)), data=st.data())
+def test_a_mutated_text_input_exits_zero_one_or_two(tiny_checkpoint, flag, data):
+    """One mutated config file, CSV file or --points text, the others left
+    valid, never lets an exception escape main nor exits 3, and exits 1 only
+    on a divergence. A train run takes a config file and the CSV pair; its
+    budget flags override the file's, so each run stays tiny."""
+    texts = {name: joined(*spec) for name, spec in TEXT_INPUTS.items()}
+    texts[flag] = data.draw(mutated_text(*TEXT_INPUTS[flag]), label="text")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / name[2:] for name in TEXT_INPUTS}
+        for name, path in paths.items():
+            path.write_bytes(texts[name].encode("utf-8", "surrogateescape"))
+        if flag in ("--csv-in", "--points"):
+            given_input = texts[flag] if flag == "--points" else str(paths[flag])
+            argv = ["predict", "--checkpoint", str(tiny_checkpoint), flag, given_input]
+        else:
+            files = [arg for name in ("--config", "--csv-lf", "--csv-hf") for arg in (name, str(paths[name]))]
+            argv = ["train", *files, "--d1", "1", "--epochs-lf", "2", "--epochs-hf", "1", "--hidden", "3"]
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore", UserWarning)  # constant columns; lr_disc <= lr_gen
+            code = cli.main([*argv, "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2), err.getvalue()
+    assert (code == 1) == err.getvalue().startswith("training diverged: "), err.getvalue()
 
 
 # a valid value of each field, any of which a draw may replace by any_value
