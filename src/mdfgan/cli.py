@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmarks, experiments
-from .data import dataset_from_rows, load_csv, make_dataset, read_text, save_snapshot, write_csv, write_json
+from .data import (SNAPSHOT_FILES, dataset_from_rows, load_csv, make_dataset, read_text, save_snapshot, write_csv,
+                   write_json)
 from .gan import (
     ENV_SEED,
     TrainingConfig,
@@ -119,27 +120,54 @@ def resolve_config(args, defaults: TrainingConfig) -> TrainingConfig:
         raise ValueError(f"invalid configuration: {exc}") from exc
 
 
+# the files each subcommand writes under --out, in the order that it writes them
+ARTIFACTS = {
+    "train": ("checkpoint.json", "loss_trace.csv"),
+    "predict": ("predictions.csv",),
+    "sweep-hf": ("sweep_hf.csv", "sweep_hf_summary.json"),
+    "sweep-lf": ("sweep_lf.csv", "sweep_lf_summary.json"),
+    "baselines": ("baselines_gan.csv", "baselines_pgan.csv", "baselines_hf_only.csv", "baselines_summary.json"),
+    "scatter": ("scatter.csv",),
+}
+SNAPSHOT_DIR = "dataset"  # where train --snapshot writes its SNAPSHOT_FILES
+
+
 def _out_path(args) -> Path:
     return Path(args.out or "mdfgan-out")
 
 
+def _artifacts(args) -> list[Path]:
+    """The paths of the files ``args.command`` writes: its ``ARTIFACTS`` under
+    --out, then those of a --snapshot."""
+    if args.command not in ARTIFACTS:
+        return []
+    out = _out_path(args)
+    paths = [out / name for name in ARTIFACTS[args.command]]
+    if getattr(args, "snapshot", False):
+        paths += [out / SNAPSHOT_DIR / name for name in SNAPSHOT_FILES.values()]
+    return paths
+
+
 def _check_out(args) -> None:
-    """Reject an --out that is, or lies under, something other than a
-    directory before any work, without making it."""
-    if "out" in vars(args):
-        out = _out_path(args)
-        first = next((path for path in (out, *out.parents) if os.path.exists(path)), None)  # no OSError
+    """Reject an artifact path that is a directory, or that lies under
+    something other than a directory, before any work and without making
+    anything."""
+    for path in _artifacts(args):
+        if os.path.isdir(path):
+            raise ValueError(f"cannot write {str(path)!r}: it is a directory")
+        first = next((p for p in path.parents if os.path.exists(p)), None)  # no OSError
         if first is not None and not os.path.isdir(first):
-            raise ValueError(f"cannot make output directory {str(out)!r}: {str(first)!r} is not a directory")
+            raise ValueError(f"cannot make output directory {str(path.parent)!r}: {str(first)!r} is not a directory")
 
 
-def _out_dir(args) -> Path:
+def _make_out(args) -> list[Path]:
+    """Make --out, then return ``_artifacts(args)``."""
     out = _out_path(args)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # such as a file in the way
         raise ValueError(f"cannot make output directory {str(out)!r}: {exc.strerror}") from exc
-    return out
+    return _artifacts(args)
 
 
 def _announce(path: Path) -> None:
@@ -191,16 +219,16 @@ def cmd_train(args) -> int:
     config = resolve_config(args, defaults)
     dataset, source = _build_dataset(args, pair, config)
     model, trace = train(dataset, config)
-    out = _out_dir(args)
+    checkpoint, loss_trace, *_ = _make_out(args)
     final = trace[-1].supervised if trace else float("nan")
     print(
         f"trained on {source}: I_L={dataset.n_lf} I_H={dataset.n_hf} "
         f"seed={config.seed} final supervised loss {final:.6g}"
     )
-    _announce(save_checkpoint(model, config, out / "checkpoint.json"))
-    _announce(write_loss_trace(trace, out / "loss_trace.csv"))
+    _announce(save_checkpoint(model, config, checkpoint))
+    _announce(write_loss_trace(trace, loss_trace))
     if args.snapshot:
-        for path in save_snapshot(dataset, out / "dataset", seed=config.seed).values():
+        for path in save_snapshot(dataset, _out_path(args) / SNAPSHOT_DIR, seed=config.seed).values():
             _announce(path)
     return 0
 
@@ -228,7 +256,8 @@ def cmd_predict(args) -> int:
             raise ValueError(f"{args.csv_in} holds no input rows")
     outputs = model.predict(inputs)
     header = [f"x{i + 1}" for i in range(model.d1)] + [f"y{i + 1}" for i in range(model.d2)]
-    path = write_csv(_out_dir(args) / "predictions.csv", header, np.hstack([inputs, outputs]).tolist())
+    (path,) = _make_out(args)
+    write_csv(path, header, np.hstack([inputs, outputs]).tolist())
     print(f"predicted {len(inputs)} point(s) with the {model.d1}->{model.d2} checkpoint")
     _announce(path)
     return 0
@@ -241,17 +270,17 @@ def _experiment_setup(args):
     return pair, config, {"test_size": args.test_points, "nested": args.nested, "n_jobs": args.jobs}
 
 
-def _sweep(args, name: str, results) -> int:
-    """Print one line per cell, then write ``<name>.csv`` and ``<name>_summary.json``."""
+def _sweep(args, results) -> int:
+    """Print one line per cell, then write the results CSV and the summary JSON."""
     for res in results:
         flag = " (partial)" if res.partial else ""
         print(
             f"{res.benchmark} I_L={res.n_lf} I_H={res.n_hf}: "
             f"mean NRMSE {res.mean_nrmse:.6g} over {len(res.records)} repeat(s){flag}"
         )
-    out = _out_dir(args)
-    _announce(experiments.write_results_csv(results, out / f"{name}.csv"))
-    _announce(experiments.write_summary_json(results, out / f"{name}_summary.json"))
+    csv_path, summary_path = _make_out(args)
+    _announce(experiments.write_results_csv(results, csv_path))
+    _announce(experiments.write_summary_json(results, summary_path))
     return 0
 
 
@@ -259,14 +288,14 @@ def cmd_sweep_hf(args) -> int:
     pair, config, options = _experiment_setup(args)
     n_lf = args.il if args.il is not None else 100 * pair.d1
     results = experiments.run_hf_sweep(pair, n_lf, args.ih, config, args.repeats, **options)
-    return _sweep(args, "sweep_hf", results)
+    return _sweep(args, results)
 
 
 def cmd_sweep_lf(args) -> int:
     pair, config, options = _experiment_setup(args)
     n_hf = args.ih if args.ih is not None else 5
     results = experiments.run_lf_sweep(pair, args.il, n_hf, config, args.repeats, **options)
-    return _sweep(args, "sweep_lf", results)
+    return _sweep(args, results)
 
 
 def cmd_baselines(args) -> int:
@@ -280,10 +309,10 @@ def cmd_baselines(args) -> int:
         f"no-supervised={comparison.pgan.mean_nrmse:.6g} "
         f"hf-only={comparison.hf_only.mean_nrmse:.6g}"
     )
-    out = _out_dir(args)
-    for tag, result in (("gan", comparison.gan), ("pgan", comparison.pgan), ("hf_only", comparison.hf_only)):
-        _announce(experiments.write_results_csv([result], out / f"baselines_{tag}.csv"))
-    _announce(write_json(out / "baselines_summary.json", comparison.to_dict()))
+    *csv_paths, summary_path = _make_out(args)
+    for path, result in zip(csv_paths, (comparison.gan, comparison.pgan, comparison.hf_only)):
+        _announce(experiments.write_results_csv([result], path))
+    _announce(write_json(summary_path, comparison.to_dict()))
     return 0
 
 
@@ -291,8 +320,8 @@ def cmd_scatter(args) -> int:
     pair = _require_benchmark(args)
     points = experiments.emit_correlation_scatter(pair, args.points, _base_seed(args))
     print(f"{pair.name}: {len(points)} scatter point(s)")
-    out = _out_dir(args)
-    _announce(experiments.write_scatter_csv(points, out / "scatter.csv"))
+    (path,) = _make_out(args)
+    _announce(experiments.write_scatter_csv(points, path))
     return 0
 
 

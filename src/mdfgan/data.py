@@ -350,15 +350,18 @@ def dataset_from_rows(
     return MultiFidelityDataset(lf_x=lf_x, lf_y=lf_y, hf_x=hf_x, hf_y=hf_y, bounds=bounds)
 
 
+SNAPSHOT_FILES = {"lf": "lf.csv", "hf": "hf.csv", "sidecar": "dataset.json"}  # save_snapshot's files by key
+
+
 def save_snapshot(dataset: MultiFidelityDataset, directory, seed=None) -> dict[str, Path]:
     """Write a dataset as lf.csv / hf.csv plus a JSON sidecar."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    paths = {}
+    paths = {key: directory / name for key, name in SNAPSHOT_FILES.items()}
     for tag, x, y in (("lf", dataset.lf_x, dataset.lf_y), ("hf", dataset.hf_x, dataset.hf_y)):
-        paths[tag] = write_csv(directory / f"{tag}.csv", None, np.hstack([x, y]).tolist())
-    paths["sidecar"] = write_json(
-        directory / "dataset.json",
+        write_csv(paths[tag], None, np.hstack([x, y]).tolist())
+    write_json(
+        paths["sidecar"],
         {
             "bounds": dataset.bounds.tolist(),
             "seed": seed,

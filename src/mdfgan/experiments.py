@@ -9,7 +9,11 @@ per-seed data.
 
 The seed is the unit of work. A table (a sweep or a baseline comparison)
 runs one task per seed, which runs every cell of that seed in cell order in
-one process; ``--jobs N`` spreads those tasks over one pool per table.
+one process; ``--jobs N`` spreads those tasks over one pool per table. The
+task makes the seed's store of frozen LF blocks and runs each cell through
+``run_experiment``, which maps ``_execute_run`` over its seeds. ``_execute_run``
+alone reads and fills the store: a gan or pgan run trains on a copy of the
+block for its (I_L, seed), or pretrains one and stores a copy of it.
 """
 
 from __future__ import annotations
@@ -159,22 +163,22 @@ def _execute_run(
     n_lf: int,
     n_hf: int,
     config: TrainingConfig,
+    lf_blocks: dict,
     run_seed: int,
-    lf_block: DenseNetwork | None,
+    *,
     test_size: int,
     variant: str,
     nested: bool,
-) -> tuple[RunRecord, DenseNetwork | None]:
+) -> RunRecord:
     """One seeded train-and-score run. Test points depend only on the run
     seed, so the three variants are scored on identical draws.
 
-    A gan or pgan run given the frozen ``lf_block`` of its (I_L, seed)
-    trains on a copy of it instead of pretraining. Returns the record and
-    the block this run pretrained, or None.
+    ``lf_blocks`` holds the frozen LF blocks of this process by (I_L, seed).
+    A gan or pgan run trains on a copy of its block; without one it
+    pretrains and stores a copy before its adversarial phase. An hf-only
+    run never reads the store.
     """
-    cfg = replace(config, seed=run_seed)
-    if variant == "pgan":
-        cfg = replace(cfg, supervised_trick=False)
+    cfg = replace(config, seed=run_seed, supervised_trick=config.supervised_trick and variant != "pgan")
     dataset = make_dataset(pair, n_lf, n_hf, run_seed, nested=nested)
     x_test = lhs_sample(
         test_size, pair.d1, pair.bounds, np.random.SeedSequence([run_seed, _SEED_TEST_POINTS])
@@ -183,18 +187,17 @@ def _execute_run(
 
     start = time.perf_counter()
     lf_frozen_ok = True
-    pretrained = None
     try:
         if variant == "hf-only":
             model = train_hf_only(dataset, cfg)
         else:
             model = GanMdfModel.build(dataset.d1, dataset.d2, cfg)
             model.fit_normalizers(dataset, cfg.normalizer)
-            if lf_block is not None:
-                model.lf_block = lf_block.copy()
+            if (n_lf, run_seed) in lf_blocks:
+                model.lf_block = lf_blocks[n_lf, run_seed].copy()
             else:
                 pretrain_lf(model, dataset.lf_x, dataset.lf_y, cfg)
-                pretrained = model.lf_block.copy()
+                lf_blocks[n_lf, run_seed] = model.lf_block.copy()
             train_adversarial(model, dataset.hf_x, dataset.hf_y, cfg)
         value = nrmse(y_true, model.predict(x_test))
         error = None
@@ -202,7 +205,7 @@ def _execute_run(
         value, error = float("nan"), str(exc)
         lf_frozen_ok = not isinstance(exc, FrozenNetworkError)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    return RunRecord(run_seed, value, wall_ms, lf_frozen_ok, error), pretrained
+    return RunRecord(run_seed, value, wall_ms, lf_frozen_ok, error)
 
 
 def _check_table(cells, n_repeats: int, test_size: int, n_jobs: int) -> None:
@@ -230,17 +233,6 @@ def _map_seeds(fn, n_jobs: int, seeds) -> list:
     return list(map(fn, seeds))
 
 
-def _run_seed(pair, n_lf, n_hf, config, lf_blocks: dict, seed: int, **kwargs) -> RunRecord:
-    """One run of a cell, handed the block ``lf_blocks`` holds for its
-    (I_L, seed); a block it pretrains joins ``lf_blocks`` in the process
-    that ran it."""
-    given = None if kwargs["variant"] == "hf-only" else lf_blocks.get((n_lf, seed))
-    record, pretrained = _execute_run(pair, n_lf, n_hf, config, seed, given, **kwargs)
-    if pretrained is not None:
-        lf_blocks[n_lf, seed] = pretrained
-    return record
-
-
 def run_experiment(
     pair: BenchmarkPair,
     n_lf: int,
@@ -263,7 +255,9 @@ def run_experiment(
     """
     _check_table([(n_lf, n_hf, variant)], n_repeats, test_size, n_jobs)
     lf_blocks = {} if _lf_blocks is None else _lf_blocks
-    run = partial(_run_seed, pair, n_lf, n_hf, config, lf_blocks, test_size=test_size, variant=variant, nested=nested)
+    run = partial(
+        _execute_run, pair, n_lf, n_hf, config, lf_blocks, test_size=test_size, variant=variant, nested=nested
+    )
     records = _map_seeds(run, n_jobs, range(config.seed, config.seed + n_repeats))
     return ExperimentResult(pair.name, n_lf, n_hf, tuple(records))
 

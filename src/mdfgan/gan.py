@@ -43,10 +43,10 @@ from .nn import (
     NonFiniteError,
     Tape,
     leaky_relu,
+    param_count,
     parse_activation,
 )
 from .nn.activations import ONE, operand
-from .nn.network import _layout
 
 MODE_COUPLED = "coupled"
 MODE_STANDARD_GAN = "standard-gan"
@@ -281,15 +281,16 @@ class GanMdfModel:
         bool, and each role's params against the layers ``build`` would make
         before anything is allocated: their count, and that each is a finite
         number."""
-        json_object(doc, "model", ("d1", "d2"))
+        json_object(doc, "model", ("d1", "d2", *ROLES, "normalizers"))
         d1, d2 = (_field_value(key, doc[key], 1, {"min": 1}) for key in ("d1", "d2"))
+        norms = json_object(doc["normalizers"], "normalizers", NORMALIZED)
         params = []
         for role, sizes in zip(ROLES, _layer_sizes(d1, d2, config)):
             net = json_object(doc[role], role, ("params", "frozen"))
             try:
                 _field_value("frozen", net["frozen"], False, {})
                 values = finite_vector(net["params"], "params")
-                count = _layout(sizes)[-1][1].stop
+                count = param_count(sizes)
                 if values.shape != (count,):
                     raise ValueError(f"expected {count} params for layer_sizes {sizes}")
             except ValueError as exc:
@@ -300,7 +301,6 @@ class GanMdfModel:
         for role, net, values in zip(ROLES, nets, params):
             net.load_params(values)
             net.frozen = doc[role]["frozen"]
-        norms = json_object(doc["normalizers"], "normalizers", NORMALIZED)
         return cls(*nets, *(Normalizer.from_dict(norms[part], f"{part} normalizer") for part in NORMALIZED))
 
 
@@ -600,10 +600,7 @@ def load_checkpoint(path) -> tuple[GanMdfModel, TrainingConfig]:
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version {version!r}")
     config = TrainingConfig.from_dict(doc.get("config"))
-    model = json_object(doc.get("model"), "checkpoint model")
-    for part in (*ROLES, "normalizers"):
-        json_object(model.get(part), f"checkpoint {part}")
-    return GanMdfModel.from_dict(model, config), config
+    return GanMdfModel.from_dict(doc.get("model"), config), config
 
 
 def write_loss_trace(trace: list[TraceRow], path) -> Path:

@@ -14,7 +14,7 @@ from .activations import (
     leaky_relu,
     parse_activation,
 )
-from .network import DenseNetwork, FrozenNetworkError, Tape
+from .network import DenseNetwork, FrozenNetworkError, Tape, param_count
 from .optim import AdamState, adam_step
 
 __all__ = [
@@ -34,5 +34,6 @@ __all__ = [
     "apply",
     "backward",
     "leaky_relu",
+    "param_count",
     "parse_activation",
 ]

@@ -90,6 +90,11 @@ def _layout(layer_sizes: list[int]) -> list[tuple[str, slice, tuple[int, ...]]]:
     return blocks
 
 
+def param_count(layer_sizes: list[int]) -> int:
+    """The length of the parameter vector of a network with ``layer_sizes``."""
+    return _layout(layer_sizes)[-1][1].stop
+
+
 class DenseNetwork:
     """A fully connected network: per-layer weights, biases, and activations.
 
@@ -125,7 +130,7 @@ class DenseNetwork:
         self.frozen = False
 
         self._blocks = _layout(self.layer_sizes)
-        self._bind(np.zeros(self._blocks[-1][1].stop))
+        self._bind(np.zeros(param_count(self.layer_sizes)))
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         for w in self.weights:
             fan_out, fan_in = w.shape

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mdfgan import cli, experiments, gan
+from mdfgan.data import SNAPSHOT_FILES
 from mdfgan.gan import load_checkpoint
 from test_experiments import overflowing_pretrain_lf
 
@@ -584,17 +585,50 @@ def test_a_bug_exits_three_with_its_traceback(tmp_path, capsys, monkeypatch, err
     assert err.endswith(f"{type(error).__name__}: {error}\ninternal error: this is a bug in mdfgan, not in its input\n")
 
 
-def test_an_artifact_that_cannot_be_written_exits_two(tmp_path, capsys):
-    """A checkpoint path that is a directory escaped as an IsADirectoryError
-    traceback with exit 1, the divergence code, after training."""
+def test_an_artifact_that_cannot_be_written_exits_two(tmp_path, capsys, monkeypatch):
+    """A checkpoint path that is a directory cost the whole training, then
+    exited 2 with an error that named the temporary file."""
+    monkeypatch.setattr(gan, "pretrain_lf", lambda *args, **kwargs: pytest.fail("training started"))
     (tmp_path / "checkpoint.json").mkdir()
     rc = cli.main(
         ["train", "--benchmark", "forrester1d", "--il", "10", "--ih", "2", "--out", str(tmp_path), *FAST_TRAIN]
     )
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: [Errno 21] Is a directory: ")
-    assert err.endswith(f" -> {str(tmp_path / 'checkpoint.json')!r}\n")
+    assert capsys.readouterr().err == f"error: cannot write {str(tmp_path / 'checkpoint.json')!r}: it is a directory\n"
+
+
+ARTIFACT_CALLS = {
+    "train": ["--benchmark", "forrester1d", "--snapshot"],
+    "predict": ["--checkpoint", "absent.json", "--points", "0.5"],
+    "sweep-hf": ["--benchmark", "forrester1d", "--ih", "2"],
+    "sweep-lf": ["--benchmark", "forrester1d"],
+    "baselines": ["--benchmark", "forrester1d"],
+    "scatter": ["--benchmark", "forrester1d"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [(command, name) for command in ARTIFACT_CALLS for name in cli.ARTIFACTS[command]]
+    + [("train", f"{cli.SNAPSHOT_DIR}/{name}") for name in SNAPSHOT_FILES.values()],
+)
+def test_every_artifact_path_is_checked_before_any_work(tmp_path, capsys, monkeypatch, command, name):
+    """Each file a subcommand writes, snapshot files included, is checked
+    before the subcommand reads, draws or trains anything."""
+    for module, attr in [(cli, "load_checkpoint"), (cli, "make_dataset"), (experiments, "_run_cells"),
+                         (experiments, "emit_correlation_scatter")]:
+        monkeypatch.setattr(module, attr, lambda *args, **kwargs: pytest.fail("work started"))
+    (tmp_path / name).mkdir(parents=True)
+    assert cli.main([command, *ARTIFACT_CALLS[command], "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {str(tmp_path / name)!r}: it is a directory\n"
+
+
+def test_a_snapshot_directory_under_a_file_is_checked_before_training(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(gan, "pretrain_lf", lambda *args, **kwargs: pytest.fail("training started"))
+    (tmp_path / cli.SNAPSHOT_DIR).write_text("keep\n")
+    assert cli.main(["train", "--benchmark", "forrester1d", "--snapshot", "--out", str(tmp_path)]) == 2
+    snapshot = str(tmp_path / cli.SNAPSHOT_DIR)
+    assert capsys.readouterr().err == f"error: cannot make output directory {snapshot!r}: {snapshot!r} is not a directory\n"
 
 
 @pytest.mark.parametrize(

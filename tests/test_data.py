@@ -272,6 +272,20 @@ def test_data_read_text_is_the_one_file_reader():
     assert readers == {("data.py", "read_text")}
 
 
+def test_no_module_imports_a_private_name_of_another():
+    """A name that starts with an underscore stays in its module: no module
+    of the package imports one from another (``nn`` exposes ``param_count``
+    so that the checkpoint reader need not know the parameter layout)."""
+    private = [
+        (module, node.module, alias.name)
+        for module, _, node in package_nodes()
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("mdfgan"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def test_cli_main_alone_maps_a_failure_to_an_exit_code():
     """main returns 1, 2 and 3, one per exception class; no other function
     returns a nonzero code or exits, and no module has a class of its own

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from collections.abc import MutableMapping
 from dataclasses import replace
 
 import numpy as np
@@ -479,10 +480,11 @@ def test_cached_lf_blocks_are_never_trained_with(monkeypatch):
 def pretrained_checksum(n_lf, n_hf, seed, variant="gan", nested=False):
     """The checksum of the LF block one run pretrains."""
     cfg = fast_config(lf_batch_cap=8, hidden_activations=("leaky_relu",))
-    _, block = experiments._execute_run(
-        get("forrester1d"), n_lf, n_hf, cfg, seed, None, test_size=10, variant=variant, nested=nested
+    blocks = {}
+    experiments._execute_run(
+        get("forrester1d"), n_lf, n_hf, cfg, blocks, seed, test_size=10, variant=variant, nested=nested
     )
-    return block.checksum()
+    return blocks[n_lf, seed].checksum()
 
 
 @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "hf-only"])
@@ -497,16 +499,43 @@ def test_a_table_pretrains_the_same_lf_block_at_the_same_i_l_and_seed(variant):
     assert pretrained_checksum(20, 5, 2, variant) != reference
 
 
+class StoreView(MutableMapping):
+    """One run's view of a seed's LF-block store: the keys the run reads,
+    the checksum of the block it is handed, and the blocks it stores."""
+
+    def __init__(self, blocks: dict):
+        self.blocks, self.read, self.handed, self.stored = blocks, set(), None, {}
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        self.handed = self.blocks[key].checksum()
+        return self.blocks[key]
+
+    def __setitem__(self, key, block):
+        self.stored[key] = block.checksum()
+        self.blocks[key] = block
+
+    def __delitem__(self, key):
+        del self.blocks[key]
+
+    def __iter__(self):
+        return iter(self.blocks)
+
+    def __len__(self):
+        return len(self.blocks)
+
+
 def test_each_run_is_handed_only_its_own_lf_block(monkeypatch):
     handed, made = [], {}
     real = experiments._execute_run
 
-    def spy(pair, n_lf, n_hf, config, run_seed, lf_block, **kwargs):
-        handed.append((n_lf, run_seed, kwargs["variant"], None if lf_block is None else lf_block.checksum()))
-        record, pretrained = real(pair, n_lf, n_hf, config, run_seed, lf_block, **kwargs)
-        if pretrained is not None:
-            made[n_lf, run_seed] = pretrained.checksum()
-        return record, pretrained
+    def spy(pair, n_lf, n_hf, config, lf_blocks, run_seed, **kwargs):
+        view = StoreView(lf_blocks)
+        record = real(pair, n_lf, n_hf, config, view, run_seed, **kwargs)
+        assert view.read == (set() if kwargs["variant"] == "hf-only" else {(n_lf, run_seed)})
+        handed.append((n_lf, run_seed, kwargs["variant"], view.handed))
+        made.update(view.stored)
+        return record
 
     monkeypatch.setattr(experiments, "_execute_run", spy)
     cells = [(20, 3, "gan"), (20, 3, "hf-only"), (20, 2, "pgan"), (12, 2, "gan")]
@@ -525,6 +554,18 @@ def test_diverged_pretraining_is_not_cached(monkeypatch):
     assert len(calls) == 4
     assert [r.error for r in comp.pgan.records] == [r.error for r in comp.gan.records]
     assert all("pretraining diverged" in r.error for r in comp.pgan.records)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_a_stored_lf_block_outlives_a_diverged_adversarial_phase(monkeypatch):
+    """A run stores its pretrained block before its adversarial phase, so the
+    next cell of its seed reuses the block although that phase diverged."""
+    calls = count_pretrainings(monkeypatch)
+    sweep = run_hf_sweep(get("forrester1d"), 20, [3, 2], fast_config(lr_sup=1e308), n_repeats=2, test_size=10)
+    assert len(calls) == 2
+    errors = [r.error for cell in sweep for r in cell.records]
+    assert len(errors) == 4
+    assert all(e.startswith("adversarial training diverged in the discriminative stage") for e in errors)
 
 
 def test_cached_runs_match_across_job_counts():

@@ -833,7 +833,7 @@ DEFAULT_CONFIG = TrainingConfig().to_dict()
         [1, 2],
         {"format_version": 2, "config": DEFAULT_CONFIG, "model": [1]},
         {"format_version": 2, "config": DEFAULT_CONFIG,
-         "model": {"lf_block": {}, "hf_block": {}, "discriminator": {}, "normalizers": []}},
+         "model": {"d1": 1, "d2": 1, "lf_block": {}, "hf_block": {}, "discriminator": {}, "normalizers": []}},
         {"format_version": 2, "config": [1], "model": {}},
     ],
 )
@@ -843,6 +843,17 @@ def test_checkpoint_rejects_non_object_documents(tmp_path, doc):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="must be a JSON object"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("missing", ["lf_block", "normalizers"])
+def test_model_from_dict_checks_every_key_itself(missing):
+    """A model part cut off before a role or before its normalizers raised a
+    KeyError: only load_checkpoint checked those keys."""
+    model, _, _, cfg = toy_problem()
+    doc = model.to_dict()
+    keys = list(doc)
+    with pytest.raises(ValueError, match=f"^missing model key '{missing}'$"):
+        GanMdfModel.from_dict({key: doc[key] for key in keys[: keys.index(missing)]}, cfg)
 
 
 def test_loss_trace_csv_round_trips(tmp_path):
