@@ -168,13 +168,17 @@ def load_csv(path, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
 def read_text(path, what: str) -> str:
     """The text of the file at ``path``, read as UTF-8 with a leading BOM
     dropped and line ends kept; a file that cannot be read or decoded is a
-    ValueError that names ``what`` and the file."""
+    ValueError that names ``what`` and the file, and for a decode error the
+    line and byte offset of the first bad byte."""
     try:
         return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise ValueError(f"cannot read {what}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{what} {str(path)!r} is not UTF-8 text: byte {exc.start} is {exc.reason}") from None
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(
+            f"{what} {str(path)!r} is not UTF-8 text: line {line}, byte {exc.start} is {exc.reason}"
+        ) from None
 
 
 def _write_text(path, text: str) -> Path:

@@ -7,13 +7,14 @@ baselines train three variants (full model, no-supervised-trick ablation,
 and a plain network fitted to the high-fidelity samples alone) on identical
 per-seed data.
 
-The seed is the unit of work. A table (a sweep or a baseline comparison)
-runs one task per seed, which runs every cell of that seed in cell order in
-one process; ``--jobs N`` spreads those tasks over one pool per table. The
+The seed is the unit of work. A table (a sweep, a baseline comparison, or
+a direct ``run_experiment``: a table of one cell) runs one task per seed,
+which runs every cell of that seed in cell order in one process; ``--jobs
+N`` spreads those tasks over the one pool that ``_run_cells`` makes. The
 task makes the seed's store of frozen LF blocks and runs each cell through
-``run_experiment``, which maps ``_execute_run`` over its seeds. ``_execute_run``
-alone reads and fills the store: a gan or pgan run trains on a copy of the
-block for its (I_L, seed), or pretrains one and stores a copy of it.
+``run_experiment``. ``_execute_run`` alone reads and fills the store: a gan
+or pgan run trains on a copy of the block for its (I_L, seed), or pretrains
+one and stores a copy of it.
 """
 
 from __future__ import annotations
@@ -222,17 +223,6 @@ def _check_table(cells, n_repeats: int, test_size: int, n_jobs: int) -> None:
             raise ValueError(f"adversarial training needs at least two high-fidelity samples, got I_H={n_hf}")
 
 
-def _map_seeds(fn, n_jobs: int, seeds) -> list:
-    """``fn(seed)`` for each seed, in seed order: in this process, or on one
-    pool of at most one worker per seed. The one place that makes a process
-    pool."""
-    workers = min(n_jobs, len(seeds))  # the pool forks all of them at its first task
-    if workers > 1:  # reading the attribute imports multiprocessing, so one-process runs never load it
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, seeds))
-    return list(map(fn, seeds))
-
-
 def run_experiment(
     pair: BenchmarkPair,
     n_lf: int,
@@ -249,17 +239,16 @@ def run_experiment(
     """Repeat a run ``n_repeats`` times with seeds base, base+1, ...
 
     The base seed is ``config.seed``. Failed repeats are kept in the record
-    list with their error text and excluded from the mean. A worker returns
-    only its run's record, so at ``n_jobs > 1`` a block a run pretrains
-    stays in that worker and never reaches ``_lf_blocks``.
+    list with their error text and excluded from the mean. A direct call is
+    a one-cell table. A seed task passes its store as ``_lf_blocks`` and
+    runs its seeds here, in this process and in seed order.
     """
-    _check_table([(n_lf, n_hf, variant)], n_repeats, test_size, n_jobs)
-    lf_blocks = {} if _lf_blocks is None else _lf_blocks
+    if _lf_blocks is None:
+        return _run_cells(pair, [(n_lf, n_hf, variant)], config, n_repeats, test_size, nested, n_jobs)[0]
     run = partial(
-        _execute_run, pair, n_lf, n_hf, config, lf_blocks, test_size=test_size, variant=variant, nested=nested
+        _execute_run, pair, n_lf, n_hf, config, _lf_blocks, test_size=test_size, variant=variant, nested=nested
     )
-    records = _map_seeds(run, n_jobs, range(config.seed, config.seed + n_repeats))
-    return ExperimentResult(pair.name, n_lf, n_hf, tuple(records))
+    return ExperimentResult(pair.name, n_lf, n_hf, tuple(map(run, range(config.seed, config.seed + n_repeats))))
 
 
 def _run_table_seed(pair, cells, config, seed: int, **kwargs) -> list[RunRecord]:
@@ -284,11 +273,18 @@ def _run_cells(
 ) -> list[ExperimentResult]:
     """One ``ExperimentResult`` per ``(n_lf, n_hf, variant)`` cell, in order,
     after checking every cell. The seed is the unit of work: one task per
-    seed runs all the cells, so a table makes at most one pool and no LF
-    block leaves the process that pretrained it."""
+    seed runs all the cells, in this process or on one pool of at most one
+    worker per seed, so no LF block leaves the process that pretrained it.
+    The one place that makes a process pool."""
     _check_table(cells, n_repeats, test_size, n_jobs)
     task = partial(_run_table_seed, pair, cells, config, test_size=test_size, nested=nested)
-    per_seed = _map_seeds(task, n_jobs, range(config.seed, config.seed + n_repeats))
+    seeds = range(config.seed, config.seed + n_repeats)
+    workers = min(n_jobs, n_repeats)  # the pool forks all of them at its first task
+    if workers > 1:  # reading the attribute imports multiprocessing, so one-process runs never load it
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            per_seed = list(pool.map(task, seeds))
+    else:
+        per_seed = list(map(task, seeds))
     return [ExperimentResult(pair.name, n_lf, n_hf, records) for (n_lf, n_hf, _), records in zip(cells, zip(*per_seed))]
 
 

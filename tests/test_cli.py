@@ -585,6 +585,28 @@ def test_a_bug_exits_three_with_its_traceback(tmp_path, capsys, monkeypatch, err
     assert err.endswith(f"{type(error).__name__}: {error}\ninternal error: this is a bug in mdfgan, not in its input\n")
 
 
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (MemoryError("Unable to allocate 21.8 TiB for an array with shape (3000000000001,) and data type float64"),
+         "error: Unable to allocate 21.8 TiB for an array with shape (3000000000001,) and data type float64\n"),
+        (MemoryError(), "error: MemoryError\n"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_a_request_too_large_for_memory_exits_two(tmp_path, capsys, monkeypatch, error, line):
+    """``--hidden 1000000000000`` printed numpy's allocation traceback and
+    exited 3 as a bug. The allocation is faked: a host that overcommits
+    memory could grant the real one."""
+    def oversized_train(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "train", oversized_train)
+    assert cli.main(["train", "--benchmark", "forrester1d", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == line
+    assert not (tmp_path / "out").exists()
+
+
 def test_an_artifact_that_cannot_be_written_exits_two(tmp_path, capsys, monkeypatch):
     """A checkpoint path that is a directory cost the whole training, then
     exited 2 with an error that named the temporary file."""
@@ -652,7 +674,7 @@ def test_a_file_that_is_not_utf8_exits_two_and_names_it(tmp_path, capsys, leaky_
         "--checkpoint": ["predict", "--checkpoint", str(bad), "--points", "0.1", *out],
     }[flag]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == f"error: {named} {str(bad)!r} is not UTF-8 text: byte 9 is invalid start byte\n"
+    assert capsys.readouterr().err == f"error: {named} {str(bad)!r} is not UTF-8 text: line 2, byte 9 is invalid start byte\n"
 
 
 @pytest.mark.parametrize(

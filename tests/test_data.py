@@ -303,6 +303,17 @@ def test_cli_main_alone_maps_a_failure_to_an_exit_code():
     assert not [node for _, _, node in nodes if getattr(node, "name", None) == "UsageError"]
 
 
+def test_experiments_run_cells_alone_makes_a_process_pool():
+    """A table and a direct run_experiment fork through one pool path; a
+    second one, cell-major, served run_experiment alone."""
+    makers = {
+        (module, func)
+        for module, func, node in package_nodes()
+        if "ProcessPoolExecutor" in (getattr(node, "attr", None), getattr(node, "id", None))
+    }
+    assert makers == {("experiments.py", "_run_cells")}
+
+
 @pytest.mark.parametrize(
     "write",
     [

@@ -27,6 +27,7 @@ from mdfgan.gan import (
     write_loss_trace,
 )
 from mdfgan.nn import DenseNetwork, FrozenNetworkError, IDENTITY, NonFiniteError, SIGMOID, network
+from blas_core import assert_core_digest
 from oracles import fresh_adam_mem, scripted_adam_step
 
 
@@ -717,17 +718,31 @@ def test_train_end_to_end_smoke():
 
 
 @pytest.mark.parametrize(
-    "name, n_lf, n_hf, epochs_lf, epochs_hf, overrides, digest",
+    "name, n_lf, n_hf, epochs_lf, epochs_hf, overrides, digests",
     [
         # sigmoid hidden layers, shuffled LF batches (I_L > lf_batch_cap)
-        ("forrester1d", 100, 5, 150, 30, {}, "586384b347e477deeb97d77761afef5ae46486c1a4b7f3bebb870c5eeac5f5e9"),
+        ("forrester1d", 100, 5, 150, 30, {}, {
+            "SkylakeX": "586384b347e477deeb97d77761afef5ae46486c1a4b7f3bebb870c5eeac5f5e9",
+            "Haswell": "829b468982d8b6acebe27cf41e638817ee05dbeb982a781c686f955d41068106",
+            "Katmai": "7647ad667c5d505ac55c33ca344f49842b4f7addd344ea82adeb87f1030af50c",
+        }),
         # leaky_relu hidden layers, standard normalizer, 20-D inputs
-        ("separable20d", 80, 20, 60, 20, {}, "b35c8368a1a86c258d41a803ff37c5926849d40c326a293cf06cc16547659bfe"),
+        ("separable20d", 80, 20, 60, 20, {}, {
+            "SkylakeX": "b35c8368a1a86c258d41a803ff37c5926849d40c326a293cf06cc16547659bfe",
+            "Haswell": "04a974adeee67ab3f739d31e7e6da0ec0e40362f681ee02c4988dc4f6e9ff4b8",
+            "Katmai": "7880731209901f349f7cbd1fee1c7e9debfa9d3a7559305d835652c4c1c688db",
+        }),
         # the two ablation paths: no supervised stages, and standard-gan updates
-        ("separable20d", 80, 20, 60, 20, {"supervised_trick": False},
-         "eee286a34b8940e565a18ed07e0e6a9cd80a63b3aedb2329ceaa0dec1a15794c"),
-        ("separable20d", 80, 20, 60, 20, {"mode": MODE_STANDARD_GAN},
-         "07a08c9cc6d165370c99279a6c15a4b05fb0c9d2f249909b19e0f7ffb22d8275"),
+        ("separable20d", 80, 20, 60, 20, {"supervised_trick": False}, {
+            "SkylakeX": "eee286a34b8940e565a18ed07e0e6a9cd80a63b3aedb2329ceaa0dec1a15794c",
+            "Haswell": "038e230b01add9d2f2fd6ae213360b29745abd7928ded6b4e67808053a9b18bb",
+            "Katmai": "d91502b795a18ac398b2fe0ac6a8a69f9f62728f078f3aba1321867eb06ce24d",
+        }),
+        ("separable20d", 80, 20, 60, 20, {"mode": MODE_STANDARD_GAN}, {
+            "SkylakeX": "07a08c9cc6d165370c99279a6c15a4b05fb0c9d2f249909b19e0f7ffb22d8275",
+            "Haswell": "536a154aae8c886e10c51a8516048243341caded541499fe2c0242d01084ceaf",
+            "Katmai": "2821fe9ebcea91dcac9dfaf911487c6257a108967feeaeb5e7c76a1b3a7650df",
+        }),
     ],
     ids=[
         "forrester1d-100-5-150-30",
@@ -736,12 +751,14 @@ def test_train_end_to_end_smoke():
         "separable20d-80-20-60-20-standard-gan",
     ],
 )
-def test_train_digest_is_pinned(name, n_lf, n_hf, epochs_lf, epochs_hf, overrides, digest):
+def test_train_digest_is_pinned(name, n_lf, n_hf, epochs_lf, epochs_hf, overrides, digests):
     """SHA-256 over the three trained parameter vectors and the loss trace,
     recorded when the sigmoid became 0.5*(1+tanh(v/2)) (the two ablation
     cases before the leaky_relu became max(v, alpha*v)): any change to the
     arithmetic of a forward pass, a gradient, an Adam step or a loss shows.
-    The discriminator's sigmoid head moves the leaky_relu digests too."""
+    The discriminator's sigmoid head moves the leaky_relu digests too. One
+    digest per OpenBLAS core, whose kernels round the products differently;
+    this OpenBLAS names its Prescott kernels Katmai."""
     pair = get(name)
     ds = make_dataset(pair, n_lf, n_hf, seed=3)
     cfg = replace(pair.default_config, epochs_lf=epochs_lf, epochs_hf=epochs_hf, seed=3, **overrides)
@@ -750,7 +767,7 @@ def test_train_digest_is_pinned(name, n_lf, n_hf, epochs_lf, epochs_hf, override
     for net in (model.lf_block, model.hf_block, model.discriminator):
         h.update(net.params.tobytes())
     h.update(np.array([(r.supervised, r.generative, r.discriminative) for r in trace]).tobytes())
-    assert h.hexdigest() == digest
+    assert_core_digest(digests, h.hexdigest())
 
 
 def test_checkpoint_round_trip_preserves_predictions(tmp_path):
