@@ -189,34 +189,51 @@ def _check_counts(args) -> None:
                 raise ValueError(f"{flag} must be at least 1, got {item}")
 
 
+def _budget(args, pair) -> tuple:
+    """(--il, --ih), each as given or else its default: I_L = 100 * d1, I_H = 5."""
+    return (100 * pair.d1 if args.il is None else args.il, 5 if args.ih is None else args.ih)
+
+
+def _train_source(args) -> benchmarks.BenchmarkPair | None:
+    """The benchmark pair that train draws from, or None for a csv pair.
+    A missing flag, or a flag of the other source, is rejected before any
+    file is read."""
+    if args.benchmark:
+        if args.csv_lf or args.csv_hf:
+            raise ValueError("give either --benchmark or a --csv-lf/--csv-hf pair, not both")
+        for flag, value in (("--d1", args.d1), ("--d2", args.d2)):
+            if value is not None:
+                raise ValueError(f"{flag} is for csv input: a --benchmark pair has its own widths")
+        return benchmarks.get(args.benchmark)
+    if not (args.csv_lf or args.csv_hf):
+        raise ValueError("no data source: give --benchmark or --csv-lf/--csv-hf")
+    if not (args.csv_lf and args.csv_hf):
+        raise ValueError("csv input needs both --csv-lf and --csv-hf")
+    if args.d1 is None:
+        raise ValueError("csv input needs --d1 (and --d2 when responses are not scalar)")
+    if args.nested:
+        raise ValueError("--nested is for --benchmark input: csv rows are used as given")
+    return None
+
+
 def _build_dataset(args, pair, config):
-    """Benchmark XOR csv pair; returns (dataset, description)."""
-    use_csv = bool(getattr(args, "csv_lf", None) or getattr(args, "csv_hf", None))
-    if use_csv and getattr(args, "benchmark", None):
-        raise ValueError("give either --benchmark or a --csv-lf/--csv-hf pair, not both")
-    if use_csv:
-        if not (args.csv_lf and args.csv_hf):
-            raise ValueError("csv input needs both --csv-lf and --csv-hf")
-        if args.d1 is None:
-            raise ValueError("csv input needs --d1 (and --d2 when responses are not scalar)")
-        lf, hf = (load_csv(path, args.d1, args.d2) for path in (args.csv_lf, args.csv_hf))
+    """The dataset that train fits, drawn from ``pair`` or read from the csv
+    pair when ``pair`` is None; returns (dataset, description)."""
+    if pair is None:
+        d2 = 1 if args.d2 is None else args.d2
+        lf, hf = (load_csv(path, args.d1, d2) for path in (args.csv_lf, args.csv_hf))
         dataset = dataset_from_rows(lf, hf, args.il, args.ih, seed=config.seed)
         return dataset, f"csv {args.csv_lf}+{args.csv_hf}"
-    n_lf = args.il if args.il is not None else 100 * pair.d1
-    n_hf = args.ih if args.ih is not None else 5
-    dataset = make_dataset(pair, n_lf, n_hf, config.seed, nested=getattr(args, "nested", False))
-    return dataset, pair.name
+    n_lf, n_hf = _budget(args, pair)
+    return make_dataset(pair, n_lf, n_hf, config.seed, nested=args.nested), pair.name
 
 
 # -- subcommands -----------------------------------------------------------------
 
 
 def cmd_train(args) -> int:
-    pair = _require_benchmark(args) if args.benchmark else None
-    if pair is None and not (args.csv_lf or args.csv_hf):
-        raise ValueError("no data source: give --benchmark or --csv-lf/--csv-hf")
-    defaults = pair.default_config if pair else TrainingConfig()
-    config = resolve_config(args, defaults)
+    pair = _train_source(args)
+    config = resolve_config(args, pair.default_config if pair else TrainingConfig())
     dataset, source = _build_dataset(args, pair, config)
     model, trace = train(dataset, config)
     checkpoint, loss_trace, *_ = _make_out(args)
@@ -228,7 +245,8 @@ def cmd_train(args) -> int:
     _announce(save_checkpoint(model, config, checkpoint))
     _announce(write_loss_trace(trace, loss_trace))
     if args.snapshot:
-        for path in save_snapshot(dataset, _out_path(args) / SNAPSHOT_DIR, seed=config.seed).values():
+        bounds = pair.bounds if pair else None  # csv rows come with no box
+        for path in save_snapshot(dataset, _out_path(args) / SNAPSHOT_DIR, seed=config.seed, bounds=bounds).values():
             _announce(path)
     return 0
 
@@ -286,22 +304,21 @@ def _sweep(args, results) -> int:
 
 def cmd_sweep_hf(args) -> int:
     pair, config, options = _experiment_setup(args)
-    n_lf = args.il if args.il is not None else 100 * pair.d1
+    n_lf, _ = _budget(args, pair)
     results = experiments.run_hf_sweep(pair, n_lf, args.ih, config, args.repeats, **options)
     return _sweep(args, results)
 
 
 def cmd_sweep_lf(args) -> int:
     pair, config, options = _experiment_setup(args)
-    n_hf = args.ih if args.ih is not None else 5
+    _, n_hf = _budget(args, pair)
     results = experiments.run_lf_sweep(pair, args.il, n_hf, config, args.repeats, **options)
     return _sweep(args, results)
 
 
 def cmd_baselines(args) -> int:
     pair, config, options = _experiment_setup(args)
-    n_lf = args.il if args.il is not None else 100 * pair.d1
-    n_hf = args.ih if args.ih is not None else 5
+    n_lf, n_hf = _budget(args, pair)
     comparison = experiments.run_baselines(pair, n_lf, n_hf, config, args.repeats, **options)
     print(
         f"{pair.name} I_L={n_lf} I_H={n_hf}: mean NRMSE "
@@ -351,7 +368,7 @@ def _add_source_flags(sub, csv_ok: bool = True) -> None:
         sub.add_argument("--csv-lf", dest="csv_lf", help="low-fidelity samples: d1+d2 columns")
         sub.add_argument("--csv-hf", dest="csv_hf", help="high-fidelity samples: d1+d2 columns")
         sub.add_argument("--d1", type=int, help="input width of csv rows")
-        sub.add_argument("--d2", type=int, default=1, help="response width of csv rows")
+        sub.add_argument("--d2", type=int, help="response width of csv rows (default 1)")
     sub.add_argument("--nested", action="store_true",
                      help="draw high-fidelity inputs as a subset of the low-fidelity ones")
 

@@ -1,4 +1,7 @@
-"""Sampling, normalization, dataset assembly, and the CSV/JSON artifact i/o of multi-fidelity experiments."""
+"""Sampling, normalization, dataset assembly, and the CSV/JSON artifact i/o of multi-fidelity experiments.
+
+A dataset is its samples alone: an input box is a benchmark pair's, which ``save_snapshot`` records if handed it.
+"""
 
 from __future__ import annotations
 
@@ -243,16 +246,16 @@ def finite_vector(values, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MultiFidelityDataset:
-    """Paired low- and high-fidelity samples over a shared input box."""
+    """Paired low- and high-fidelity samples, each as ``(n, d1)`` inputs and
+    ``(n, d2)`` responses; an input box is the benchmark pair's, not theirs."""
 
     lf_x: np.ndarray
     lf_y: np.ndarray
     hf_x: np.ndarray
     hf_y: np.ndarray
-    bounds: np.ndarray
 
     def __post_init__(self):
-        for name in ("lf_x", "lf_y", "hf_x", "hf_y", "bounds"):
+        for name in ("lf_x", "lf_y", "hf_x", "hf_y"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.lf_x.ndim != 2 or self.hf_x.ndim != 2 or self.lf_y.ndim != 2 or self.hf_y.ndim != 2:
             raise ValueError("sample arrays must be 2-D (rows of points)")
@@ -264,10 +267,6 @@ class MultiFidelityDataset:
             raise ValueError("low- and high-fidelity responses differ in dimension")
         if self.lf_x.shape[0] != self.lf_y.shape[0] or self.hf_x.shape[0] != self.hf_y.shape[0]:
             raise ValueError("inputs and responses differ in row count")
-        object.__setattr__(self, "bounds", _as_bounds(self.bounds, self.d1))
-        for x in (self.lf_x, self.hf_x):
-            if ((x < self.bounds[:, 0] - 1e-12) | (x > self.bounds[:, 1] + 1e-12)).any():
-                raise ValueError("sample inputs fall outside the declared bounds")
 
     @property
     def d1(self) -> int:
@@ -308,7 +307,6 @@ def make_dataset(pair, n_lf: int, n_hf: int, seed, *, nested: bool = False) -> M
         lf_y=pair.evaluate_lf(lf_x),
         hf_x=hf_x,
         hf_y=pair.evaluate_hf(hf_x),
-        bounds=pair.bounds,
     )
 
 
@@ -337,28 +335,22 @@ def dataset_from_rows(
 ) -> MultiFidelityDataset:
     """Assemble a dataset from the ``(x, y)`` row arrays of each fidelity, as
     ``load_csv`` returns them, optionally subsampling ``n_lf`` / ``n_hf`` rows.
-
-    The input box is the componentwise hull of all inputs.
-    """
+    The rows are kept as given: no input box is assumed or derived."""
     lf_seed, hf_seed = np.random.SeedSequence(seed).spawn(2)
     lf_x, lf_y = _subsample(lf, n_lf, "low", lf_seed)
     hf_x, hf_y = _subsample(hf, n_hf, "high", hf_seed)
-    all_x = np.vstack([lf_x, hf_x])
-    bounds = np.column_stack([all_x.min(axis=0), all_x.max(axis=0)])
-    # widen zero-extent dimensions so the box is valid: by 0.5, or by one ulp
-    # where x +- 0.5 rounds back to x (from 2^52 on), within the float range
-    flat = bounds[:, 0] == bounds[:, 1]
-    x, top = bounds[flat, 0], np.finfo(float).max
-    bounds[flat, 0] = np.minimum(x - 0.5, np.nextafter(x, -top))
-    bounds[flat, 1] = np.maximum(x + 0.5, np.nextafter(x, top))
-    return MultiFidelityDataset(lf_x=lf_x, lf_y=lf_y, hf_x=hf_x, hf_y=hf_y, bounds=bounds)
+    return MultiFidelityDataset(lf_x=lf_x, lf_y=lf_y, hf_x=hf_x, hf_y=hf_y)
 
 
 SNAPSHOT_FILES = {"lf": "lf.csv", "hf": "hf.csv", "sidecar": "dataset.json"}  # save_snapshot's files by key
 
 
-def save_snapshot(dataset: MultiFidelityDataset, directory, seed=None) -> dict[str, Path]:
-    """Write a dataset as lf.csv / hf.csv plus a JSON sidecar."""
+def save_snapshot(dataset: MultiFidelityDataset, directory, seed=None, bounds=None) -> dict[str, Path]:
+    """Write a dataset as lf.csv / hf.csv plus a JSON sidecar that records
+    ``seed``, the shape, and ``bounds``: the ``(d1, 2)`` box that the
+    samples were drawn from (a ``(2,)`` box applies to every dimension), or
+    null when there is none, as for rows read from CSV files."""
+    box = None if bounds is None else _as_bounds(bounds, dataset.d1).tolist()  # checked before any write
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = {key: directory / name for key, name in SNAPSHOT_FILES.items()}
@@ -367,7 +359,7 @@ def save_snapshot(dataset: MultiFidelityDataset, directory, seed=None) -> dict[s
     write_json(
         paths["sidecar"],
         {
-            "bounds": dataset.bounds.tolist(),
+            "bounds": box,
             "seed": seed,
             "n_lf": dataset.n_lf,
             "n_hf": dataset.n_hf,

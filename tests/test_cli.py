@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shlex
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from mdfgan import cli, experiments, gan
+from mdfgan.benchmarks import get
 from mdfgan.data import SNAPSHOT_FILES
 from mdfgan.gan import load_checkpoint
 from test_experiments import overflowing_pretrain_lf
@@ -64,6 +66,21 @@ def test_train_snapshot_flag(tmp_path, capsys):
     assert (tmp_path / "dataset" / "dataset.json").exists()
 
 
+def test_a_benchmark_snapshot_sidecar_keeps_its_bytes(tmp_path, capsys, monkeypatch):
+    """The sidecar of a borehole8d snapshot, whose box is not the unit box,
+    pinned by the digest recorded while the box was a field of the dataset:
+    handing it to save_snapshot instead changed no byte."""
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    rc = cli.main(
+        ["train", "--benchmark", "borehole8d", "--il", "40", "--ih", "4",
+         "--snapshot", "--out", str(tmp_path), *FAST_TRAIN]
+    )
+    assert rc == 0, capsys.readouterr().err
+    sidecar = (tmp_path / "dataset" / "dataset.json").read_bytes()
+    assert hashlib.sha256(sidecar).hexdigest() == "491912f49c1ff10b27efade4dc5c76c434ccab434d28df86c76e6baffce5b2da"
+    assert json.loads(sidecar)["bounds"] == get("borehole8d").bounds.tolist()
+
+
 def test_train_on_csv_pair(tmp_path, capsys):
     rng = np.random.default_rng(0)
     lf = tmp_path / "lf.csv"
@@ -96,6 +113,31 @@ def test_train_requires_exactly_one_source(tmp_path, capsys):
          "--csv-hf", "y.csv", "--d1", "1", "--out", str(tmp_path)]
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    ("flags", "message"),
+    [
+        (["--csv-lf", "lf.csv", "--csv-hf", "hf.csv", "--d1", "1", "--nested"],
+         "--nested is for --benchmark input: csv rows are used as given"),
+        (["--benchmark", "forrester1d", "--d1", "5"], "--d1 is for csv input: a --benchmark pair has its own widths"),
+        (["--benchmark", "forrester1d", "--d2", "3"], "--d2 is for csv input: a --benchmark pair has its own widths"),
+    ],
+    ids=["csv-nested", "benchmark-d1", "benchmark-d2"],
+)
+def test_train_rejects_a_flag_of_the_other_source(tmp_path, capsys, monkeypatch, flags, message):
+    """Each flag used to be ignored: the csv rows trained as given, or the
+    1 -> 1 benchmark pair trained, and train exited 0. It is rejected before
+    any file is read: the config file named here does not exist."""
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started before the source flags were checked")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    out = tmp_path / "out"
+    rc = cli.main(["train", *flags, "--config", str(tmp_path / "missing.cfg"), "--out", str(out), *FAST_TRAIN])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_unknown_benchmark(tmp_path, capsys):
@@ -303,7 +345,9 @@ def test_a_bad_config_value_fails_before_any_data_or_directory(tmp_path, capsys,
 
 
 def test_train_on_a_constant_input_column_past_2_52(tmp_path, capsys):
-    """x +- 0.5 rounds back to 1e16, so the widened box must step by an ulp."""
+    """The input box of csv rows used to be their hull, widened where flat:
+    x +- 0.5 rounds back to 1e16, so that needed an ulp step. Csv rows now
+    come with no box, and the sidecar records none."""
     for tag in ("lf", "hf"):
         (tmp_path / f"{tag}.csv").write_text("1e16,0.0\n1e16,0.5\n")
     rc = cli.main(
@@ -311,8 +355,7 @@ def test_train_on_a_constant_input_column_past_2_52(tmp_path, capsys):
          "--snapshot", "--out", str(tmp_path / "out"), *FAST_TRAIN]
     )
     assert rc == 0, capsys.readouterr().err
-    [[lo, hi]] = json.loads((tmp_path / "out" / "dataset" / "dataset.json").read_text())["bounds"]
-    assert lo < 1e16 < hi
+    assert json.loads((tmp_path / "out" / "dataset" / "dataset.json").read_text())["bounds"] is None
 
 
 @pytest.mark.parametrize(
@@ -1228,7 +1271,7 @@ _CONFIG_FLAGS = {
 _EXPERIMENT_FLAGS = {**_CONFIG_FLAGS, "il": None, "ih": None, "repeats": 10, "jobs": 1, "test_points": 1000}
 BARE_CALLS = {
     "mdfgan train": ("cmd_train", {
-        **_CONFIG_FLAGS, "command": "train", "csv_lf": None, "csv_hf": None, "d1": None, "d2": 1,
+        **_CONFIG_FLAGS, "command": "train", "csv_lf": None, "csv_hf": None, "d1": None, "d2": None,
         "il": None, "ih": None, "snapshot": False,
     }),
     "mdfgan predict --checkpoint c.json": ("cmd_predict", {

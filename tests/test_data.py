@@ -1,4 +1,5 @@
 import ast
+import json
 import re
 import warnings
 from pathlib import Path
@@ -405,23 +406,14 @@ def test_dataset_validation_catches_mismatches():
         lf_y=np.zeros((3, 1)),
         hf_x=np.zeros((2, 1)),
         hf_y=np.zeros((2, 1)),
-        bounds=[[-1.0, 1.0]],
     )
     MultiFidelityDataset(**ok)
     with pytest.raises(ValueError, match="row count"):
         MultiFidelityDataset(**{**ok, "lf_y": np.zeros((2, 1))})
     with pytest.raises(ValueError, match="dimension"):
         MultiFidelityDataset(**{**ok, "hf_x": np.zeros((2, 2))})
-    with pytest.raises(ValueError, match="outside"):
-        MultiFidelityDataset(**{**ok, "hf_x": np.full((2, 1), 4.0)})
-
-
-def test_dataset_takes_the_two_number_bounds_shorthand():
-    """A (2,) box applies to every dimension, as in lhs_sample; it used to
-    be validated, thrown away and then indexed as (d, 2)."""
-    x, y = np.full((2, 3), 0.5), np.zeros((2, 1))
-    ds = MultiFidelityDataset(lf_x=x, lf_y=y, hf_x=x, hf_y=y, bounds=[0.0, 1.0])
-    np.testing.assert_array_equal(ds.bounds, [[0.0, 1.0]] * 3)
+    with pytest.raises(TypeError, match="bounds"):  # the box is the pair's, not the dataset's
+        MultiFidelityDataset(**ok, bounds=[[-1.0, 1.0]])
 
 
 def test_dataset_from_rows_subsamples_deterministically():
@@ -448,22 +440,15 @@ def test_dataset_from_rows_rejects_counts_below_one(n_lf, n_hf, fidelity):
         dataset_from_rows(rows, rows, n_lf, n_hf)
 
 
-def test_dataset_from_rows_widens_flat_dimensions():
-    rows = np.array([[0.5, 0.0], [0.5, 1.0], [0.5, 2.0]]), np.ones((3, 1))
-    ds = dataset_from_rows(rows, rows)
-    lo, hi = ds.bounds[0]
-    assert lo < 0.5 < hi  # the constant first coordinate got a real box
-    np.testing.assert_array_equal(ds.bounds[1], [0.0, 2.0])
-
-
 @pytest.mark.parametrize("x", [-3.25, 2.0**52, 1e16, -1e16, np.finfo(float).max, -np.finfo(float).max])
 def test_a_flat_dimension_gets_a_box_at_any_finite_constant(x):
-    """Widened by 0.5 where that moves the bound, else by one ulp."""
-    ds = dataset_from_rows((np.array([[x]]), np.array([[0.0]])), (np.array([[x]]), np.array([[1.0]])))
-    lo, hi = ds.bounds[0]
-    assert lo <= x <= hi and lo < hi and np.isfinite([lo, hi]).all()
-    if abs(x) < 2.0**52:
-        assert (lo, hi) == (x - 0.5, x + 0.5)
+    """A constant input column, at any finite value (past 2^52, where
+    x +- 0.5 rounds back to x, too), is kept as given: no box is made from
+    the rows, so none has to be widened."""
+    lf = np.array([[x, 0.0], [x, 1.0]]), np.array([[0.0], [1.0]])
+    hf = np.array([[x, 0.5]]), np.array([[2.0]])
+    ds = dataset_from_rows(lf, hf)
+    assert ds.lf_x.tobytes() == lf[0].tobytes() and ds.hf_x.tobytes() == hf[0].tobytes()
 
 
 def test_save_snapshot_round_trips_through_load_csv(tmp_path):
@@ -474,3 +459,19 @@ def test_save_snapshot_round_trips_through_load_csv(tmp_path):
     x, y = load_csv(paths["lf"], 1, 1)
     np.testing.assert_array_equal(x, ds.lf_x)
     np.testing.assert_array_equal(y, ds.lf_y)
+    assert json.loads(paths["sidecar"].read_text())["bounds"] is None  # no box handed over
+
+
+@pytest.mark.parametrize(
+    ("bounds", "written"), [([0.0, 2.0], [[0.0, 2.0]] * 2), ([[0, 1], [-1, 3]], [[0.0, 1.0], [-1.0, 3.0]])]
+)
+def test_save_snapshot_writes_the_box_it_is_handed(tmp_path, bounds, written):
+    """A (2,) box applies to every dimension, as in lhs_sample; a box that
+    is not (d1, 2) or that is flat is rejected before any file is written."""
+    ds = make_dataset(get("currin2d"), 6, 2, seed=1)
+    paths = save_snapshot(ds, tmp_path / "snap", seed=1, bounds=bounds)
+    assert json.loads(paths["sidecar"].read_text())["bounds"] == written
+    for bad, message in (([[0.0, 1.0]], "shape"), ([[0.0, 1.0], [2.0, 2.0]], "degenerate")):
+        with pytest.raises(ValueError, match=message):
+            save_snapshot(ds, tmp_path / "bad", bounds=bad)
+    assert not (tmp_path / "bad").exists()

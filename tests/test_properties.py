@@ -5,6 +5,7 @@ mutated checkpoints and text inputs."""
 import contextlib
 import io
 import json
+import math
 import re
 import tempfile
 import warnings
@@ -97,18 +98,18 @@ def _rows(n, width):
 def test_snapshot_round_trips_through_load_csv(d1, d2, n_lf, n_hf, data):
     """Any finite dataset written by save_snapshot reads back through
     load_csv with the same bits (signed zeros and subnormals included),
-    and the sidecar records its shape and box."""
+    and the sidecar records its shape and the box handed to save_snapshot."""
     lf_x, hf_x = data.draw(_rows(n_lf, d1)), data.draw(_rows(n_hf, d1))
-    box = np.tile([-np.finfo(float).max, np.finfo(float).max], (d1, 1))  # holds every finite input
-    ds = MultiFidelityDataset(lf_x, data.draw(_rows(n_lf, d2)), hf_x, data.draw(_rows(n_hf, d2)), box)
+    box = np.tile([-np.finfo(float).max, np.finfo(float).max], (d1, 1))
+    ds = MultiFidelityDataset(lf_x, data.draw(_rows(n_lf, d2)), hf_x, data.draw(_rows(n_hf, d2)))
     with tempfile.TemporaryDirectory() as tmp:
-        paths = save_snapshot(ds, tmp, seed=7)
+        paths = save_snapshot(ds, tmp, seed=7, bounds=box)
         lf, hf = load_csv(paths["lf"], d1, d2), load_csv(paths["hf"], d1, d2)
         sidecar = json.loads(paths["sidecar"].read_text(encoding="utf-8"))
     for (x_read, y_read), x, y in ((lf, ds.lf_x, ds.lf_y), (hf, ds.hf_x, ds.hf_y)):
         assert x_read.tobytes() == x.tobytes() and y_read.tobytes() == y.tobytes()
     assert sidecar == {
-        "bounds": ds.bounds.tolist(), "seed": 7,
+        "bounds": box.tolist(), "seed": 7,
         "n_lf": n_lf, "n_hf": n_hf, "d1": d1, "d2": d2,
     }
 
@@ -287,13 +288,31 @@ def tiny_checkpoint(tmp_path_factory):
     return save_checkpoint(model, cfg, tmp_path_factory.mktemp("ckpt") / "ckpt.json")
 
 
+def rejected_by_its_reader(flag, argv) -> bool:
+    """Whether the reader of the input that ``flag`` gives in ``argv``
+    rejects it: the config file through resolve_config on ``argv``, a CSV
+    file through load_csv, --points text unless each row is one finite float."""
+    given = argv[argv.index(flag) + 1]
+    try:
+        if flag == "--points":
+            return not all(math.isfinite(float(row)) for row in given.split(";"))
+        if flag == "--config":
+            cli.resolve_config(cli.build_parser().parse_args(argv), TrainingConfig())
+        else:
+            load_csv(given, 1, 0 if flag == "--csv-in" else 1)
+    except ValueError:
+        return True
+    return False
+
+
 @settings(max_examples=100, deadline=None)
 @given(flag=st.sampled_from(sorted(TEXT_INPUTS)), data=st.data())
 def test_a_mutated_text_input_exits_zero_one_or_two(tiny_checkpoint, flag, data):
     """One mutated config file, CSV file or --points text, the others left
-    valid, never lets an exception escape main nor exits 3, and exits 1 only
-    on a divergence. A train run takes a config file and the CSV pair; its
-    budget flags override the file's, so each run stays tiny."""
+    valid, never lets an exception escape main nor exits 3, exits 1 only on
+    a divergence, and exits 2 whenever the input's own reader rejects it. A
+    train run takes a config file and the CSV pair; its budget flags
+    override the file's, so each run stays tiny."""
     texts = {name: joined(*spec) for name, spec in TEXT_INPUTS.items()}
     texts[flag] = data.draw(mutated_text(*TEXT_INPUTS[flag]), label="text")
     err = io.StringIO()
@@ -307,11 +326,14 @@ def test_a_mutated_text_input_exits_zero_one_or_two(tiny_checkpoint, flag, data)
         else:
             files = [arg for name in ("--config", "--csv-lf", "--csv-hf") for arg in (name, str(paths[name]))]
             argv = ["train", *files, "--d1", "1", "--epochs-lf", "2", "--epochs-hf", "1", "--hidden", "3"]
+        argv += ["--out", str(Path(tmp) / "out")]
         with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            warnings.simplefilter("ignore", UserWarning)  # constant columns; lr_disc <= lr_gen
-            code = cli.main([*argv, "--out", str(Path(tmp) / "out")])
+            warnings.simplefilter("ignore", UserWarning)  # constant columns; lr_disc <= lr_gen; no rows
+            rejected = rejected_by_its_reader(flag, argv)
+            code = cli.main(argv)
     assert code in (0, 1, 2), err.getvalue()
     assert (code == 1) == err.getvalue().startswith("training diverged: "), err.getvalue()
+    assert code == 2 or not rejected, err.getvalue()
 
 
 # a valid value of each field, any of which a draw may replace by any_value
