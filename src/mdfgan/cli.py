@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmarks, experiments
-from .data import (SNAPSHOT_FILES, dataset_from_rows, load_csv, make_dataset, read_text, save_snapshot, write_csv,
-                   write_json)
+from .data import (SNAPSHOT_FILES, dataset_from_rows, field_value, load_csv, make_dataset, read_text, save_snapshot,
+                   write_csv, write_json)
 from .gan import (
     ENV_SEED,
     TrainingConfig,
@@ -80,8 +80,8 @@ def _config_flags():
 
 
 def _base_seed(args, fallback: int = 0) -> int:
-    """The base seed: --seed, then $MDFGAN_SEED, then ``fallback``; a
-    negative seed is rejected under the name it came from."""
+    """The base seed: --seed, then $MDFGAN_SEED, then ``fallback``; a seed
+    is held to the seed field's rule under the name it came from."""
     if getattr(args, "seed", None) is not None:
         seed, source = args.seed, "--seed"
     else:
@@ -92,9 +92,8 @@ def _base_seed(args, fallback: int = 0) -> int:
             seed, source = int(env), f"${ENV_SEED}"
         except ValueError:
             raise ValueError(f"${ENV_SEED} must be an integer, got {env!r}") from None
-    if seed < 0:
-        raise ValueError(f"{source} must be non-negative, got {seed}")
-    return seed
+    rule = TrainingConfig.__dataclass_fields__["seed"]
+    return field_value(source, seed, rule.default, rule.metadata)
 
 
 def resolve_config(args, defaults: TrainingConfig) -> TrainingConfig:
@@ -181,12 +180,11 @@ def _require_benchmark(args) -> benchmarks.BenchmarkPair:
 
 
 def _check_counts(args) -> None:
-    """Reject a count flag below 1, or a list flag item below 1, under the flag's own name."""
+    """Hold each count flag, and each item of a list flag, to the rule of a count, under the flag's own name."""
     for flag in ("--d1", "--d2", "--il", "--ih", "--repeats", "--jobs", "--test-points", "--points"):
         value = getattr(args, flag[2:].replace("-", "_"), None)
-        for item in value if isinstance(value, list) else [value]:
-            if isinstance(item, int) and item < 1:  # predict's --points is text, not a count
-                raise ValueError(f"{flag} must be at least 1, got {item}")
+        if isinstance(value, (int, list)):  # predict's --points is text, not a count
+            field_value(flag, value, (1,) if isinstance(value, list) else 1, {"min": 1})
 
 
 def _budget(args, pair) -> tuple:
@@ -265,9 +263,9 @@ def cmd_predict(args) -> int:
             raise ValueError(f"cannot parse --points {args.points!r}") from None
         if any(len(row) != model.d1 for row in rows):
             raise ValueError(f"inputs must be rows of width {model.d1}")
+        for row, values in enumerate(rows):
+            field_value(f"--points row {row}", values, (0.0,), {})
         inputs = np.asarray(rows, dtype=float)
-        if not np.isfinite(inputs).all():
-            raise ValueError("inputs must be finite numbers")
     else:
         inputs, _ = load_csv(args.csv_in, model.d1, 0)
         if len(inputs) == 0:

@@ -21,8 +21,6 @@ log = logging.getLogger(__name__)
 
 NORMALIZER_KINDS = ("none", "minmax", "standard")
 
-_FLOAT_MAX = float(np.finfo(float).max)
-
 
 def _as_bounds(bounds, d: int) -> np.ndarray:
     arr = np.asarray(bounds, dtype=float)
@@ -126,7 +124,7 @@ class Normalizer:
         if json_object(doc, what, ("kind",))["kind"] == "none":
             return cls("none")
         json_object(doc, what, ("shift", "scale"))
-        shift, scale = (finite_vector(doc[key], f"{what} {key}") for key in ("shift", "scale"))
+        shift, scale = (np.array(field_value(f"{what} {key}", doc[key], (0.0,), {})) for key in ("shift", "scale"))
         if not scale.all():  # fit never writes a zero scale; a constant column gets 1.0
             raise ValueError(f"{what} scale must be nonzero, got 0 at index {int(np.flatnonzero(scale == 0)[0])}")
         return cls(doc["kind"], shift, scale)
@@ -226,22 +224,41 @@ def json_object(doc, what: str, keys=()) -> dict:
     return doc
 
 
-def finite_vector(values, what: str) -> np.ndarray:
-    """``values`` as a float vector if it is a JSON list of finite numbers
-    (null reads as nan, a bool is no number); else a ValueError that names
-    ``what`` and the first bad item."""
-    if not isinstance(values, list):
-        raise ValueError(f"{what} must be a list of numbers, got {type(values).__name__}")
-    for index, value in enumerate(values):
-        if type(value) not in (int, float, type(None)):
-            raise ValueError(f"{what} must be numbers, got {value!r} at index {index}")
-        if type(value) is int and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-            raise ValueError(f"{what} must be finite, got an int of {value.bit_length()} bits at index {index}")
-    vector = np.array(values, dtype=float)
-    if not np.isfinite(vector).all():
-        index = int(np.flatnonzero(~np.isfinite(vector))[0])
-        raise ValueError(f"{what} must be finite, got {vector[index]} at index {index}")
-    return vector
+def field_value(name: str, value, default, meta):
+    """``value`` under the one rule for a value that comes from outside the program: a config field, a
+    checkpoint number, a flag or a seed. It has the type of ``default`` (a bool is no int, an int is taken
+    as a float, and a tuple takes a non-empty list or tuple of such items, a bad one named by its index);
+    a float is finite, a number in [meta["min"], inf) and a text in meta["choices"]."""
+    if isinstance(default, tuple):
+        if isinstance(value, str):  # a str is a sequence of characters, not of items
+            raise ValueError(f"{name} must be a sequence of items, not the string {value!r}")
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ValueError(f"{name} must be a non-empty list or tuple, got {value!r}")
+        item = default[0]
+        if type(item) is float and not meta and set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+            return tuple(value)  # what the loop returns, at C speed for a long vector such as params
+        items = []
+        for index, v in enumerate(value):
+            try:
+                items.append(field_value(f"{name} item", v, item, meta))
+            except ValueError as exc:
+                raise ValueError(f"{exc} at index {index}") from None
+        return tuple(items)
+    kind = type(default)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:  # an int past the float range
+            raise ValueError(f"{name} must be finite, got an int of {value.bit_length()} bits") from None
+    if "min" in meta and not meta["min"] <= value < math.inf:  # also false for nan
+        raise ValueError(f"{name} must be finite and at least {meta['min']}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if "choices" in meta and value not in meta["choices"]:
+        raise ValueError(f"{name} must be one of {meta['choices']}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

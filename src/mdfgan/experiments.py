@@ -20,6 +20,7 @@ one and stores a copy of it.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 import time
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -35,6 +36,7 @@ from .gan import (
     TrainingConfig,
     TrainingDivergedError,
     fit_regression,
+    layer_sizes,
     normalized_predict,
     pretrain_lf,
     train_adversarial,
@@ -139,7 +141,7 @@ def train_hf_only(dataset: MultiFidelityDataset, config: TrainingConfig) -> HfOn
     """Fit the baseline on (hf_x, hf_y) with the supervised learning rate,
     for as many epochs as the low-fidelity pretraining budget."""
     net = DenseNetwork(
-        [dataset.d1, *config.hidden_sizes, dataset.d2],
+        layer_sizes(dataset.d1, dataset.d2, config)[0],
         config.resolved_activations(),
         seed=np.random.default_rng(np.random.SeedSequence([config.seed, _SEED_HF_ONLY_NET])),
     )
@@ -274,12 +276,12 @@ def _run_cells(
     """One ``ExperimentResult`` per ``(n_lf, n_hf, variant)`` cell, in order,
     after checking every cell. The seed is the unit of work: one task per
     seed runs all the cells, in this process or on one pool of at most one
-    worker per seed, so no LF block leaves the process that pretrained it.
-    The one place that makes a process pool."""
+    worker per seed and per core, so no LF block leaves the process that
+    pretrained it. The one place that makes a process pool."""
     _check_table(cells, n_repeats, test_size, n_jobs)
     task = partial(_run_table_seed, pair, cells, config, test_size=test_size, nested=nested)
     seeds = range(config.seed, config.seed + n_repeats)
-    workers = min(n_jobs, n_repeats)  # the pool forks all of them at its first task
+    workers = min(n_jobs, n_repeats, os.cpu_count() or 1)  # the pool forks all of them at its first task
     if workers > 1:  # reading the attribute imports multiprocessing, so one-process runs never load it
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_seed = list(pool.map(task, seeds))

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (NORMALIZER_KINDS, MultiFidelityDataset, Normalizer, finite_vector, json_object, read_text,
+from .data import (NORMALIZER_KINDS, MultiFidelityDataset, Normalizer, field_value, json_object, read_text,
                    write_csv, write_json)
 from .nn import (
     IDENTITY,
@@ -99,7 +99,7 @@ class TrainingConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            setattr(self, f.name, _field_value(f.name, getattr(self, f.name), f.default, f.metadata))
+            setattr(self, f.name, field_value(f.name, getattr(self, f.name), f.default, f.metadata))
         n_acts = len(self.hidden_activations)
         if n_acts not in (1, len(self.hidden_sizes)):
             raise ValueError(
@@ -132,31 +132,6 @@ class TrainingConfig:
             if key not in names:
                 raise ValueError(f"unknown config key {key!r}")
         return cls(**doc)
-
-
-def _field_value(name: str, value, default, meta):
-    """``value`` under the rule of a config field: the type of its default (a bool is no int, an int is
-    taken as a float, a tuple takes a non-empty list or tuple of such items), a number in
-    [meta["min"], inf) and a text in meta["choices"]."""
-    if isinstance(default, tuple):
-        if isinstance(value, str):  # a str is a sequence of characters, not of items
-            raise ValueError(f"{name} must be a sequence of items, not the string {value!r}")
-        if not isinstance(value, (list, tuple)) or not value:
-            raise ValueError(f"{name} must be a non-empty list or tuple, got {value!r}")
-        return tuple(_field_value(f"{name} item", item, default[0], meta) for item in value)
-    kind = type(default)
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
-    if kind is float:
-        try:
-            value = float(value)
-        except OverflowError:  # an int past the float range
-            raise ValueError(f"{name} must be finite, got an int of {value.bit_length()} bits") from None
-    if "min" in meta and not meta["min"] <= value < math.inf:  # also false for nan
-        raise ValueError(f"{name} must be finite and at least {meta['min']}, got {value!r}")
-    if "choices" in meta and value not in meta["choices"]:
-        raise ValueError(f"{name} must be one of {meta['choices']}, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -216,7 +191,7 @@ class GanMdfModel:
         def rng(tag: int) -> np.random.Generator:
             return np.random.default_rng(np.random.SeedSequence([config.seed, tag]))
 
-        lf_sizes, hf_sizes, disc_sizes = _layer_sizes(d1, d2, config)
+        lf_sizes, hf_sizes, disc_sizes = layer_sizes(d1, d2, config)
         lf = DenseNetwork(lf_sizes, acts, IDENTITY, seed=rng(_SEED_LF_NET))
         hf = DenseNetwork(hf_sizes, acts, IDENTITY, seed=rng(_SEED_HF_NET))
         disc = DenseNetwork(disc_sizes, acts, SIGMOID, seed=rng(_SEED_DISC_NET))
@@ -282,14 +257,14 @@ class GanMdfModel:
         before anything is allocated: their count, and that each is a finite
         number."""
         json_object(doc, "model", ("d1", "d2", *ROLES, "normalizers"))
-        d1, d2 = (_field_value(key, doc[key], 1, {"min": 1}) for key in ("d1", "d2"))
+        d1, d2 = (field_value(key, doc[key], 1, {"min": 1}) for key in ("d1", "d2"))
         norms = json_object(doc["normalizers"], "normalizers", NORMALIZED)
         params = []
-        for role, sizes in zip(ROLES, _layer_sizes(d1, d2, config)):
+        for role, sizes in zip(ROLES, layer_sizes(d1, d2, config)):
             net = json_object(doc[role], role, ("params", "frozen"))
             try:
-                _field_value("frozen", net["frozen"], False, {})
-                values = finite_vector(net["params"], "params")
+                field_value("frozen", net["frozen"], False, {})
+                values = np.array(field_value("params", net["params"], (0.0,), {}))
                 count = param_count(sizes)
                 if values.shape != (count,):
                     raise ValueError(f"expected {count} params for layer_sizes {sizes}")
@@ -304,8 +279,9 @@ class GanMdfModel:
         return cls(*nets, *(Normalizer.from_dict(norms[part], f"{part} normalizer") for part in NORMALIZED))
 
 
-def _layer_sizes(d1: int, d2: int, config: TrainingConfig) -> tuple[list[int], list[int], list[int]]:
-    """The layer sizes of the LF block, the HF block and the discriminator."""
+def layer_sizes(d1: int, d2: int, config: TrainingConfig) -> tuple[list[int], list[int], list[int]]:
+    """The layer sizes of the LF block, the HF block and the discriminator;
+    the hf-only baseline's network has the LF block's."""
     hidden = list(config.hidden_sizes)
     return [d1, *hidden, d2], [d1 + d2, *hidden, d2], [d2, *hidden, 1]
 
@@ -315,8 +291,9 @@ def normalized_predict(
 ) -> np.ndarray:
     """Evaluate a normalized-space map on raw inputs (a vector or batch rows):
     apply the fitted input transform, run ``forward`` on the batch, and undo
-    the output transform. A finite row that overflows in the input transform
-    or in ``forward`` is bad input: a ValueError names the first such row."""
+    the output transform. A finite row that overflows in the input transform,
+    in ``forward`` or in the output transform is bad input: a ValueError
+    names the first such row."""
     inputs = np.asarray(inputs, dtype=float)
     single = inputs.ndim == 1
     batch = np.atleast_2d(inputs)
@@ -326,12 +303,14 @@ def normalized_predict(
     def out_of_range(row: int, why: str) -> ValueError:
         return ValueError(f"input row {row} {batch[row].tolist()} is out of range: {why}")
 
+    def check_rows(values: np.ndarray, why: str) -> None:
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            raise out_of_range(int(np.flatnonzero(~finite)[0]), why)
+
     with np.errstate(over="ignore", invalid="ignore"):
         z = input_norm.transform(batch)
-        finite = np.isfinite(z).all(axis=1)
-        if not finite.all():
-            row = int(np.flatnonzero(~finite)[0])
-            raise out_of_range(row, "the input normalizer maps it to a non-finite value")
+        check_rows(z, "the input normalizer maps it to a non-finite value")
         try:
             pred = forward(z)
         except NonFiniteError:
@@ -342,7 +321,8 @@ def normalized_predict(
                 except NonFiniteError:
                     raise out_of_range(row, "the network overflows on it") from None
             raise
-    out = output_norm.inverse_transform(pred)
+        out = output_norm.inverse_transform(pred)
+        check_rows(out, "the output normalizer maps its prediction to a non-finite value")
     return out[0] if single else out
 
 

@@ -294,7 +294,9 @@ def test_csv_counts_and_widths_below_one_name_the_flag(tmp_path, capsys, monkeyp
     ]
     rc = cli.main([*command, "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert capsys.readouterr().err == f"error: {flags[-2]} must be at least 1, got {flags[-1]}\n"
+    comma_lists = {("sweep-hf", "--ih"), ("sweep-lf", "--il")}  # a bad item is named by its index
+    name, at = (f"{flags[-2]} item", " at index 0") if (command[0], flags[-2]) in comma_lists else (flags[-2], "")
+    assert capsys.readouterr().err == f"error: {name} must be finite and at least 1, got {flags[-1]}{at}\n"
 
 
 @pytest.mark.parametrize(
@@ -304,7 +306,8 @@ def test_csv_counts_and_widths_below_one_name_the_flag(tmp_path, capsys, monkeyp
 )
 def test_an_infinite_leaky_relu_slope_is_a_usage_error(tmp_path, capsys, monkeypatch, command):
     """An inf slope used to pass the check: train pretrained and exited 1,
-    and sweep-hf exited 0 with every repeat NaN."""
+    and sweep-hf exited 0 with every repeat NaN. The field rule now holds
+    every float to be finite, before leaky_relu sees the slope."""
     def no_training(*args, **kwargs):
         raise AssertionError("training started before the slope was checked")
 
@@ -315,7 +318,7 @@ def test_an_infinite_leaky_relu_slope_is_a_usage_error(tmp_path, capsys, monkeyp
          "--leaky-alpha", "inf", "--out", str(tmp_path), *FAST_TRAIN]
     )
     assert rc == 2
-    assert "leaky_relu slope must be positive and finite, got inf" in capsys.readouterr().err
+    assert "leaky_alpha must be finite, got inf" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -323,8 +326,8 @@ def test_an_infinite_leaky_relu_slope_is_a_usage_error(tmp_path, capsys, monkeyp
     [
         (["--activations", "softplus"], "unknown activation kind 'softplus'"),
         (["--activations", "leaky_relu", "--leaky-alpha", "-1"], "leaky_relu slope must be positive and finite"),
-        (["--seed", "-1"], "seed must be non-negative, got -1"),
-        (["--leaky-alpha", "nan"], "leaky_relu slope must be positive and finite, got nan"),
+        (["--seed", "-1"], "--seed must be finite and at least 0, got -1"),
+        (["--leaky-alpha", "nan"], "leaky_alpha must be finite, got nan"),
     ],
     ids=["activation-kind", "leaky-slope", "seed", "unused-leaky-slope"],
 )
@@ -411,7 +414,7 @@ def test_predict_rejects_a_checkpoint_whose_config_changed_the_architecture(tmp_
 @pytest.mark.parametrize(
     "edit, message",
     [
-        ({"params": None}, "lf_block: params must be finite, got nan at index 0"),
+        ({"params": None}, "lf_block: params item must be of type float, got None at index 0"),
         ({"d2": 10**12}, "lf_block: expected 7000000000012 params for layer_sizes [1, 6, 1000000000000]"),
     ],
     ids=["null-params", "huge-d2"],
@@ -473,7 +476,7 @@ def predict_edited(tmp_path, doc, where, key, value):
         ("leaky_alpha", DROP, "missing config key 'leaky_alpha'"),
         ("extra", 1, "unknown config key 'extra'"),
         ("epochs_lf", 1.5, "epochs_lf must be of type int, got 1.5"),
-        ("hidden_sizes", [6.7], "hidden_sizes item must be of type int, got 6.7"),
+        ("hidden_sizes", [6.7], "hidden_sizes item must be of type int, got 6.7 at index 0"),
         ("supervised_trick", "no", "supervised_trick must be of type bool, got 'no'"),
         ("seed", "a", "seed must be of type int, got 'a'"),
         ("leaky_alpha", 10**400, "leaky_alpha must be finite, got an int of 1329 bits"),
@@ -574,13 +577,14 @@ def test_predict_rejects_normalizers_of_the_wrong_width(tmp_path, capsys, part, 
 @pytest.mark.parametrize(
     "part, value, message",
     [
-        ("hf_outputs", {"scale": [None]}, "hf_outputs normalizer scale must be finite, got nan at index 0"),
+        ("hf_outputs", {"scale": [None]}, "hf_outputs normalizer scale item must be of type float, got None at index 0"),
         ("hf_outputs", {"scale": [0.0]}, "hf_outputs normalizer scale must be nonzero, got 0 at index 0"),
         ("inputs", {"scale": [0.0]}, "inputs normalizer scale must be nonzero, got 0 at index 0"),
-        ("inputs", {"shift": [True]}, "inputs normalizer shift must be numbers, got True at index 0"),
-        ("inputs", {"shift": [10**400]}, "inputs normalizer shift must be finite, got an int of 1329 bits at index 0"),
+        ("inputs", {"shift": [True]}, "inputs normalizer shift item must be of type float, got True at index 0"),
+        ("inputs", {"shift": [10**400]},
+         "inputs normalizer shift item must be finite, got an int of 1329 bits at index 0"),
         ("lf_outputs", {"scale": [0.0]}, "lf_outputs normalizer scale must be nonzero, got 0 at index 0"),
-        ("lf_outputs", {"shift": "0.5"}, "lf_outputs normalizer shift must be a list of numbers, got str"),
+        ("lf_outputs", {"shift": "0.5"}, "lf_outputs normalizer shift must be a sequence of items, not the string '0.5'"),
     ],
     ids=["null-hf-scale", "zero-hf-scale", "zero-input-scale", "bool-shift", "huge-shift", "zero-lf-scale",
          "str-shift"],
@@ -604,7 +608,9 @@ def test_predict_names_the_role_of_params_that_are_not_a_list(tmp_path, capsys, 
     with no role named."""
     capsys.readouterr()
     assert predict_edited(tmp_path, leaky_checkpoint, ["model", "lf_block"], "params", {"a": 1}) == 2
-    assert capsys.readouterr().err == "error: bad checkpoint: lf_block: params must be a list of numbers, got dict\n"
+    assert capsys.readouterr().err == (
+        "error: bad checkpoint: lf_block: params must be a non-empty list or tuple, got {'a': 1}\n"
+    )
 
 
 def test_predict_reads_a_checkpoint_with_a_byte_order_mark(tmp_path, capsys, leaky_checkpoint):
@@ -784,7 +790,7 @@ def test_baselines_reject_fewer_than_one_job_before_training(tmp_path, capsys, m
          "--out", str(tmp_path), *FAST]
     )
     assert rc == 2
-    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert f"--jobs must be finite and at least 1, got {jobs}" in capsys.readouterr().err
 
 
 def test_train_rejects_one_hf_sample_before_pretraining(tmp_path, capsys, monkeypatch):
@@ -898,6 +904,28 @@ def test_predict_rejects_non_finite_points(tmp_path, capsys):
     assert "error: input row 0 [1e+308] is out of range" in capsys.readouterr().err
 
 
+def test_predict_rejects_a_row_whose_prediction_the_output_normalizer_overflows(tmp_path, capsys):
+    """The output transform ran outside the overflow guard and its rows went
+    unchecked: numpy warned, and predict wrote inf rows with exit 0 (exit 3
+    under -W error, as in this suite)."""
+    assert cli.main(
+        ["train", "--benchmark", "nonlinear1d", "--il", "10", "--ih", "2", "--normalizer", "standard",
+         "--out", str(tmp_path), *FAST_TRAIN]
+    ) == 0
+    path = tmp_path / "checkpoint.json"
+    doc = json.loads(path.read_text())
+    doc["model"]["normalizers"]["hf_outputs"]["scale"] = [10.0]
+    doc["model"]["hf_block"]["params"][-1] = 1.7e308  # the output layer's bias: a finite prediction near the top
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main(["predict", "--checkpoint", str(path), "--points", "0.3;0.5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: input row 0 [0.3] is out of range: the output normalizer maps its prediction to a non-finite value\n"
+    )
+    assert not out.exists()
+
+
 def test_sweep_hf_csv_layout_and_determinism(tmp_path, capsys):
     args = [
         "sweep-hf", "--benchmark", "forrester1d", "--il", "15", "--ih", "3,2",
@@ -982,8 +1010,8 @@ def test_scatter_env_seed_matches_seed_flag(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["scatter", "train"])
 @pytest.mark.parametrize(
     "flags, env, message",
-    [(["--seed", "-1"], None, "--seed must be non-negative, got -1"),
-     ([], "-3", "$MDFGAN_SEED must be non-negative, got -3")],
+    [(["--seed", "-1"], None, "--seed must be finite and at least 0, got -1"),
+     ([], "-3", "$MDFGAN_SEED must be finite and at least 0, got -3")],
     ids=["flag", "env"],
 )
 def test_a_negative_seed_is_named_by_where_it_came_from(tmp_path, capsys, monkeypatch, command, flags, env, message):

@@ -315,6 +315,24 @@ def test_experiments_run_cells_alone_makes_a_process_pool():
     assert makers == {("experiments.py", "_run_cells")}
 
 
+def test_field_value_is_the_one_rule_for_a_value_from_outside():
+    """finite_vector was a second rule, for the checkpoint's params and
+    normalizers, beside the config field rule; cli checked counts, seeds and
+    --points by hand. The rule is now defined once, in data, and cli calls it
+    for each."""
+    package = Path(mdfgan.__file__).parent
+    for path in package.rglob("*.py"):
+        assert not re.search(r"\b(finite_vector|_FLOAT_MAX)\b", path.read_text(encoding="utf-8")), path
+    nodes = list(package_nodes())
+    rules = [(module, node.name) for module, _, node in nodes
+             if isinstance(node, ast.FunctionDef) and node.name.endswith("field_value")]
+    assert rules == [("data.py", "field_value")]
+    callers = {func for module, func, node in nodes
+               if module == "cli.py" and isinstance(node, ast.Call) and getattr(node.func, "id", None) == "field_value"}
+    assert callers == {"_check_counts", "_base_seed", "cmd_predict"}
+    assert not [node for module, _, node in nodes if module == "cli.py" and getattr(node, "attr", None) == "isfinite"]
+
+
 @pytest.mark.parametrize(
     "write",
     [

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import json
+import os
 import pickle
 import subprocess
 import sys
@@ -373,6 +374,21 @@ def test_a_table_makes_one_pool(monkeypatch):
     with pytest.raises(ValueError, match="two high-fidelity samples"):
         run_hf_sweep(pair, 20, [5, 1], cfg, n_repeats=2, test_size=10, n_jobs=2)
     assert sizes == [2, 2]
+
+
+def test_a_pool_has_at_most_one_worker_per_core(monkeypatch):
+    """Under fork the pool forks all its workers at its first task, so
+    --repeats 500 --jobs 500 forked 500 interpreters on a 2-core host. An
+    unknown core count makes no pool."""
+    sizes = record_pools(monkeypatch)
+    pair, cfg = get("forrester1d"), fast_config(seed=3)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    serial = run_experiment(pair, 15, 3, cfg, n_repeats=4, test_size=10)
+    assert run_experiment(pair, 15, 3, cfg, n_repeats=4, test_size=10, n_jobs=500).to_dict() == serial.to_dict()
+    assert sizes == [3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run_experiment(pair, 15, 3, cfg, n_repeats=4, test_size=10, n_jobs=500).to_dict() == serial.to_dict()
+    assert sizes == [3]
 
 
 def test_no_lf_block_leaves_the_process_that_pretrained_it(monkeypatch):

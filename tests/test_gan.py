@@ -99,14 +99,14 @@ def test_config_rejects_a_string_for_a_tuple_field(name, value):
         ("supervised_trick", 1, "supervised_trick must be of type bool, got 1"),
         ("lr_sup", "0.1", "lr_sup must be of type float, got '0.1'"),
         ("normalizer", None, "normalizer must be of type str, got None"),
-        ("hidden_sizes", [4.7], "hidden_sizes item must be of type int, got 4.7"),
-        ("hidden_sizes", (8, True), "hidden_sizes item must be of type int, got True"),
+        ("hidden_sizes", [4.7], "hidden_sizes item must be of type int, got 4.7 at index 0"),
+        ("hidden_sizes", (8, True), "hidden_sizes item must be of type int, got True at index 1"),
         ("hidden_sizes", [], "hidden_sizes must be a non-empty list or tuple, got []"),
         ("hidden_sizes", 32, "hidden_sizes must be a non-empty list or tuple, got 32"),
-        ("hidden_activations", ["sigmoid", 1], "hidden_activations item must be of type str, got 1"),
+        ("hidden_activations", ["sigmoid", 1], "hidden_activations item must be of type str, got 1 at index 1"),
         ("epochs_lf", -1, "epochs_lf must be finite and at least 0, got -1"),
         ("lf_batch_cap", 0, "lf_batch_cap must be finite and at least 1, got 0"),
-        ("hidden_sizes", (8, 0), "hidden_sizes item must be finite and at least 1, got 0"),
+        ("hidden_sizes", (8, 0), "hidden_sizes item must be finite and at least 1, got 0 at index 1"),
         ("seed", -1, "seed must be finite and at least 0, got -1"),
         ("mode", "alternating", "mode must be one of ('coupled', 'standard-gan'), got 'alternating'"),
         pytest.param("leaky_alpha", 10**400, "leaky_alpha must be finite, got an int of 1329 bits", id="huge-int"),
