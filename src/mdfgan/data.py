@@ -10,6 +10,7 @@ import io
 import json
 import logging
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -40,8 +41,7 @@ def lhs_sample(n: int, d: int, bounds, seed) -> np.ndarray:
     receives exactly one point at a uniform position inside it. Deterministic
     for a fixed seed.
     """
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 points and d >= 1 dimensions")
+    n, d = (field_value(name, value, 1, {"min": 1}) for name, value in (("n", n), ("d", d)))
     box = _as_bounds(bounds, d)
     rng = np.random.default_rng(seed)
     unit = np.empty((n, d))
@@ -225,10 +225,10 @@ def json_object(doc, what: str, keys=()) -> dict:
 
 
 def field_value(name: str, value, default, meta):
-    """``value`` under the one rule for a value that comes from outside the program: a config field, a
-    checkpoint number, a flag or a seed. It has the type of ``default`` (a bool is no int, an int is taken
-    as a float, and a tuple takes a non-empty list or tuple of such items, a bad one named by its index);
-    a float is finite, a number in [meta["min"], inf) and a text in meta["choices"]."""
+    """``value`` under the one rule for a value from outside the program: a config field, a checkpoint number, a
+    flag, a seed or a count. It has the type of ``default`` (a bool is no int, a numpy int is the int it holds, an
+    int is taken as a float, and a tuple takes a non-empty list or tuple of such items, a bad one named by its
+    index); a float is finite, a number in [meta["min"], inf) and above meta["above"], a text in meta["choices"]."""
     if isinstance(default, tuple):
         if isinstance(value, str):  # a str is a sequence of characters, not of items
             raise ValueError(f"{name} must be a sequence of items, not the string {value!r}")
@@ -244,6 +244,8 @@ def field_value(name: str, value, default, meta):
             except ValueError as exc:
                 raise ValueError(f"{exc} at index {index}") from None
         return tuple(items)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        value = int(value)
     kind = type(default)
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
@@ -256,6 +258,8 @@ def field_value(name: str, value, default, meta):
         raise ValueError(f"{name} must be finite and at least {meta['min']}, got {value!r}")
     if kind is float and not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+    if "above" in meta and not value > meta["above"]:
+        raise ValueError(f"{name} must be above {meta['above']}, got {value!r}")
     if "choices" in meta and value not in meta["choices"]:
         raise ValueError(f"{name} must be one of {meta['choices']}, got {value!r}")
     return value
@@ -302,6 +306,15 @@ class MultiFidelityDataset:
         return self.hf_x.shape[0]
 
 
+def sample_budget(n_lf, n_hf) -> tuple[int, int]:
+    """``(n_lf, n_hf)``, each a count under ``field_value``'s rule, if a
+    dataset can hold them: no fewer low- than high-fidelity samples."""
+    n_lf, n_hf = (field_value(name, value, 1, {"min": 1}) for name, value in (("n_lf", n_lf), ("n_hf", n_hf)))
+    if n_lf < n_hf:
+        raise ValueError(f"need n_lf >= n_hf, got n_lf={n_lf} and n_hf={n_hf}")
+    return n_lf, n_hf
+
+
 def make_dataset(pair, n_lf: int, n_hf: int, seed, *, nested: bool = False) -> MultiFidelityDataset:
     """Draw a synthetic dataset from a benchmark pair.
 
@@ -310,8 +323,7 @@ def make_dataset(pair, n_lf: int, n_hf: int, seed, *, nested: bool = False) -> M
     picks the high-fidelity inputs as a random subset of the low-fidelity
     ones.
     """
-    if n_lf < n_hf or n_hf < 1:
-        raise ValueError("need n_lf >= n_hf >= 1")
+    n_lf, n_hf = sample_budget(n_lf, n_hf)
     lf_seed, hf_seed, subset_seed = np.random.SeedSequence(seed).spawn(3)
     lf_x = lhs_sample(n_lf, pair.d1, pair.bounds, lf_seed)
     if nested:
@@ -327,18 +339,15 @@ def make_dataset(pair, n_lf: int, n_hf: int, seed, *, nested: bool = False) -> M
     )
 
 
-def _subsample(rows, n: int | None, tag: str, seed) -> tuple[np.ndarray, np.ndarray]:
-    """``n`` of the ``(x, y)`` rows (all of them if ``n`` is None), drawn
-    without replacement; deterministic per seed."""
+def _subsample(rows, n: int | None, name: str, seed) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` (the count ``name``) of the ``(x, y)`` rows, or all of them if
+    ``n`` is None, drawn without replacement; deterministic per seed."""
     x, y = rows
-    if len(x) == 0:
-        raise ValueError("need at least one row per fidelity")
     if n is None:
         return x, y
-    if n < 1:
-        raise ValueError(f"asked for {n} {tag}-fidelity rows, need at least 1")
+    n = field_value(name, n, 1, {"min": 1})
     if n > len(x):
-        raise ValueError(f"asked for {n} {tag}-fidelity rows, file has {len(x)}")
+        raise ValueError(f"{name} asks for {n} rows, file has {len(x)}")
     idx = np.random.default_rng(seed).choice(len(x), size=n, replace=False)
     return x[idx], y[idx]
 
@@ -354,8 +363,8 @@ def dataset_from_rows(
     ``load_csv`` returns them, optionally subsampling ``n_lf`` / ``n_hf`` rows.
     The rows are kept as given: no input box is assumed or derived."""
     lf_seed, hf_seed = np.random.SeedSequence(seed).spawn(2)
-    lf_x, lf_y = _subsample(lf, n_lf, "low", lf_seed)
-    hf_x, hf_y = _subsample(hf, n_hf, "high", hf_seed)
+    lf_x, lf_y = _subsample(lf, n_lf, "n_lf", lf_seed)
+    hf_x, hf_y = _subsample(hf, n_hf, "n_hf", hf_seed)
     return MultiFidelityDataset(lf_x=lf_x, lf_y=lf_y, hf_x=hf_x, hf_y=hf_y)
 
 

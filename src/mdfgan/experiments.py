@@ -29,12 +29,14 @@ from pathlib import Path
 import numpy as np
 
 from .benchmarks import BenchmarkPair
-from .data import MultiFidelityDataset, Normalizer, lhs_sample, make_dataset, write_csv, write_json
+from .data import (MultiFidelityDataset, Normalizer, field_value, lhs_sample, make_dataset, sample_budget, write_csv,
+                   write_json)
 from .gan import (
     HF_BATCH_CAP,
     GanMdfModel,
     TrainingConfig,
     TrainingDivergedError,
+    check_adversarial_budget,
     fit_regression,
     layer_sizes,
     normalized_predict,
@@ -211,20 +213,6 @@ def _execute_run(
     return RunRecord(run_seed, value, wall_ms, lf_frozen_ok, error)
 
 
-def _check_table(cells, n_repeats: int, test_size: int, n_jobs: int) -> None:
-    """Reject counts and ``(n_lf, n_hf, variant)`` grid cells that no run
-    could train, before any run starts or any pool is made."""
-    if n_repeats < 1 or test_size < 1 or n_jobs < 1:
-        raise ValueError("need n_repeats >= 1, test_size >= 1 and n_jobs >= 1")
-    for n_lf, n_hf, variant in cells:
-        if variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-        if n_lf < n_hf or n_hf < 1:
-            raise ValueError(f"need n_lf >= n_hf >= 1, got I_L={n_lf} I_H={n_hf}")
-        if variant != "hf-only" and n_hf < 2:
-            raise ValueError(f"adversarial training needs at least two high-fidelity samples, got I_H={n_hf}")
-
-
 def run_experiment(
     pair: BenchmarkPair,
     n_lf: int,
@@ -274,11 +262,17 @@ def _run_cells(
     pair, cells, config, n_repeats, test_size=DEFAULT_TEST_SIZE, nested=False, n_jobs=1
 ) -> list[ExperimentResult]:
     """One ``ExperimentResult`` per ``(n_lf, n_hf, variant)`` cell, in order,
-    after checking every cell. The seed is the unit of work: one task per
-    seed runs all the cells, in this process or on one pool of at most one
-    worker per seed and per core, so no LF block leaves the process that
-    pretrained it. The one place that makes a process pool."""
-    _check_table(cells, n_repeats, test_size, n_jobs)
+    after checking every count and cell. The seed is the unit of work: one
+    task per seed runs all the cells, in this process or on one pool of at
+    most one worker per seed and per core, so no LF block leaves the
+    process that pretrained it. The one place that makes a process pool."""
+    n_repeats, test_size, n_jobs = (field_value(name, value, 1, {"min": 1}) for name, value in
+                                    (("n_repeats", n_repeats), ("test_size", test_size), ("n_jobs", n_jobs)))
+    cells = [(*sample_budget(n_lf, n_hf), field_value("variant", variant, "gan", {"choices": VARIANTS}))
+             for n_lf, n_hf, variant in cells]
+    for _, n_hf, variant in cells:
+        if variant != "hf-only":
+            check_adversarial_budget(n_hf)
     task = partial(_run_table_seed, pair, cells, config, test_size=test_size, nested=nested)
     seeds = range(config.seed, config.seed + n_repeats)
     workers = min(n_jobs, n_repeats, os.cpu_count() or 1)  # the pool forks all of them at its first task
@@ -299,9 +293,7 @@ def run_hf_sweep(
     **kwargs,
 ) -> list[ExperimentResult]:
     """Vary the high-fidelity budget at a fixed low-fidelity budget."""
-    grid = [int(v) for v in hf_grid]
-    if not grid:
-        raise ValueError("empty high-fidelity grid")
+    grid = field_value("hf_grid", [*hf_grid] if np.iterable(hf_grid) else hf_grid, (1,), {"min": 1})
     return _run_cells(pair, [(n_lf, n_hf, "gan") for n_hf in grid], config, n_repeats, **kwargs)
 
 
@@ -319,9 +311,7 @@ def run_lf_sweep(
     """
     if lf_grid is None:
         lf_grid = [m * pair.d1 for m in (100, 80, 60, 40, 20)]
-    grid = [int(v) for v in lf_grid]
-    if not grid:
-        raise ValueError("empty low-fidelity grid")
+    grid = field_value("lf_grid", [*lf_grid] if np.iterable(lf_grid) else lf_grid, (1,), {"min": 1})
     return _run_cells(pair, [(n_lf, n_hf, "gan") for n_lf in grid], config, n_repeats, **kwargs)
 
 
@@ -356,9 +346,7 @@ def emit_correlation_scatter(pair: BenchmarkPair, n_points: int, seed=0) -> np.n
     Returns an (n_points, 2) array of the first response component; plotting
     it reveals how correlated the two fidelities are.
     """
-    if n_points < 1:
-        raise ValueError("need n_points >= 1")
-    x = lhs_sample(n_points, pair.d1, pair.bounds, seed)
+    x = lhs_sample(field_value("n_points", n_points, 1, {"min": 1}), pair.d1, pair.bounds, seed)
     return np.column_stack([pair.evaluate_lf(x)[:, 0], pair.evaluate_hf(x)[:, 0]])
 
 

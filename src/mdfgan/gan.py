@@ -42,7 +42,6 @@ from .nn import (
     FrozenNetworkError,
     NonFiniteError,
     Tape,
-    leaky_relu,
     param_count,
     parse_activation,
 )
@@ -88,7 +87,7 @@ class TrainingConfig:
         default=("sigmoid",),
         metadata={"flag": "--activations", "help": "hidden activation kinds, e.g. sigmoid,leaky_relu"},
     )
-    leaky_alpha: float = field(default=0.01, metadata={"help": "leaky_relu slope below zero"})
+    leaky_alpha: float = field(default=0.01, metadata={"above": 0, "help": "leaky_relu slope below zero"})
     normalizer: str = field(default="none", metadata={"choices": NORMALIZER_KINDS})
     mode: str = field(default=MODE_COUPLED, metadata={"choices": MODES})
     supervised_trick: bool = field(
@@ -106,7 +105,6 @@ class TrainingConfig:
                 f"{len(self.hidden_sizes)} hidden layers take 1 or "
                 f"{len(self.hidden_sizes)} activations, got {n_acts}"
             )
-        leaky_relu(self.leaky_alpha)  # a bad slope raises here, whether or not a layer uses it
         self.resolved_activations()  # an unknown kind raises here
         if self.lr_disc <= self.lr_gen:
             warnings.warn(
@@ -454,6 +452,12 @@ def pretrain_lf(model: GanMdfModel, lf_x: np.ndarray, lf_y: np.ndarray, config: 
     return trace
 
 
+def check_adversarial_budget(n_hf) -> None:
+    """Raise unless ``n_hf``, an int under ``field_value``'s rule, is enough for an adversarial phase: two or more."""
+    if field_value("n_hf", n_hf, 1, {}) < 2:
+        raise ValueError(f"adversarial training needs at least two high-fidelity samples, got n_hf={n_hf}")
+
+
 @_quiet
 def train_adversarial(
     model: GanMdfModel, hf_x: np.ndarray, hf_y: np.ndarray, config: TrainingConfig
@@ -467,8 +471,7 @@ def train_adversarial(
     """
     if np.shape(hf_x)[1:] != (model.d1,) or np.shape(hf_y)[1:] != (model.d2,):
         raise ValueError("high-fidelity sample shapes do not match the model")
-    if len(hf_x) < 2:
-        raise ValueError("adversarial training needs at least two high-fidelity samples")
+    check_adversarial_budget(len(hf_x))
     if not model.lf_block.frozen:
         raise FrozenNetworkError("low-fidelity block must be pretrained and frozen first")
 
@@ -554,8 +557,7 @@ def train_adversarial(
 
 def train(dataset: MultiFidelityDataset, config: TrainingConfig) -> tuple[GanMdfModel, list[TraceRow]]:
     """Full pipeline: build, fit normalizers, pretrain, adversarial phase."""
-    if dataset.n_hf < 2:  # checked here too, so that no pretraining is thrown away
-        raise ValueError("adversarial training needs at least two high-fidelity samples")
+    check_adversarial_budget(dataset.n_hf)  # checked here too, so that no pretraining is thrown away
     model = GanMdfModel.build(dataset.d1, dataset.d2, config)
     model.fit_normalizers(dataset, config.normalizer)
     pretrain_lf(model, dataset.lf_x, dataset.lf_y, config)

@@ -325,17 +325,19 @@ def test_an_infinite_leaky_relu_slope_is_a_usage_error(tmp_path, capsys, monkeyp
     "flags, message",
     [
         (["--activations", "softplus"], "unknown activation kind 'softplus'"),
-        (["--activations", "leaky_relu", "--leaky-alpha", "-1"], "leaky_relu slope must be positive and finite"),
+        (["--activations", "leaky_relu", "--leaky-alpha", "-1"], "leaky_alpha must be above 0, got -1.0"),
         (["--seed", "-1"], "--seed must be finite and at least 0, got -1"),
         (["--leaky-alpha", "nan"], "leaky_alpha must be finite, got nan"),
+        (["--leaky-alpha", "0"], "error: invalid configuration: leaky_alpha must be above 0, got 0.0\n"),
     ],
-    ids=["activation-kind", "leaky-slope", "seed", "unused-leaky-slope"],
+    ids=["activation-kind", "leaky-slope", "seed", "unused-leaky-slope", "zero-leaky-slope"],
 )
 def test_a_bad_config_value_fails_before_any_data_or_directory(tmp_path, capsys, monkeypatch, flags, message):
     """Each used to draw the dataset and create the output directory (the
     activations), hit numpy's own message (the seed), or train to the end
     and then fail to write the NaN slope into the checkpoint (a slope no
-    layer uses) before exiting 2."""
+    layer uses) before exiting 2. A zero slope was refused in words that
+    named neither the field nor its flag."""
     def no_dataset(*args, **kwargs):
         raise AssertionError("the dataset was drawn before the configuration was checked")
 

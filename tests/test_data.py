@@ -333,6 +333,47 @@ def test_field_value_is_the_one_rule_for_a_value_from_outside():
     assert not [node for module, _, node in nodes if module == "cli.py" and getattr(node, "attr", None) == "isfinite"]
 
 
+# the relations between sample budgets, each with one function and one message text
+BUDGET_RELATIONS = {("data.py", "sample_budget"): "need n_lf >= n_hf",
+                    ("gan.py", "check_adversarial_budget"): "adversarial training needs at least two high-fidelity"}
+# what each count-taking function calls to check its counts
+COUNT_CHECKS = {
+    ("data.py", "lhs_sample"): {"field_value"},
+    ("data.py", "sample_budget"): {"field_value"},
+    ("data.py", "make_dataset"): {"sample_budget"},
+    ("data.py", "_subsample"): {"field_value"},  # dataset_from_rows's n_lf and n_hf
+    ("gan.py", "check_adversarial_budget"): {"field_value"},
+    ("gan.py", "train_adversarial"): {"check_adversarial_budget"},
+    ("gan.py", "train"): {"check_adversarial_budget"},
+    ("experiments.py", "_run_cells"): {"field_value", "sample_budget", "check_adversarial_budget"},
+    ("experiments.py", "run_hf_sweep"): {"field_value"},
+    ("experiments.py", "run_lf_sweep"): {"field_value"},
+    ("experiments.py", "emit_correlation_scatter"): {"field_value"},
+}
+
+
+def test_every_count_of_the_python_api_goes_through_the_rule():
+    """run_hf_sweep and run_lf_sweep truncated a grid item with int(v), and
+    lhs_sample, make_dataset, _subsample, _check_table and
+    emit_correlation_scatter each checked their counts by hand, without the
+    argument's name. Each count-taking function now calls field_value,
+    directly or through the one function of each budget relation."""
+    package = Path(mdfgan.__file__).parent
+    nodes = list(package_nodes())
+    assert not [node for module, _, node in nodes if module == "experiments.py"
+                and isinstance(node, ast.Call) and getattr(node.func, "id", None) == "int"]
+    defined = {(module, node.name) for module, _, node in nodes if isinstance(node, ast.FunctionDef)}
+    for (module, func), text in BUDGET_RELATIONS.items():
+        assert (module, func) in defined
+        assert sum(path.read_text(encoding="utf-8").count(text) for path in package.rglob("*.py")) == 1, text
+    callees: dict = {}
+    for module, func, node in nodes:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            callees.setdefault((module, func), set()).add(node.func.id)
+    for site, checks in COUNT_CHECKS.items():
+        assert checks <= callees.get(site, set()), site
+
+
 @pytest.mark.parametrize(
     "write",
     [
@@ -454,8 +495,28 @@ def test_dataset_from_rows_rejects_oversampling():
 @pytest.mark.parametrize(("n_lf", "n_hf", "fidelity"), [(-1, None, "low"), (None, 0, "high")])
 def test_dataset_from_rows_rejects_counts_below_one(n_lf, n_hf, fidelity):
     rows = np.array([[0.25], [0.5]]), np.array([[1.0], [2.0]])
-    with pytest.raises(ValueError, match=f"{fidelity}-fidelity rows, need at least 1"):
+    name, value = ("n_lf", n_lf) if fidelity == "low" else ("n_hf", n_hf)
+    with pytest.raises(ValueError, match=f"^{name} must be finite and at least 1, got {value}$"):
         dataset_from_rows(rows, rows, n_lf, n_hf)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda pair: lhs_sample(0, 1, [0, 1], 0), "n must be finite and at least 1, got 0"),
+        (lambda pair: lhs_sample(4, 1.0, [0, 1], 0), "d must be of type int, got 1.0"),
+        (lambda pair: make_dataset(pair, 5, 10, 0), "need n_lf >= n_hf, got n_lf=5 and n_hf=10"),
+        (lambda pair: make_dataset(pair, 10, 0, 0), "n_hf must be finite and at least 1, got 0"),
+        (lambda pair: make_dataset(pair, 10, np.True_, 0), "n_hf must be of type int, got np.True_"),
+        (lambda pair: dataset_from_rows(*[(np.zeros((3, 1)), np.zeros((3, 1)))] * 2, 2.0),
+         "n_lf must be of type int, got 2.0"),
+    ],
+    ids=["lhs-n", "lhs-d", "budget", "zero-hf", "numpy-bool", "rows-float"],
+)
+def test_a_sample_count_is_held_to_the_rule_under_its_name(call, message):
+    with pytest.raises(ValueError) as exc:
+        call(get("forrester1d"))
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("x", [-3.25, 2.0**52, 1e16, -1e16, np.finfo(float).max, -np.finfo(float).max])

@@ -142,6 +142,59 @@ def test_rejects_bad_arguments():
         run_experiment(pair, 10, 2, fast_config(), variant="kriging")
 
 
+def no_training(*args, **kwargs):
+    raise AssertionError("a run started before its counts were checked")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda pair, cfg: run_experiment(pair, 20.5, 5, cfg), "n_lf must be of type int, got 20.5"),
+        (lambda pair, cfg: run_experiment(pair, 20, 5, cfg, n_repeats=1.5), "n_repeats must be of type int, got 1.5"),
+        (lambda pair, cfg: run_experiment(pair, 20, 5, cfg, test_size=True), "test_size must be of type int, got True"),
+        (lambda pair, cfg: run_experiment(pair, 20, 5, cfg, variant=None), "variant must be of type str, got None"),
+        (lambda pair, cfg: run_baselines(pair, 20, 3, cfg, n_jobs=0), "n_jobs must be finite and at least 1, got 0"),
+        (lambda pair, cfg: run_baselines(pair, 20, 30, cfg), "need n_lf >= n_hf, got n_lf=20 and n_hf=30"),
+        (lambda pair, cfg: run_hf_sweep(pair, 20, [5.7, 3.2], cfg),
+         "hf_grid item must be of type int, got 5.7 at index 0"),
+        (lambda pair, cfg: run_lf_sweep(pair, (20, True), 3, cfg),
+         "lf_grid item must be of type int, got True at index 1"),
+        (lambda pair, cfg: run_hf_sweep(pair, 20, np.array([5, 0]), cfg),
+         "hf_grid item must be finite and at least 1, got 0 at index 1"),
+        (lambda pair, cfg: run_lf_sweep(pair, iter(()), 3, cfg), "lf_grid must be a non-empty list or tuple, got []"),
+        (lambda pair, cfg: run_hf_sweep(pair, 20, 5, cfg), "hf_grid must be a non-empty list or tuple, got 5"),
+        (lambda pair, cfg: run_hf_sweep(pair, 20, [5, 1], cfg),
+         "adversarial training needs at least two high-fidelity samples, got n_hf=1"),
+        (lambda pair, cfg: emit_correlation_scatter(pair, 2.5), "n_points must be of type int, got 2.5"),
+    ],
+    ids=["float-n_lf", "float-repeats", "bool-test-size", "no-variant", "zero-jobs", "budget", "float-grid-item",
+         "bool-grid-item", "zero-grid-item", "empty-grid", "scalar-grid", "one-hf-sample", "float-points"],
+)
+def test_a_bad_count_is_a_value_error_that_names_its_argument(monkeypatch, call, message):
+    """A float grid item was truncated (I_H=5.7 ran I_H=5), a float count
+    or a scalar grid failed with a TypeError, and a bad table count
+    was refused in words that named neither the argument nor its value.
+    Each is now refused by the value rule before any run starts."""
+    monkeypatch.setattr(experiments, "pretrain_lf", no_training)
+    monkeypatch.setattr(experiments, "train_hf_only", no_training)
+    with pytest.raises(ValueError) as exc:
+        call(get("forrester1d"), fast_config())
+    assert str(exc.value) == message
+
+
+def test_numpy_counts_give_the_records_of_python_ints(tmp_path):
+    """An integral numpy count is the int it holds: the same records, and a
+    summary that JSON can write (an np.int64 I_L used to fail there)."""
+    pair, cfg = get("forrester1d"), fast_config(seed=3)
+    want = run_hf_sweep(pair, 20, [3, 2], cfg, n_repeats=2, test_size=20)
+    got = run_hf_sweep(pair, np.int64(20), np.array([3, 2]), cfg, n_repeats=np.int64(2), test_size=np.int32(20))
+    assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
+    assert {type(v) for r in got for v in (r.n_lf, r.n_hf)} == {int}
+    assert (write_summary_json(got, tmp_path / "got.json").read_bytes()
+            == write_summary_json(want, tmp_path / "want.json").read_bytes())
+    np.testing.assert_array_equal(make_dataset(pair, np.int64(10), 3, 0).lf_x, make_dataset(pair, 10, 3, 0).lf_x)
+
+
 def test_hf_sweep_produces_one_result_per_grid_point():
     results = run_hf_sweep(get("forrester1d"), 20, [3, 2], fast_config(), n_repeats=2, test_size=20)
     assert [(r.n_lf, r.n_hf) for r in results] == [(20, 3), (20, 2)]
@@ -368,9 +421,9 @@ def test_a_table_makes_one_pool(monkeypatch):
         r.to_dict() for r in run_hf_sweep(pair, 20, [5, 3, 2], cfg, n_repeats=2, test_size=10, n_jobs=1)
     ]
     assert sizes == [2, 2]
-    for bad in ({"test_size": 0}, {"n_repeats": 0}):
-        with pytest.raises(ValueError, match="need n_repeats >= 1, test_size >= 1"):
-            run_baselines(pair, 20, 3, cfg, **{"n_repeats": 2, "test_size": 10, "n_jobs": 2, **bad})
+    for name in ("test_size", "n_repeats"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and at least 1, got 0$"):
+            run_baselines(pair, 20, 3, cfg, **{"n_repeats": 2, "test_size": 10, "n_jobs": 2, name: 0})
     with pytest.raises(ValueError, match="two high-fidelity samples"):
         run_hf_sweep(pair, 20, [5, 1], cfg, n_repeats=2, test_size=10, n_jobs=2)
     assert sizes == [2, 2]

@@ -92,7 +92,7 @@ def test_config_rejects_a_string_for_a_tuple_field(name, value):
     "name, value, message",
     [
         ("epochs_lf", 1.5, "epochs_lf must be of type int, got 1.5"),
-        ("epochs_hf", np.int64(3), "epochs_hf must be of type int, got np.int64(3)"),
+        ("epochs_hf", np.True_, "epochs_hf must be of type int, got np.True_"),
         ("seed", "a", "seed must be of type int, got 'a'"),
         ("seed", True, "seed must be of type int, got True"),
         ("supervised_trick", "no", "supervised_trick must be of type bool, got 'no'"),
@@ -109,6 +109,7 @@ def test_config_rejects_a_string_for_a_tuple_field(name, value):
         ("hidden_sizes", (8, 0), "hidden_sizes item must be finite and at least 1, got 0 at index 1"),
         ("seed", -1, "seed must be finite and at least 0, got -1"),
         ("mode", "alternating", "mode must be one of ('coupled', 'standard-gan'), got 'alternating'"),
+        ("leaky_alpha", 0, "leaky_alpha must be above 0, got 0.0"),
         pytest.param("leaky_alpha", 10**400, "leaky_alpha must be finite, got an int of 1329 bits", id="huge-int"),
     ],
 )
@@ -124,18 +125,20 @@ def test_config_applies_its_field_rule(name, value, message):
 
 
 def test_config_takes_an_int_for_a_float_and_a_list_for_a_tuple():
-    cfg = TrainingConfig(lr_lf=1, lr_disc=np.float64(0.5), hidden_sizes=[4, 4], hidden_activations=["ricker"])
-    assert (cfg.lr_lf, cfg.hidden_sizes, cfg.hidden_activations) == (1.0, (4, 4), ("ricker",))
-    assert type(cfg.lr_lf) is float and type(cfg.lr_disc) is float
+    cfg = TrainingConfig(lr_lf=1, lr_disc=np.float64(0.5), hidden_sizes=[4, 4], hidden_activations=["ricker"],
+                         epochs_hf=np.int64(3))
+    assert (cfg.lr_lf, cfg.hidden_sizes, cfg.hidden_activations, cfg.epochs_hf) == (1.0, (4, 4), ("ricker",), 3)
+    assert type(cfg.lr_lf) is float and type(cfg.lr_disc) is float and type(cfg.epochs_hf) is int
 
 
 def test_config_metadata_uses_only_the_schema_keys():
     """A misspelt key such as "minimum" would drop its bound silently.
-    Every number field has a "min" but leaky_alpha, which leaky_relu checks."""
+    Every number field has a lower bound: a "min", or leaky_alpha's
+    exclusive "above", which leaky_relu used to check outside the rule."""
     for f in fields(TrainingConfig):
-        assert set(f.metadata) <= {"help", "flag", "choices", "min"}, f.name
+        assert set(f.metadata) <= {"help", "flag", "choices", "min", "above"}, f.name
         item = f.default[0] if isinstance(f.default, tuple) else f.default
-        assert ("min" in f.metadata) == (type(item) in (int, float) and f.name != "leaky_alpha"), f.name
+        assert len({"min", "above"} & set(f.metadata)) == (type(item) in (int, float)), f.name
 
 
 @pytest.mark.parametrize(
