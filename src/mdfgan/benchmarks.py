@@ -217,8 +217,9 @@ def _unit_box(d: int) -> np.ndarray:
 def registry() -> list[BenchmarkPair]:
     """All shipped benchmark pairs, ordered by input dimension.
 
-    Configurations are rebuilt on every call so callers can tweak them
-    freely without cross-talk.
+    The pairs are rebuilt on every call: a config is frozen, but each pair's
+    ``bounds`` is a writable array, which one caller must not change under
+    another.
     """
     return [
         BenchmarkPair(
@@ -269,8 +270,8 @@ def registry() -> list[BenchmarkPair]:
 
 def get(name: str) -> BenchmarkPair:
     """Look a pair up by name; raises with the available names on a miss."""
-    for pair in registry():
-        if pair.name == name:
-            return pair
-    names = ", ".join(p.name for p in registry())
+    pairs = {pair.name: pair for pair in registry()}
+    if name in pairs:
+        return pairs[name]
+    names = ", ".join(pairs)
     raise ValueError(f"unknown benchmark {name!r} (available: {names})")

@@ -22,6 +22,15 @@ log = logging.getLogger(__name__)
 
 NORMALIZER_KINDS = ("none", "minmax", "standard")
 
+# the tag of each seed stream of a run: a stream's bits depend on the run seed and its own tag alone
+STREAMS = {"lf_net": 0, "hf_net": 1, "disc_net": 2, "lf_shuffle": 3, "hf_shuffle": 4,
+           "test_points": 101, "hf_only_net": 102, "hf_only_shuffle": 103}
+
+
+def stream(seed: int, name: str) -> np.random.Generator:
+    """The generator of the seed stream ``name`` (a key of ``STREAMS``) of the run with ``seed``."""
+    return np.random.default_rng(np.random.SeedSequence([seed, STREAMS[name]]))
+
 
 def _as_bounds(bounds, d: int) -> np.ndarray:
     arr = np.asarray(bounds, dtype=float)
@@ -265,6 +274,9 @@ def field_value(name: str, value, default, meta):
     return value
 
 
+NO_SAMPLES = "need at least one sample per fidelity"  # a dataset's text, and pretraining's on no LF samples
+
+
 @dataclass(frozen=True)
 class MultiFidelityDataset:
     """Paired low- and high-fidelity samples, each as ``(n, d1)`` inputs and
@@ -281,7 +293,7 @@ class MultiFidelityDataset:
         if self.lf_x.ndim != 2 or self.hf_x.ndim != 2 or self.lf_y.ndim != 2 or self.hf_y.ndim != 2:
             raise ValueError("sample arrays must be 2-D (rows of points)")
         if self.lf_x.shape[0] < 1 or self.hf_x.shape[0] < 1:
-            raise ValueError("need at least one sample per fidelity")
+            raise ValueError(NO_SAMPLES)
         if self.lf_x.shape[1] != self.hf_x.shape[1]:
             raise ValueError("low- and high-fidelity inputs differ in dimension")
         if self.lf_y.shape[1] != self.hf_y.shape[1]:

@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .benchmarks import BenchmarkPair
-from .data import (MultiFidelityDataset, Normalizer, field_value, lhs_sample, make_dataset, sample_budget, write_csv,
-                   write_json)
+from .data import (MultiFidelityDataset, Normalizer, field_value, lhs_sample, make_dataset, sample_budget, stream,
+                   write_csv, write_json)
 from .gan import (
     HF_BATCH_CAP,
     GanMdfModel,
@@ -47,11 +47,6 @@ from .nn import DenseNetwork, FrozenNetworkError
 
 DEFAULT_TEST_SIZE = 1000
 VARIANTS = ("gan", "pgan", "hf-only")
-
-# seed stream tags, combined with the per-run seed
-_SEED_TEST_POINTS = 101
-_SEED_HF_ONLY_NET = 102
-_SEED_HF_ONLY_SHUFFLE = 103
 
 
 def nrmse(truth, pred) -> float:
@@ -145,11 +140,10 @@ def train_hf_only(dataset: MultiFidelityDataset, config: TrainingConfig) -> HfOn
     net = DenseNetwork(
         layer_sizes(dataset.d1, dataset.d2, config)[0],
         config.resolved_activations(),
-        seed=np.random.default_rng(np.random.SeedSequence([config.seed, _SEED_HF_ONLY_NET])),
+        seed=stream(config.seed, "hf_only_net"),
     )
     input_norm = Normalizer.fit(config.normalizer, dataset.hf_x)
     output_norm = Normalizer.fit(config.normalizer, dataset.hf_y)
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SEED_HF_ONLY_SHUFFLE]))
     fit_regression(
         net,
         input_norm.transform(dataset.hf_x),
@@ -157,7 +151,7 @@ def train_hf_only(dataset: MultiFidelityDataset, config: TrainingConfig) -> HfOn
         config.lr_sup,
         config.epochs_lf,
         HF_BATCH_CAP,
-        rng,
+        stream(config.seed, "hf_only_shuffle"),
         label="high-fidelity-only baseline",
     )
     return HfOnlyModel(net, input_norm, output_norm)
@@ -185,9 +179,7 @@ def _execute_run(
     """
     cfg = replace(config, seed=run_seed, supervised_trick=config.supervised_trick and variant != "pgan")
     dataset = make_dataset(pair, n_lf, n_hf, run_seed, nested=nested)
-    x_test = lhs_sample(
-        test_size, pair.d1, pair.bounds, np.random.SeedSequence([run_seed, _SEED_TEST_POINTS])
-    )
+    x_test = lhs_sample(test_size, pair.d1, pair.bounds, stream(run_seed, "test_points"))
     y_true = pair.evaluate_hf(x_test)
 
     start = time.perf_counter()

@@ -32,8 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (NORMALIZER_KINDS, MultiFidelityDataset, Normalizer, field_value, json_object, read_text,
-                   write_csv, write_json)
+from .data import (NO_SAMPLES, NORMALIZER_KINDS, MultiFidelityDataset, Normalizer, field_value, json_object,
+                   read_text, stream, write_csv, write_json)
 from .nn import (
     IDENTITY,
     SIGMOID,
@@ -60,18 +60,15 @@ CHECKPOINT_FORMAT_VERSION = 2
 
 ENV_SEED = "MDFGAN_SEED"  # the variable the command line reads the seed from when --seed is not given
 
-# distinct deterministic seed streams derived from the config seed
-_SEED_LF_NET, _SEED_HF_NET, _SEED_DISC_NET = 0, 1, 2
-_SEED_LF_SHUFFLE, _SEED_HF_SHUFFLE = 3, 4
-
 
 class TrainingDivergedError(RuntimeError):
     """Raised when a training loss, pre-activation or gradient stops being finite."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingConfig:
-    """Learning rates, schedule lengths, architecture and mode flags; metadata gives each field's flag and rule."""
+    """Learning rates, schedule lengths, architecture and mode flags; metadata gives each field's flag and rule.
+    Frozen: construction and ``dataclasses.replace`` apply the rule, and are the only ways to get another config."""
 
     lr_lf: float = field(default=0.03, metadata={"min": 0, "help": "low-fidelity block pretraining rate"})
     lr_disc: float = field(default=0.002, metadata={"min": 0, "help": "discriminative-loss update rate"})
@@ -98,7 +95,7 @@ class TrainingConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            setattr(self, f.name, field_value(f.name, getattr(self, f.name), f.default, f.metadata))
+            object.__setattr__(self, f.name, field_value(f.name, getattr(self, f.name), f.default, f.metadata))
         n_acts = len(self.hidden_activations)
         if n_acts not in (1, len(self.hidden_sizes)):
             raise ValueError(
@@ -185,14 +182,10 @@ class GanMdfModel:
         network's parameters, not its layers, so a change to what this
         derives from (d1, d2, config) must bump CHECKPOINT_FORMAT_VERSION."""
         acts = config.resolved_activations()
-
-        def rng(tag: int) -> np.random.Generator:
-            return np.random.default_rng(np.random.SeedSequence([config.seed, tag]))
-
         lf_sizes, hf_sizes, disc_sizes = layer_sizes(d1, d2, config)
-        lf = DenseNetwork(lf_sizes, acts, IDENTITY, seed=rng(_SEED_LF_NET))
-        hf = DenseNetwork(hf_sizes, acts, IDENTITY, seed=rng(_SEED_HF_NET))
-        disc = DenseNetwork(disc_sizes, acts, SIGMOID, seed=rng(_SEED_DISC_NET))
+        lf = DenseNetwork(lf_sizes, acts, IDENTITY, seed=stream(config.seed, "lf_net"))
+        hf = DenseNetwork(hf_sizes, acts, IDENTITY, seed=stream(config.seed, "hf_net"))
+        disc = DenseNetwork(disc_sizes, acts, SIGMOID, seed=stream(config.seed, "disc_net"))
         return cls(lf, hf, disc)
 
     @property
@@ -437,15 +430,14 @@ def pretrain_lf(model: GanMdfModel, lf_x: np.ndarray, lf_y: np.ndarray, config: 
     freeze it for the rest of training. Returns per-epoch losses."""
     if np.shape(lf_x)[1:] != (model.d1,) or np.shape(lf_y)[1:] != (model.d2,):
         raise ValueError("low-fidelity sample shapes do not match the model")
-    if len(lf_x) == 0:
-        raise ValueError("empty low-fidelity sample set")
+    if len(lf_x) == 0:  # else the squared error divides 0 by 0 and reads as a divergence
+        raise ValueError(NO_SAMPLES)
     if model.lf_block.frozen:
         raise FrozenNetworkError("low-fidelity block is already frozen")
     x = model.input_norm.transform(lf_x)
     y = model.lf_output_norm.transform(lf_y)
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SEED_LF_SHUFFLE]))
     trace = fit_regression(
-        model.lf_block, x, y, config.lr_lf, config.epochs_lf, config.lf_batch_cap, rng,
+        model.lf_block, x, y, config.lr_lf, config.epochs_lf, config.lf_batch_cap, stream(config.seed, "lf_shuffle"),
         label="low-fidelity pretraining",
     )
     model.lf_block.freeze()
@@ -485,7 +477,7 @@ def train_adversarial(
     st_disc_disc = AdamState(disc.params)
     st_disc_gen = AdamState(disc.params)
     coupled = config.mode == MODE_COUPLED
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SEED_HF_SHUFFLE]))
+    rng = stream(config.seed, "hf_shuffle")
 
     # one tape per role: the HF block, the discriminator on real and on generated responses
     tape_hf, tape_real, tape_fake = Tape(hf_net), Tape(disc), Tape(disc)

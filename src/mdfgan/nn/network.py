@@ -131,7 +131,7 @@ class DenseNetwork:
 
         self._blocks = _layout(self.layer_sizes)
         self._bind(np.zeros(param_count(self.layer_sizes)))
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)  # a Generator is returned as it is
         for w in self.weights:
             fan_out, fan_in = w.shape
             limit = np.sqrt(6.0 / (fan_in + fan_out))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -118,9 +120,13 @@ def test_get_unknown_name_lists_choices():
 
 
 def test_registry_returns_fresh_configs():
-    a, b = get("forrester1d"), get("forrester1d")
-    a.default_config.epochs_lf = 1
-    assert b.default_config.epochs_lf != 1
+    """A pair's config cannot be changed in place, and a config replaced
+    from it leaves the registry's config as it was."""
+    pair = get("forrester1d")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.default_config.epochs_lf = 1
+    assert dataclasses.replace(pair.default_config, epochs_lf=1).epochs_lf == 1
+    assert pair.default_config == get("forrester1d").default_config == TrainingConfig()
 
 
 def test_forrester_default_config_matches_documented_protocol():

@@ -333,6 +333,23 @@ def test_field_value_is_the_one_rule_for_a_value_from_outside():
     assert not [node for module, _, node in nodes if module == "cli.py" and getattr(node, "attr", None) == "isfinite"]
 
 
+def test_data_stream_is_the_one_owner_of_a_tagged_seed_stream():
+    """gan and experiments kept two lists of tags apart, as _SEED_*
+    constants, and wrote SeedSequence([seed, tag]) out six times. The tags
+    are now one table, each key once with its own tag, and data alone names
+    SeedSequence."""
+    package = Path(mdfgan.__file__).parent
+    tables = [node.value for module, _, node in package_nodes() if isinstance(node, ast.Assign)
+              and any(getattr(target, "id", None) == "STREAMS" for target in node.targets)]
+    assert len(tables) == 1 and isinstance(tables[0], ast.Dict)
+    streams = mdfgan.data.STREAMS
+    assert [key.value for key in tables[0].keys] == list(streams) and len(set(streams.values())) == len(streams)
+    for path in package.rglob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert "_SEED_" not in text, path
+        assert ("SeedSequence" in text) == (path.name == "data.py"), path
+
+
 # the relations between sample budgets, each with one function and one message text
 BUDGET_RELATIONS = {("data.py", "sample_budget"): "need n_lf >= n_hf",
                     ("gan.py", "check_adversarial_budget"): "adversarial training needs at least two high-fidelity"}

@@ -1,13 +1,13 @@
 import hashlib
 import json
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mdfgan.benchmarks import get
-from mdfgan.data import Normalizer, make_dataset
+from mdfgan.data import MultiFidelityDataset, Normalizer, make_dataset
 from mdfgan.gan import (
     HF_BATCH_CAP,
     MODE_COUPLED,
@@ -154,6 +154,34 @@ def test_config_from_dict_takes_every_key_and_no_other(edit, message):
     edit(doc)
     with pytest.raises(ValueError, match=f"^{message}$"):
         TrainingConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(TrainingConfig)])
+def test_config_fields_cannot_be_assigned(name):
+    """An assignment skipped the field rule: a config is frozen."""
+    cfg = TrainingConfig()
+    with pytest.raises(FrozenInstanceError):
+        setattr(cfg, name, getattr(cfg, name))
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("mode", "coupeld", "mode must be one of ('coupled', 'standard-gan'), got 'coupeld'"),
+        ("lr_lf", float("nan"), "lr_lf must be finite and at least 0, got nan"),
+    ],
+)
+def test_config_changes_only_through_its_field_rule(name, value, message):
+    """Assigning mode="coupeld" trained the standard-gan model, and
+    lr_lf=nan was taken: a change now goes through replace, which applies
+    the rule again."""
+    cfg = TrainingConfig()
+    with pytest.raises(FrozenInstanceError):
+        setattr(cfg, name, value)
+    assert cfg == TrainingConfig()
+    with pytest.raises(ValueError) as exc:
+        replace(cfg, **{name: value})
+    assert str(exc.value) == message
 
 
 def test_config_broadcasts_single_activation():
@@ -340,7 +368,7 @@ def test_pretrain_twice_is_rejected():
 def test_pretrain_rejects_empty_or_mismatched_samples():
     cfg = tiny_config()
     model = GanMdfModel.build(1, 1, cfg)
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="^need at least one sample per fidelity$"):
         pretrain_lf(model, np.zeros((0, 1)), np.zeros((0, 1)), cfg)
     with pytest.raises(ValueError, match="shape"):
         pretrain_lf(model, np.zeros((3, 2)), np.zeros((3, 1)), cfg)
@@ -348,6 +376,18 @@ def test_pretrain_rejects_empty_or_mismatched_samples():
     for x, y in ((np.zeros(1), np.zeros(1)), (np.zeros((1, 1)), np.zeros(1)), (0.5, 0.5)):
         with pytest.raises(ValueError, match="shapes do not match the model"):
             pretrain_lf(model, x, y, cfg)
+
+
+def test_zero_low_fidelity_samples_have_one_text():
+    """pretrain_lf said "empty low-fidelity sample set" where a dataset
+    says "need at least one sample per fidelity"."""
+    cfg = tiny_config()
+    none, one = np.zeros((0, 1)), np.zeros((1, 1))
+    with pytest.raises(ValueError) as from_dataset:
+        MultiFidelityDataset(none, none, one, one)
+    with pytest.raises(ValueError) as from_pretraining:
+        pretrain_lf(GanMdfModel.build(1, 1, cfg), none, none, cfg)
+    assert str(from_pretraining.value) == str(from_dataset.value)
 
 
 def test_training_rejects_unequal_row_counts():
