@@ -4,7 +4,8 @@ Every subcommand prints one summary line per run plus a ``wrote <path>``
 line for each artifact it leaves under the output directory, which it makes
 once its work is done. ``main`` alone maps a failure to an exit code, by its
 class: 1 for a divergence; 2 for a ValueError or OSError, that is bad input or
-a file that cannot be read or written; 3, with a traceback, for any other (a bug).
+a file that cannot be read or written; 3, with a traceback, for any other (a bug);
+130 for an interrupt.
 """
 
 from __future__ import annotations
@@ -444,6 +445,9 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print("internal error: this is a bug in mdfgan, not in its input", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def app() -> None:

@@ -20,6 +20,7 @@ one and stores a copy of it.
 from __future__ import annotations
 
 import concurrent.futures
+import copy
 import os
 import time
 from dataclasses import dataclass, fields, replace
@@ -191,10 +192,10 @@ def _execute_run(
             model = GanMdfModel.build(dataset.d1, dataset.d2, cfg)
             model.fit_normalizers(dataset, cfg.normalizer)
             if (n_lf, run_seed) in lf_blocks:
-                model.lf_block = lf_blocks[n_lf, run_seed].copy()
+                model.lf_block = copy.deepcopy(lf_blocks[n_lf, run_seed])
             else:
                 pretrain_lf(model, dataset.lf_x, dataset.lf_y, cfg)
-                lf_blocks[n_lf, run_seed] = model.lf_block.copy()
+                lf_blocks[n_lf, run_seed] = copy.deepcopy(model.lf_block)
             train_adversarial(model, dataset.hf_x, dataset.hf_y, cfg)
         value = nrmse(y_true, model.predict(x_test))
         error = None

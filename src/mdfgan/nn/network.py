@@ -2,9 +2,11 @@
 
 A network keeps all of its parameters in one contiguous float vector laid out
 as w0, b0, w1, b1, ... (each weight matrix row-major, shape (fan_out, fan_in)).
-``weights[i]`` and ``biases[i]`` are reshaped views into that vector, and
-gradients come back as one vector in the same layout, so the optimizer and the
-checksum work on a single array.
+``weights[i]`` and ``biases[i]`` are reshaped views into that vector, made
+from it on each read, so the vector is a network's only parameter state:
+``copy.deepcopy`` and ``pickle`` carry it alone. Gradients come back as one
+vector in the same layout, so the optimizer and the checksum work on a single
+array. A frozen network refuses every write of its parameters.
 
 A ``Tape`` owns all per-pass state of one network: the parameter-gradient
 vector that backpropagation writes into, and, for each batch row count, the
@@ -24,7 +26,6 @@ whoever built it, and ``load_params`` reads such a vector back.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import math
 
@@ -130,28 +131,23 @@ class DenseNetwork:
         self.frozen = False
 
         self._blocks = _layout(self.layer_sizes)
-        self._bind(np.zeros(param_count(self.layer_sizes)))
+        self.params = np.zeros(param_count(self.layer_sizes))
+        self._version = 0
         rng = np.random.default_rng(seed)  # a Generator is returned as it is
         for w in self.weights:
             fan_out, fan_in = w.shape
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             w[...] = rng.uniform(-limit, limit, size=w.shape)
 
-    def _bind(self, params: np.ndarray) -> None:
-        """Adopt ``params`` as the parameter vector and rebuild the views."""
-        self.params = params
-        self._version = 0
-        self.weights, self.biases = self._split(params)
+    @property
+    def weights(self) -> list[np.ndarray]:
+        """Per-layer weight views into ``params``, each (fan_out, fan_in)."""
+        return self._split(self.params)[0]
 
-    def __getstate__(self) -> dict:
-        # pickle the parameter vector alone; views would come back as copies
-        state = self.__dict__.copy()
-        del state["weights"], state["biases"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.weights, self.biases = self._split(self.params)
+    @property
+    def biases(self) -> list[np.ndarray]:
+        """Per-layer bias views into ``params``."""
+        return self._split(self.params)[1]
 
     def _split(self, vector: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer weight and bias views of a vector in the parameter layout."""
@@ -231,16 +227,21 @@ class DenseNetwork:
     def freeze(self) -> None:
         self.frozen = True
 
-    def apply_adam(self, grad: np.ndarray, state: AdamState, lr: float) -> None:
-        """Take one Adam step on this network's parameters."""
+    def _check_writable(self) -> None:
         if self.frozen:
             raise FrozenNetworkError("network is frozen; parameter updates are forbidden")
+
+    def apply_adam(self, grad: np.ndarray, state: AdamState, lr: float) -> None:
+        """Take one Adam step on this network's parameters."""
+        self._check_writable()
         adam_step(self.params, grad, state, lr, name_of=self.block_name)
         self._version += 1
 
     def load_params(self, values) -> None:
         """Overwrite the parameter vector with ``values``, a flat sequence in
-        the parameter layout of exactly ``params.size`` numbers."""
+        the parameter layout of exactly ``params.size`` numbers. A frozen
+        network raises ``FrozenNetworkError``."""
+        self._check_writable()
         values = np.asarray(values, dtype=float)
         if values.shape != self.params.shape:
             raise ValueError(f"expected {self.params.size} params for layer_sizes {self.layer_sizes}")
@@ -250,8 +251,3 @@ class DenseNetwork:
     def checksum(self) -> str:
         """SHA-256 over the raw parameter bytes; stable iff parameters are."""
         return hashlib.sha256(self.params.tobytes()).hexdigest()
-
-    def copy(self) -> "DenseNetwork":
-        dup = copy.copy(self)
-        dup._bind(self.params.copy())
-        return dup

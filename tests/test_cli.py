@@ -636,6 +636,18 @@ def test_a_bug_exits_three_with_its_traceback(tmp_path, capsys, monkeypatch, err
     assert err.endswith(f"{type(error).__name__}: {error}\ninternal error: this is a bug in mdfgan, not in its input\n")
 
 
+def test_an_interrupt_exits_130_with_one_line(tmp_path, capsys, monkeypatch):
+    """A KeyboardInterrupt escaped main with its traceback. It now prints one
+    line and exits 130, and, as --out is made after the work, leaves none."""
+    def interrupted_train(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "train", interrupted_train)
+    assert cli.main(["train", "--benchmark", "forrester1d", "--out", str(tmp_path / "out")]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "error, line",
     [
@@ -1277,10 +1289,10 @@ def test_bad_flag_exits_two(capsys):
     assert exc.value.code == 2
 
 
-def test_console_script_is_installed():
+def test_console_script_is_installed(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "mdfgan.cli", "list-benchmarks"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env,
     )
     assert proc.returncode == 0
     assert "separable30d" in proc.stdout

@@ -288,7 +288,7 @@ def test_no_module_imports_a_private_name_of_another():
 
 
 def test_cli_main_alone_maps_a_failure_to_an_exit_code():
-    """main returns 1, 2 and 3, one per exception class; no other function
+    """main returns 1, 2, 3 and 130, one per exception class; no other function
     returns a nonzero code or exits, and no module has a class of its own
     for usage errors."""
     nodes = list(package_nodes())
@@ -298,7 +298,7 @@ def test_cli_main_alone_maps_a_failure_to_an_exit_code():
         if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
         and type(node.value.value) is int and node.value.value != 0
     ]
-    assert codes == [("cli.py", "main", 1), ("cli.py", "main", 2), ("cli.py", "main", 3)]
+    assert codes == [("cli.py", "main", 1), ("cli.py", "main", 2), ("cli.py", "main", 3), ("cli.py", "main", 130)]
     exits = [(module, func) for module, func, node in nodes if getattr(node, "attr", None) == "exit"]
     assert exits == [("cli.py", "app")]
     assert not [node for _, _, node in nodes if getattr(node, "name", None) == "UsageError"]

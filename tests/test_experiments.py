@@ -255,12 +255,14 @@ def test_hf_only_predict_normalizes_like_the_gan_model():
         ("forrester1d", 100, 5, 150, {
             "SkylakeX": "8d2b780d7fc1462950b3c89e245cbbdca3442c670c0800f361e989dbc787f148",
             "Haswell": "e5def700bf7118ee9153aed8f3d1b632515ed85afc5909016e4574e94dfe64fb",
+            "Sandybridge": "0f5b10c2e67e1b47fe825dd7fb67a99db7b279d283012cf0ef1b721e089f602c",
             "Katmai": "37f827d53ff6ca77c96d8aa3f1fc620c756b52e08299eae9336f917765d1a893",
         }),
         # leaky_relu hidden layers, standard normalizer, shuffled batches (I_H > 32)
         ("separable20d", 80, 40, 60, {
             "SkylakeX": "cfacfdaef053f4c4d32889481b0b292faa8d0a871ee365b0c07d0bf21912bd42",
             "Haswell": "9c60e897abe83f1889ea345b7d65a288058f501363818a47b195bff16101413b",
+            "Sandybridge": "fa3e3822ea17de4ff75c4915ce9897b7fb8205603c6bcdeb79766a13c6400909",
             "Katmai": "fa3e3822ea17de4ff75c4915ce9897b7fb8205603c6bcdeb79766a13c6400909",
         }),
     ],
@@ -474,7 +476,7 @@ def test_a_direct_run_is_a_one_cell_table(monkeypatch):
 _POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
 
 
-def test_only_a_pool_loads_the_process_pool_modules(tmp_path):
+def test_only_a_pool_loads_the_process_pool_modules(tmp_path, child_env):
     """train, predict and a --jobs 1 table leave multiprocessing unloaded;
     a --jobs 2 cell loads it. A fresh interpreter, so that what this test
     process has imported cannot mask the result."""
@@ -500,7 +502,9 @@ def test_only_a_pool_loads_the_process_pool_modules(tmp_path):
         print(json.dumps([before, loaded()]))
         """
     )
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, check=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, check=True, env=child_env
+    )
     before, after = json.loads(proc.stdout.splitlines()[-1])
     assert before == []
     assert after == list(_POOL_MODULES)

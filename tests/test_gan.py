@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 from dataclasses import FrozenInstanceError, fields, replace
@@ -458,9 +459,9 @@ def scripted_five_stages(model, hf_x, hf_y, config):
     interleaved with one discriminative and one generative update, each loss
     owning its Adam accumulators, both gradients of a shared loss taken
     before either parameter set moves."""
-    lf = model.lf_block.copy()
-    hf = model.hf_block.copy()
-    disc = model.discriminator.copy()
+    lf = copy.deepcopy(model.lf_block)
+    hf = copy.deepcopy(model.hf_block)
+    disc = copy.deepcopy(model.discriminator)
     b = hf_x.shape[0]
     q, _ = lf.forward(hf_x)
     gen_in = np.hstack([hf_x, q])
@@ -526,10 +527,10 @@ def test_three_iterations_match_scripted_trace():
     """Adam accumulators must persist across iterations per loss."""
     cfg = tiny_config(epochs_hf=3)
     model, hf_x, hf_y, _ = toy_problem(cfg)
-    scripted = (model.hf_block.copy(), model.discriminator.copy())
+    scripted = (copy.deepcopy(model.hf_block), copy.deepcopy(model.discriminator))
 
     # run the scripted five stages three times on persistent copies
-    holder = GanMdfModel(model.lf_block.copy(), scripted[0], scripted[1])
+    holder = GanMdfModel(copy.deepcopy(model.lf_block), scripted[0], scripted[1])
     lf = holder.lf_block
     hf, disc = holder.hf_block, holder.discriminator
     b = hf_x.shape[0]
@@ -767,23 +768,27 @@ def test_train_end_to_end_smoke():
         ("forrester1d", 100, 5, 150, 30, {}, {
             "SkylakeX": "586384b347e477deeb97d77761afef5ae46486c1a4b7f3bebb870c5eeac5f5e9",
             "Haswell": "829b468982d8b6acebe27cf41e638817ee05dbeb982a781c686f955d41068106",
+            "Sandybridge": "32c6a65ad35b8b371b0447256e1e25521bdcf165408f6e8b2d5188c52035c06d",
             "Katmai": "7647ad667c5d505ac55c33ca344f49842b4f7addd344ea82adeb87f1030af50c",
         }),
         # leaky_relu hidden layers, standard normalizer, 20-D inputs
         ("separable20d", 80, 20, 60, 20, {}, {
             "SkylakeX": "b35c8368a1a86c258d41a803ff37c5926849d40c326a293cf06cc16547659bfe",
             "Haswell": "04a974adeee67ab3f739d31e7e6da0ec0e40362f681ee02c4988dc4f6e9ff4b8",
+            "Sandybridge": "7880731209901f349f7cbd1fee1c7e9debfa9d3a7559305d835652c4c1c688db",
             "Katmai": "7880731209901f349f7cbd1fee1c7e9debfa9d3a7559305d835652c4c1c688db",
         }),
         # the two ablation paths: no supervised stages, and standard-gan updates
         ("separable20d", 80, 20, 60, 20, {"supervised_trick": False}, {
             "SkylakeX": "eee286a34b8940e565a18ed07e0e6a9cd80a63b3aedb2329ceaa0dec1a15794c",
             "Haswell": "038e230b01add9d2f2fd6ae213360b29745abd7928ded6b4e67808053a9b18bb",
+            "Sandybridge": "d91502b795a18ac398b2fe0ac6a8a69f9f62728f078f3aba1321867eb06ce24d",
             "Katmai": "d91502b795a18ac398b2fe0ac6a8a69f9f62728f078f3aba1321867eb06ce24d",
         }),
         ("separable20d", 80, 20, 60, 20, {"mode": MODE_STANDARD_GAN}, {
             "SkylakeX": "07a08c9cc6d165370c99279a6c15a4b05fb0c9d2f249909b19e0f7ffb22d8275",
             "Haswell": "536a154aae8c886e10c51a8516048243341caded541499fe2c0242d01084ceaf",
+            "Sandybridge": "2821fe9ebcea91dcac9dfaf911487c6257a108967feeaeb5e7c76a1b3a7650df",
             "Katmai": "2821fe9ebcea91dcac9dfaf911487c6257a108967feeaeb5e7c76a1b3a7650df",
         }),
     ],

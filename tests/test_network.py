@@ -1,6 +1,9 @@
 import copy
 import json
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from mdfgan.nn import (
     network,
     leaky_relu,
 )
+from blas_core import openblas_core
 
 
 def small_net(seed=0):
@@ -155,6 +159,19 @@ def test_freeze_blocks_updates_but_not_evaluation():
     np.testing.assert_array_equal(net.forward(np.array([[0.5, 0.5]]))[0], out)
 
 
+def test_a_frozen_network_refuses_load_params():
+    """load_params overwrote a frozen network. It now raises apply_adam's
+    error before it writes anything, so a tape recorded before stays valid."""
+    net = small_net(seed=4)
+    net.freeze()
+    before = net.checksum()
+    out, tape = net.forward(np.array([[0.5, 0.5]]))
+    with pytest.raises(FrozenNetworkError, match="network is frozen; parameter updates are forbidden"):
+        net.load_params(np.zeros_like(net.params))
+    assert net.checksum() == before
+    net.gradient(tape, np.ones_like(out))
+
+
 def test_checksum_tracks_parameters():
     net = small_net(seed=4)
     before = net.checksum()
@@ -167,7 +184,7 @@ def test_checksum_tracks_parameters():
 
 def test_copy_is_independent():
     net = small_net(seed=6)
-    dup = net.copy()
+    dup = copy.deepcopy(net)
     dup.weights[0][0, 0] += 1.0
     assert net.weights[0][0, 0] != dup.weights[0][0, 0]
     assert net.checksum() != dup.checksum()
@@ -176,7 +193,7 @@ def test_copy_is_independent():
 def test_copy_preserves_frozen_flag():
     net = small_net()
     net.freeze()
-    assert net.copy().frozen
+    assert copy.deepcopy(net).frozen
 
 
 def test_serialization_round_trip_is_exact():
@@ -272,16 +289,15 @@ def test_copy_and_load_params_get_their_own_vector():
     net = small_net(seed=7)
     loaded = small_net(seed=8)
     loaded.load_params(net.params)
-    for dup in (net.copy(), loaded):
+    for dup in (copy.deepcopy(net), loaded):
         np.testing.assert_array_equal(dup.params, net.params)
         assert not np.shares_memory(dup.params, net.params)
         assert all(np.shares_memory(w, dup.params) for w in dup.weights)
 
 
 def test_pickle_round_trip_keeps_one_parameter_vector():
-    """``DenseNetwork.copy`` (through ``copy.copy``), ``copy.deepcopy`` and a
-    user's pickle all go through ``__getstate__``; the weight and bias views
-    must come back as views into the one vector, not as separate arrays."""
+    """The weight and bias views of an unpickled network must be views into
+    its one vector, not separate arrays."""
     net = pickle.loads(pickle.dumps(small_net(seed=3)))
     assert all(np.shares_memory(view, net.params) for view in (*net.weights, *net.biases))
     x = np.array([[0.3, -0.2]])
@@ -320,10 +336,10 @@ def test_copies_and_pickles_carry_only_the_parameters():
     net, x = small_net(seed=7), np.array([[0.2, 0.9]])
     out, tape = net.forward(x)
     want, _ = net.gradient(tape, np.ones_like(out))
-    state = net.__getstate__()
+    state = vars(net)
     assert [k for k, v in state.items() if isinstance(v, np.ndarray)] == ["params"]
     assert not {"weights", "biases"} & set(state)
-    for dup in (net.copy(), pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+    for dup in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
         assert _same_bits(dup.params, net.params) and not np.shares_memory(dup.params, net.params)
         assert all(np.shares_memory(view, dup.params) for view in (*dup.weights, *dup.biases))
         out, tape = dup.forward(x)
@@ -337,7 +353,7 @@ def test_cached_block_is_unchanged_when_its_copy_trains():
     fit_regression(cached, x, y, 0.01, 3, 4, rng)
     cached.freeze()
     before = cached.checksum()
-    dup = cached.copy()
+    dup = copy.deepcopy(cached)
     dup.frozen = False
     fit_regression(dup, x, y, 0.01, 3, 4, rng)
     assert dup.checksum() != before
@@ -435,12 +451,43 @@ def test_kernels_give_the_bits_of_the_reference(pair, part):
             assert _same_bits(into, want_into), (rows, tape)
 
 
+# the cpuinfo flag each OpenBLAS core needs; Linux names SSE3 "pni"
+_CORE_FLAGS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Sandybridge": "avx", "Prescott": "pni"}
+
+
+def _cores_this_cpu_runs():
+    try:
+        with open("/proc/cpuinfo") as f:
+            flags = set(next(line for line in f if line.startswith("flags")).split(":", 1)[1].split())
+    except (OSError, StopIteration):
+        return []
+    return [core for core, flag in _CORE_FLAGS.items() if flag in flags]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the CPU flags from /proc/cpuinfo")
+@pytest.mark.parametrize("core", _cores_this_cpu_runs())
+def test_every_core_this_cpu_runs_gives_the_pinned_bits(core, child_env):
+    """The digest pins and the kernel-bit tests pass on each OpenBLAS core
+    this CPU can run, each in a child pytest that OPENBLAS_CORETYPE points
+    at that core; this process's own core is checked by this run."""
+    if {"Prescott": "Katmai"}.get(core, core) == openblas_core():  # its Prescott kernels are named Katmai
+        pytest.skip(f"this process runs {core}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-k", "digest_is_pinned or kernels_give_the_bits_of_the_reference",
+         "tests/test_gan.py", "tests/test_experiments.py", "tests/test_network.py"],
+        cwd=Path(__file__).parents[1], env={**child_env, "OPENBLAS_CORETYPE": core},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-1000:]
+
+
 def test_a_tape_of_another_network_raises_and_is_left_alone():
     net, twin = small_net(seed=1), small_net(seed=1)
     x = np.array([[0.3, -0.2], [0.1, 0.4]])
     out, tape = net.forward(x)
     kept = [a.copy() for a in (*tape.pre, *tape.post)]
-    for other, rows in ((twin, x), (twin, x[:1]), (net.copy(), x)):
+    for other, rows in ((twin, x), (twin, x[:1]), (copy.deepcopy(net), x)):
         with pytest.raises(ValueError, match="tape belongs to another network"):
             other.forward(rows, tape)
         assert all(_same_bits(a, b) for a, b in zip((*tape.pre, *tape.post), kept))
